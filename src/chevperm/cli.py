@@ -67,7 +67,7 @@ def _resolve_suites(text):
     return chosen, True
 
 
-def _summary_lines(reports, explicit_names):
+def _summary_lines(reports):
     lines = []
     for name, rep in reports.items():
         if rep.skipped:
@@ -116,9 +116,9 @@ def cmd_run(args):
         "suites": {name: rep.to_json_dict(include_timing=args.timings)
                    for name, rep in reports.items()},
     }
+    lines, overall = _summary_lines(reports)
     ran = sum(not r.skipped for r in reports.values())
     skipped = sum(r.skipped for r in reports.values())
-    overall = all(r.ok for r in reports.values())
     payload["summary"] = {
         "ok": overall,
         "ran": ran,
@@ -128,7 +128,6 @@ def cmd_run(args):
         "failing": sorted(name for name, r in reports.items() if not r.ok),
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    lines, _ = _summary_lines(reports, requested)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

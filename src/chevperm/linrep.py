@@ -5,10 +5,20 @@ row-echelon bases, so equal subspaces have equal representations.  A
 ModuleHandle bundles an ambient dimension with invertible labelled actions
 (permutations of a basis, or dense matrices) plus the sublist of labels
 used for submodule closure.  On top of that: spinning, fixed spaces,
-restriction and quotient (with action-equivariance asserted), an
-irreducibility test in the random-singular-element style with certified
-verdicts, recursive composition series, and a socle check that enumerates
-the fixed lines of a p-group action.
+restriction and quotient, an irreducibility test in the random-singular-
+element style with certified verdicts, recursive composition series, and a
+socle check that enumerates the fixed lines of a p-group action.
+
+Restriction and quotient work on whole matrices, one identity per label in
+`actions` (not only the spin labels), exact mod l:
+
+  restrict  S (k x n, RREF rows) invariant: with img = S A^T (the images of
+            the rows) and C = img[:, pivots], assert C S == img.  The
+            restricted action is C^T.
+  quotient  P ((n-k) x n) the projection onto the non-pivot coordinates:
+            with Q = (P A)[:, keep], assert P A == Q P, i.e. equivariance
+            on every ambient basis vector, the dropped pivots included.  The
+            quotient action is Q.
 
 The irreducibility criterion used: for a singular algebra element A, if
 some proper submodule exists then either a vector of ker A generates a
@@ -104,18 +114,21 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
+    # reduce, contains and coords take one vector or a block of row vectors
+
     def reduce(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.int64) % self.l
         if self.dim:
-            v = (v - v[list(self.pivots)] @ self.rows) % self.l
+            v = (v - v[..., list(self.pivots)] @ self.rows) % self.l
         return v
 
     def contains(self, v) -> bool:
+        """Is the vector (every row of the block) in the subspace?"""
         return not np.any(self.reduce(v))
 
     def coords(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.int64) % self.l
-        c = v[list(self.pivots)]
+        c = v[..., list(self.pivots)]
         assert not np.any((v - c @ self.rows) % self.l), "vector outside the subspace"
         return c
 
@@ -196,6 +209,21 @@ class ModuleHandle:
             self.actions[label] = ("mat", fwd, inv)
         M = inv if inverse else fwd
         return (M @ v) % self.l
+
+    def images(self, label: Hashable, rows: np.ndarray) -> np.ndarray:
+        """The images of the row vectors of a block under one action: rows A^T."""
+        kind, fwd, inv = self.actions[label]
+        if kind == "perm":
+            return rows[:, inv]
+        return (rows @ fwd.T) % self.l
+
+    def pullback(self, label: Hashable, rows: np.ndarray) -> np.ndarray:
+        """The row vectors of a block, read as functionals, composed with one
+        action: rows A."""
+        kind, fwd, _ = self.actions[label]
+        if kind == "perm":
+            return rows[:, fwd]
+        return (rows @ fwd) % self.l
 
     def apply_word(self, word: Sequence[Hashable], v: np.ndarray) -> np.ndarray:
         """Apply a product of labelled actions, rightmost factor first."""
@@ -302,13 +330,17 @@ def fixed_space(handle: ModuleHandle, labels: Optional[Sequence[Hashable]] = Non
 
 
 def restrict(handle: ModuleHandle, sub: Subspace) -> ModuleHandle:
-    """The module structure on an invariant subspace, in its basis coords."""
+    """The module structure on an invariant subspace, in its basis coords.
+
+    For every label, the images S A^T of the basis rows S have coordinates
+    C = (S A^T)[:, pivots], and C S == S A^T is asserted: no image leaves
+    the subspace.  The restricted action is C^T.
+    """
     if sub.dim == handle.dim:
         return handle
     out = ModuleHandle(sub.dim, handle.l, handle.spin_labels)
     for label in handle.actions:
-        cols = [sub.coords(handle.apply(label, row)) for row in sub.rows]
-        out.add_matrix(label, np.array(cols, dtype=np.int64).T if cols else np.zeros((0, 0), np.int64))
+        out.add_matrix(label, sub.coords(handle.images(label, sub.rows)).T)
     return out
 
 
@@ -316,29 +348,29 @@ def quotient(handle: ModuleHandle, sub: Subspace) -> Tuple[ModuleHandle, Callabl
     """The quotient module by an invariant subspace with its projection.
 
     The projection reduces mod the subspace then reads off the coordinates
-    away from its pivots; equivariance against every action is asserted.
+    away from its pivots; as a matrix P it is the identity on those columns
+    and -R^T on the pivot columns (R the basis rows restricted to them).  For
+    every label, with Q = (P A)[:, keep], P A == Q P is asserted:
+    equivariance on the full ambient basis, including the dropped pivots.
+    The quotient action is Q.
     """
     if sub.dim == 0:
         return handle, lambda v: np.asarray(v, dtype=np.int64) % handle.l
+    l = handle.l
     keep = [j for j in range(handle.dim) if j not in set(sub.pivots)]
 
     def project(v: np.ndarray) -> np.ndarray:
         return sub.reduce(v)[keep]
 
-    out = ModuleHandle(len(keep), handle.l, handle.spin_labels)
+    P = np.zeros((len(keep), handle.dim), dtype=np.int64)
+    P[:, keep] = np.eye(len(keep), dtype=np.int64)
+    P[:, list(sub.pivots)] = (-sub.rows[:, keep].T) % l
+    out = ModuleHandle(len(keep), l, handle.spin_labels)
     for label in handle.actions:
-        cols = []
-        for j in keep:
-            cols.append(project(handle.apply(label, handle.basis_vector(j))))
-        M = np.array(cols, dtype=np.int64).T if cols else np.zeros((0, 0), np.int64)
-        out.add_matrix(label, M)
-    # equivariance on the full ambient basis, including the dropped pivots
-    for label in handle.actions:
-        M = out.matrix(label)
-        for j in range(handle.dim):
-            lhs = project(handle.apply(label, handle.basis_vector(j)))
-            rhs = (M @ project(handle.basis_vector(j))) % handle.l
-            assert np.array_equal(lhs, rhs), "projection is not equivariant"
+        PA = handle.pullback(label, P)
+        Q = PA[:, keep]
+        assert np.array_equal(PA, (Q @ P) % l), "projection is not equivariant"
+        out.add_matrix(label, Q)
     return out, project
 
 
@@ -422,8 +454,7 @@ def meataxe_irreducible(
             if S.dim < d:
                 witness = S.perp()
                 for lbl in handle.spin_labels:
-                    for row in witness.rows:
-                        assert witness.contains(handle.apply(lbl, row))
+                    assert witness.contains(handle.images(lbl, witness.rows))
                 assert 0 < witness.dim < d
                 return Verdict(False, witness=witness, certificate={"method": "transpose-kernel", "element": spec})
         return Verdict(
@@ -482,7 +513,7 @@ def socle_simple_check(
     for v in line_representatives(F.rows, handle.l):
         lines += 1
         S = spin(handle, [v])
-        if not all(S.contains(row) for row in C.rows):
+        if not S.contains(C.rows):
             all_contain = False
             break
     verdict = meataxe_irreducible(restrict(handle, C), seed=seed)

@@ -317,7 +317,7 @@ class LevelModule:
             merged = sub.sum(above)
             assert merged.dim == sub.dim, "larger-subset submodule escapes the smaller one"
             sub_handle = restrict(self.handle, sub)
-            inner = Subspace(sub.dim, self.ell, np.array([sub.coords(r) for r in above.rows]) if above.dim else None)
+            inner = Subspace(sub.dim, self.ell, sub.coords(above.rows))
             e_handle, qproj = quotient(sub_handle, inner)
 
             def project(v, _sub=sub, _qproj=qproj):

@@ -75,6 +75,16 @@ def test_subspace_membership_and_coords():
     assert not S.contains([0, 0, 0, 1])
 
 
+def test_subspace_block_membership_and_coords():
+    S = Subspace(4, 3, np.array([[1, 0, 2, 0], [0, 1, 1, 0]]))
+    block = np.array([(2 * S.rows[0] + S.rows[1]) % 3, S.rows[1], np.zeros(4, dtype=np.int64)])
+    assert S.contains(block)
+    assert S.coords(block).tolist() == [[2, 1], [0, 1], [0, 0]]
+    assert not S.contains(np.vstack([block, [0, 0, 0, 1]]))
+    with pytest.raises(AssertionError, match="outside the subspace"):
+        S.coords(np.vstack([block, [0, 0, 0, 1]]))
+
+
 def test_subspace_sum_intersect_frozen():
     A = Subspace(3, 2, np.array([[1, 1, 0]]))
     B = Subspace(3, 2, np.array([[0, 1, 1]]))
@@ -354,3 +364,120 @@ def test_socle_check_rejects_zero_candidate():
     h = cyclic_shift_module(3)
     with pytest.raises(AssertionError):
         socle_simple_check(h, np.zeros(3, dtype=np.int64), ["c"])
+
+
+# -- restrict / quotient against the per-vector reference ---------------------
+
+
+def loop_restrict(handle, sub):
+    """Reference: one membership check per image of a basis row."""
+    if sub.dim == handle.dim:
+        return handle
+    out = ModuleHandle(sub.dim, handle.l, handle.spin_labels)
+    for label in handle.actions:
+        cols = [sub.coords(handle.apply(label, row)) for row in sub.rows]
+        out.add_matrix(label, np.array(cols, dtype=np.int64).T if cols else np.zeros((0, 0), np.int64))
+    return out
+
+
+def loop_quotient(handle, sub):
+    """Reference: one equivariance check per ambient basis vector."""
+    if sub.dim == 0:
+        return handle, lambda v: np.asarray(v, dtype=np.int64) % handle.l
+    keep = [j for j in range(handle.dim) if j not in set(sub.pivots)]
+
+    def project(v):
+        return sub.reduce(v)[keep]
+
+    out = ModuleHandle(len(keep), handle.l, handle.spin_labels)
+    for label in handle.actions:
+        cols = []
+        for j in keep:
+            cols.append(project(handle.apply(label, handle.basis_vector(j))))
+        M = np.array(cols, dtype=np.int64).T if cols else np.zeros((0, 0), np.int64)
+        out.add_matrix(label, M)
+    for label in handle.actions:
+        M = out.matrix(label)
+        for j in range(handle.dim):
+            lhs = project(handle.apply(label, handle.basis_vector(j)))
+            rhs = (M @ project(handle.basis_vector(j))) % handle.l
+            assert np.array_equal(lhs, rhs), "projection is not equivariant"
+    return out, project
+
+
+def uniserial_module(l):
+    """The regular module of a cyclic l-group over GF(l): uniserial, with one
+    submodule of each dimension.  Label "c" is the shift and spins; "c2", its
+    square, does not, so the checks must cover non-spin labels too."""
+    n = l * l if l < 5 else l
+    h = cyclic_shift_module(l, n)
+    h.add_perm("c2", np.roll(np.arange(n), -2))
+    return h
+
+
+def submodule_of_dim(handle, d):
+    """The unique d-dimensional submodule of a uniserial cyclic module: the
+    span of (c - 1)^(n-d) applied to the first basis vector."""
+    v = handle.basis_vector(0)
+    for _ in range(handle.dim - d):
+        v = (handle.apply("c", v) - v) % handle.l
+    S = spin(handle, [v]) if d else Subspace(handle.dim, handle.l)
+    assert S.dim == d
+    return S
+
+
+def mat_uniserial_module(l):
+    """A restricted handle: every action is a dense matrix."""
+    h = uniserial_module(l)
+    sub = restrict(h, submodule_of_dim(h, h.dim - 1))
+    assert all(kind == "mat" for kind, _, _ in sub.actions.values())
+    return sub
+
+
+def assert_same_handle(new, ref):
+    assert new.dim == ref.dim and list(new.actions) == list(ref.actions)
+    assert new.spin_labels == ref.spin_labels
+    for label in ref.actions:
+        assert np.array_equal(new.matrix(label), ref.matrix(label)), label
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+@pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
+def test_restrict_quotient_match_per_vector_reference(l, build):
+    handle = build(l)
+    n = handle.dim
+    rng = np.random.default_rng(l)
+    vectors = rng.integers(0, l, size=(6, n))
+    for d in (0, 1, n - 1, n):
+        S = submodule_of_dim(handle, d)
+        assert_same_handle(restrict(handle, S), loop_restrict(handle, S))
+        quot, project = quotient(handle, S)
+        ref_quot, ref_project = loop_quotient(handle, S)
+        assert_same_handle(quot, ref_quot)
+        for v in list(vectors) + list(S.rows):
+            assert np.array_equal(project(v), ref_project(v))
+
+
+@pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
+def test_restrict_quotient_reject_non_invariant(build):
+    handle = build(3)
+    e0 = Subspace(handle.dim, 3, handle.basis_vector(0)[None, :])
+    assert spin(handle, [e0.rows[0]]).dim > 1
+    with pytest.raises(AssertionError, match="outside the subspace"):
+        restrict(handle, e0)
+    with pytest.raises(AssertionError, match="not equivariant"):
+        quotient(handle, e0)
+
+
+def test_restrict_quotient_check_non_spin_labels():
+    # span{e0 + e2, e1 + e3} is invariant under the spin label only; the
+    # non-spin label "flip" moves it, and both constructions must notice
+    handle = uniserial_module(2)
+    S = submodule_of_dim(handle, 2)
+    handle.add_perm("flip", np.array([1, 0, 2, 3]))
+    assert S.contains(handle.images("c", S.rows))
+    assert not S.contains(handle.images("flip", S.rows))
+    with pytest.raises(AssertionError, match="outside the subspace"):
+        restrict(handle, S)
+    with pytest.raises(AssertionError, match="not equivariant"):
+        quotient(handle, S)
