@@ -5,9 +5,9 @@ cells, then assembles the alternating Weyl sums and the submodule lattice
 they generate, ending with the subquotient dimension table.
 """
 
-from chevperm.permmod import build_context, subset_tag
+from chevperm.permmod import PermContext, subset_tag
 
-ctx = build_context("A2", 2)
+ctx = PermContext("A2", 2)
 lm = ctx.base
 datum = lm.datum
 

@@ -7,11 +7,11 @@ the group-algebra of the Weyl group instead (shown here for SL_2).
 """
 
 from chevperm.linrep import composition_series
-from chevperm.permmod import build_context, subset_tag
+from chevperm.permmod import PermContext, subset_tag
 
 
 def factor_table(kind, q, char=None):
-    lm = build_context(kind, q, char=char).base
+    lm = PermContext(kind, q, char=char).base
     full = composition_series(lm.handle, seed=0)
     print(f"{kind} over GF({q}), coefficients GF({lm.ell}):")
     print(f"   full module dim {lm.dim}: factors {full}")

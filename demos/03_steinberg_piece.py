@@ -10,10 +10,10 @@ unipotent-sum image of the generator returns the generator.
 import numpy as np
 
 from chevperm.linrep import meataxe_irreducible
-from chevperm.permmod import build_context
+from chevperm.permmod import PermContext
 
 for kind, q in (("A1", 2), ("A1", 3), ("A2", 2), ("B2", 2)):
-    lm = build_context(kind, q).base
+    lm = PermContext(kind, q).base
     datum = lm.datum
     full = frozenset(range(datum.rank))
     piece = lm.filtration()[full]
@@ -27,7 +27,7 @@ for kind, q in (("A1", 2), ("A1", 3), ("A2", 2), ("B2", 2)):
 
     # the signed unipotent-sum identity on the generator image
     eta = lm.alternating_sum(full)
-    base = lm.u_sum(w0, lm.values()) @ eta % lm.ell
+    base = lm.u_sum(w0, lm.values(), eta)
     acc = np.zeros(lm.dim, dtype=np.int64)
     for w in datum.subgroup_elements(full):
         acc = (acc + lm.sign(w) * lm.act_weyl(w, base)) % lm.ell

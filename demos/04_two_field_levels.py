@@ -8,9 +8,9 @@ spinning any nonzero mixed combination recovers a pure translate.
 
 import numpy as np
 
-from chevperm.permmod import build_context, subset_tag
+from chevperm.permmod import PermContext, subset_tag
 
-ctx = build_context("A2", 2, a=1, b=2)
+ctx = PermContext("A2", 2, a=1, b=2)
 lm = ctx.ext
 print("extension-level module: dim %d over GF(%d)" % (lm.dim, lm.field.order))
 lo, hi = ctx.sub_values(), lm.values()
@@ -29,8 +29,8 @@ print("working at J=%s, translate w=e, %d unipotent factor(s)" % (subset_tag(J),
 
 weta = lm.act_weyl(w, eta)
 for d in range(t):
-    lhs = lm.transversal_sum(datum.phi_minus(tail)[d], reps) @ (lm.theta(tail, d, hi, lo) @ weta) % lm.ell
-    rhs = lm.theta(tail, d + 1, hi, lo) @ weta % lm.ell
+    lhs = lm.root_sum(datum.phi_minus(tail)[d], reps, lm.theta(tail, d, hi, lo, weta))
+    rhs = lm.theta(tail, d + 1, hi, lo, weta)
     same = np.array_equal(piece.project(lhs), piece.project(rhs))
     print("   transversal step d=%d -> d=%d: %s" % (d, d + 1, "exact" if same else "BROKEN"))
     assert same
@@ -38,9 +38,9 @@ for d in range(t):
 # a mixed combination spins up to something containing a pure translate
 from chevperm.linrep import spin
 
-xi = piece.project(lm.theta(tail, 0, hi, lo) @ weta % lm.ell)
+xi = piece.project(lm.theta(tail, 0, hi, lo, weta))
 M = spin(piece.handle, [xi])
-pure = piece.project(lm.u_sum(tail, lo) @ weta % lm.ell)
+pure = piece.project(lm.u_sum(tail, lo, weta))
 print("spin of the all-small-level combination: dim %d; contains the pure translate: %s"
       % (M.dim, M.contains(pure)))
 assert M.contains(pure)

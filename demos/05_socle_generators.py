@@ -10,9 +10,9 @@ unique minimal submodule witness.
 import numpy as np
 
 from chevperm.linrep import fixed_space, meataxe_irreducible, restrict, spin
-from chevperm.permmod import build_context, subset_tag
+from chevperm.permmod import PermContext, subset_tag
 
-lm = build_context("A1", 3).base
+lm = PermContext("A1", 3).base
 datum = lm.datum
 values = lm.values()
 u_fixed = lm.unipotent_fixed_space()
@@ -31,14 +31,10 @@ rng = np.random.default_rng(1)
 full = frozenset(range(datum.rank))
 vJ, wJ, _ = datum.w0_factorization(full)
 D = lm.parabolic_alternating_sum(full)
-flags, phandle = lm.parabolic(frozenset())
+_, phandle = lm.parabolic(frozenset())
 EpJ = spin(phandle, [D])
 sub = restrict(phandle, EpJ)
-lead = np.eye(len(flags), dtype=np.int64)
-for ri in datum.phi_minus(wJ * vJ.inverse()):
-    step = sum(phandle.matrix(("r", ri, c)) for c in values if c) + np.eye(len(flags), dtype=np.int64)
-    lead = (lead @ step) % lm.ell
-cand = EpJ.coords(lm.sign(wJ) * (lead @ D) % lm.ell)
+cand = EpJ.coords(lm.sign(wJ) * lm.u_sum(wJ * vJ.inverse(), values, D, handle=phandle) % lm.ell)
 print()
 print("top subquotient model dim %d; candidate socle vector found" % sub.dim)
 hits = 0

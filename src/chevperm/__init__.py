@@ -11,7 +11,7 @@ from .gf import make_field, embedding_table, additive_transversal
 from .rootsys import root_datum
 from .chevalley import matrix_group, FlagIndex, BudgetError
 from .linrep import MeatAxeBudgetError
-from .permmod import PermContext, SuiteRunner, SUITES, build_context
+from .permmod import PermContext, SuiteRunner, SUITES
 
 __all__ = [
     "make_field",
@@ -25,5 +25,4 @@ __all__ = [
     "PermContext",
     "SuiteRunner",
     "SUITES",
-    "build_context",
 ]

@@ -178,11 +178,16 @@ class MatrixGroup:
         return self.from_word(simple_reflection_word(self, i))
 
     def weyl_rep(self, w: WeylElement) -> np.ndarray:
+        """The product of the simple reflection representatives along a
+        reduced word of w; they satisfy the braid relations, so every
+        reduced word gives the same matrix."""
         M = self._weyl_cache.get(w.perm)
         if M is None:
-            M = identity_matrix(self.field, self.n)
-            for i in w.word:
-                M = mat_mul(self.field, M, self.simple_rep(i))
+            if w.length <= 1:
+                M = self.from_word(weyl_word(self, w))
+            else:
+                s = self.datum.simple_reflection(w.word[-1])
+                M = mat_mul(self.field, self.weyl_rep(w * s), self.weyl_rep(s))
             self._weyl_cache[w.perm] = M
         return M
 
@@ -341,29 +346,39 @@ class FlagIndex:
                 "coset space of size %d exceeds budget %d" % (predicted, budget)
             )
         self._pk_reps = self._parabolic_reps()
-        self.points: List[np.ndarray] = []
-        self._index: Dict[bytes, int] = {}
+        # each Bruhat cell, keyed by the pivot rows of its Borel echelon
+        # forms: its Weyl element w and the entries of w's representative at
+        # those pivots
+        self._cells: Dict[Tuple[int, ...], Tuple[WeylElement, np.ndarray]] = {}
+        for w in datum.elements:
+            wd = group.weyl_rep(w)
+            piv = group.borel_canonical(wd)[1]
+            self._cells[piv] = (w, wd[piv, range(group.n)])
+        assert len(self._cells) == len(datum.elements)
+        self.reps: List[np.ndarray] = []   # a group element in each coset
+        self._index: Dict[bytes, int] = {}  # canonical form -> coset index
         self._perm_cache: Dict[bytes, np.ndarray] = {}
         self._bruhat: Optional[List[WeylElement]] = None
         self._build(predicted)
 
     def _parabolic_reps(self) -> List[np.ndarray]:
         reps = []
+        # BwB/B = U_{Phi(w^-1)} w B: the unipotent factor runs over the
+        # inversion set of w^-1, not of w
         for w in self.group.datum.subgroup_elements(self.K):
-            for word in unipotent_words(self.group, w):
+            for word in unipotent_words(self.group, w.inverse()):
                 reps.append(self.group.mul(self.group.from_word(word), self.group.weyl_rep(w)))
         return reps
 
-    def canonical(self, M: np.ndarray) -> np.ndarray:
+    def _borel_form(self, M: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
+        """The canonical form of the coset of M and its pivot rows."""
         if not self.K:
-            return self.group.borel_canonical(M)[0]
-        best = None
-        for r in self._pk_reps:
-            cand = self.group.borel_canonical(self.group.mul(M, r))[0]
-            key = cand.tobytes()
-            if best is None or key < best[0]:
-                best = (key, cand)
-        return best[1]
+            return self.group.borel_canonical(M)
+        forms = (self.group.borel_canonical(self.group.mul(M, r)) for r in self._pk_reps)
+        return min(forms, key=lambda form: form[0].tobytes())
+
+    def canonical(self, M: np.ndarray) -> np.ndarray:
+        return self._borel_form(M)[0]
 
     def _build(self, predicted: int) -> None:
         datum, group = self.group.datum, self.group
@@ -373,23 +388,30 @@ class FlagIndex:
             for root in (pos, pos + datum.n_pos):
                 for b in group.field.fp_basis():
                     gens.append(group.root_element(root, b))
-        start = self.canonical(group.identity())
-        self.points.append(start)
-        self._index[start.tobytes()] = 0
+        _, MUL, _, _ = group.field.tables()
+
+        def visit(M):
+            form, piv = self._borel_form(M)
+            key = form.tobytes()
+            if key not in self._index:
+                self._index[key] = len(self.reps)
+                # the form is u*P_w, u upper unitriangular: column-scaled, so
+                # at odd q it can lie outside Sp_4.  Scaling each column by
+                # the entry of w's representative at its pivot gives u*w, a
+                # group element as sparse as the form.
+                self.reps.append(MUL[form, self._cells[piv][1]])
+
+        visit(group.identity())
         head = 0
-        while head < len(self.points):
-            base = self.points[head]
+        while head < len(self.reps):
+            base = self.reps[head]
             head += 1
             for g in gens:
-                img = self.canonical(group.mul(g, base))
-                key = img.tobytes()
-                if key not in self._index:
-                    self._index[key] = len(self.points)
-                    self.points.append(img)
-        assert len(self.points) == predicted, (len(self.points), predicted)
+                visit(group.mul(g, base))
+        assert len(self.reps) == predicted, (len(self.reps), predicted)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.reps)
 
     def index_of(self, M: np.ndarray) -> int:
         return self._index[self.canonical(M).tobytes()]
@@ -399,7 +421,7 @@ class FlagIndex:
         perm = self._perm_cache.get(key)
         if perm is None:
             perm = np.array(
-                [self._index[self.canonical(self.group.mul(M, pt)).tobytes()] for pt in self.points],
+                [self._index[self.canonical(self.group.mul(M, rep)).tobytes()] for rep in self.reps],
                 dtype=np.int64,
             )
             self._perm_cache[key] = perm
@@ -407,7 +429,7 @@ class FlagIndex:
 
     def perm_of_word(self, word: Sequence[Tuple[int, int]]) -> np.ndarray:
         """Permutation of the left action of a product of root elements."""
-        perm = np.arange(len(self.points), dtype=np.int64)
+        perm = np.arange(len(self.reps), dtype=np.int64)
         for root_index, c in reversed(word):
             perm = self.perm_of(self.group.root_element(root_index, c))[perm]
         return perm
@@ -417,16 +439,7 @@ class FlagIndex:
         if self.K:
             raise ValueError("Bruhat labels are defined on the Borel index")
         if self._bruhat is None:
-            by_pivots = {}
-            for w in self.group.datum.elements:
-                _, piv = self.group.borel_canonical(self.group.weyl_rep(w))
-                assert piv not in by_pivots
-                by_pivots[piv] = w
-            out = []
-            for pt in self.points:
-                _, piv = self.group.borel_canonical(pt)
-                out.append(by_pivots[piv])
-            self._bruhat = out
+            self._bruhat = [self._cells[self.group.borel_canonical(rep)[1]][0] for rep in self.reps]
         return self._bruhat
 
 

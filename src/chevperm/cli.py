@@ -22,8 +22,8 @@ from .gf import factor_prime_power, is_prime
 from .linrep import MeatAxeBudgetError
 from .permmod import (
     SUITES,
+    PermContext,
     SuiteRunner,
-    build_context,
     parse_subset,
     subset_tag,
     word_tag,
@@ -81,7 +81,7 @@ def _summary_lines(reports):
     skipped = sum(r.skipped for r in reports.values())
     overall = all(r.ok for r in reports.values())
     lines.append("overall: %s (%d ran, %d skipped)" % ("PASS" if overall else "FAIL", ran, skipped))
-    return lines, overall
+    return lines, overall, ran, skipped
 
 
 def cmd_run(args):
@@ -116,9 +116,7 @@ def cmd_run(args):
         "suites": {name: rep.to_json_dict(include_timing=args.timings)
                    for name, rep in reports.items()},
     }
-    lines, overall = _summary_lines(reports)
-    ran = sum(not r.skipped for r in reports.values())
-    skipped = sum(r.skipped for r in reports.values())
+    lines, overall, ran, skipped = _summary_lines(reports)
     payload["summary"] = {
         "ok": overall,
         "ran": ran,
@@ -160,7 +158,7 @@ def cmd_inspect(args):
     if args.q ** args.a > 256:
         raise UsageError("field order %d exceeds the matrix-arithmetic bound 256" % args.q**args.a)
     try:
-        ctx = build_context(args.type, args.q, a=args.a, char=char, budget=args.budget)
+        ctx = PermContext(args.type, args.q, a=args.a, char=char, budget=args.budget)
     except BudgetError as exc:
         print("budget exhausted: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET

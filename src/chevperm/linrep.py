@@ -243,12 +243,6 @@ class ModuleHandle:
             self._mat_cache[label] = M
         return M
 
-    def operator(self, word: Sequence[Hashable]) -> np.ndarray:
-        out = np.eye(self.dim, dtype=np.int64)
-        for label in word:
-            out = (out @ self.matrix(label)) % self.l
-        return out
-
     def basis_vector(self, i: int) -> np.ndarray:
         v = np.zeros(self.dim, dtype=np.int64)
         v[i] = 1

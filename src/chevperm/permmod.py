@@ -9,8 +9,10 @@ On top of the coset enumeration it materialises:
   * the alternating Weyl sums over a subset J of simple reflections and
     the submodule lattice they generate, with its subquotients,
   * parabolic coset modules and the corresponding alternating sums,
-  * unipotent subgroup sums as exact operators, at one field level or
-    mixed across two levels, plus coset-transversal sums between levels,
+  * unipotent subgroup sums applied to vectors, at one field level or
+    mixed across two levels, plus coset-transversal sums between levels;
+    each is a chain of root-subgroup sums, each of those a sum of coset
+    permutations, so no operator is formed as a matrix,
   * candidate socle generators built from longest-element factorizations.
 
 Every suite returns a SuiteReport of exact checks: the per-case identities
@@ -58,7 +60,6 @@ __all__ = [
     "PermContext",
     "LevelModule",
     "FiltrationPiece",
-    "build_context",
     "SUITES",
     "SuiteRunner",
     "subset_tag",
@@ -111,7 +112,10 @@ class LevelModule:
     Labels of the form ("r", root_index, c) act by the precomputed coset
     permutations of the root elements; everything else (Weyl
     representatives, torus elements, subgroup sums) is expressed through
-    them.  Operators are dense int64 matrices mod l.
+    them.  Operators act on vectors: a subgroup sum applied to v is a chain
+    of root sums, each a sum of permutation gathers of v.  The actions
+    permute along axis 0, so passing the identity matrix as v returns the
+    operator as a matrix.
     """
 
     def __init__(self, kind: str, order: int, ell: int, budget: int = 200_000):
@@ -125,7 +129,6 @@ class LevelModule:
         self.handle = self._build_handle(self.flags)
         self._parabolic: Dict[FrozenSet[int], Tuple[FlagIndex, ModuleHandle]] = {}
         self._filtration: Optional[Dict[FrozenSet[int], FiltrationPiece]] = None
-        self._op_cache: Dict[tuple, np.ndarray] = {}
         self._fixed_space: Optional[Subspace] = None
 
     def _build_handle(self, flags: FlagIndex) -> ModuleHandle:
@@ -173,55 +176,45 @@ class LevelModule:
             out = (out + self.sign(w) * self.act_weyl(w, self.unit())) % self.ell
         return out
 
-    # -- operators
+    # -- operators, applied to vectors
 
-    def root_sum(self, root_index: int, values: Sequence[int]) -> np.ndarray:
-        """Sum of the root-element permutation matrices over the values."""
-        key = ("rs", root_index, tuple(values))
-        M = self._op_cache.get(key)
-        if M is None:
-            M = np.zeros((self.dim, self.dim), dtype=np.int64)
-            for c in values:
-                if c == 0:
-                    M += np.eye(self.dim, dtype=np.int64)
-                else:
-                    M += self.handle.matrix(("r", root_index, c))
-            M %= self.ell
-            self._op_cache[key] = M
-        return M
+    def root_sum(self, root_index: int, values: Sequence[int], v: np.ndarray,
+                 handle: Optional[ModuleHandle] = None) -> np.ndarray:
+        """Sum over the values c of the root element x_root(c) applied to v;
+        c = 0 is the identity."""
+        handle = handle or self.handle
+        out = np.zeros_like(v)
+        for c in values:
+            out += v if c == 0 else handle.apply(("r", root_index, c), v)
+        return out % self.ell
 
-    def u_sum(self, w: WeylElement, values: Sequence[int]) -> np.ndarray:
-        """Group-sum operator of the unipotent piece attached to w.
+    def root_chain(self, roots: Sequence[int], values: Sequence[int], v: np.ndarray,
+                   handle: Optional[ModuleHandle] = None) -> np.ndarray:
+        """The product of the root sums over `roots`, leftmost factor
+        outermost, applied to v."""
+        for ri in reversed(roots):
+            v = self.root_sum(ri, values, v, handle)
+        return v
+
+    def u_sum(self, w: WeylElement, values: Sequence[int], v: np.ndarray,
+              handle: Optional[ModuleHandle] = None) -> np.ndarray:
+        """Group sum of the unipotent piece attached to w, applied to v.
 
         The factorization over the inversion set (tallest roots first) hits
         every subgroup element exactly once, so the product of per-root sums
         is the subgroup sum regardless of the chosen order.
         """
-        key = ("us", w.perm, tuple(values))
-        M = self._op_cache.get(key)
-        if M is None:
-            M = np.eye(self.dim, dtype=np.int64)
-            for ri in self.datum.phi_minus(w):
-                M = (M @ self.root_sum(ri, values)) % self.ell
-            self._op_cache[key] = M
-        return M
+        return self.root_chain(self.datum.phi_minus(w), values, v, handle)
 
-    def theta(self, w_tail: WeylElement, d: int, hi_values: Sequence[int], lo_values: Sequence[int]) -> np.ndarray:
+    def theta(self, w_tail: WeylElement, d: int, hi_values: Sequence[int], lo_values: Sequence[int],
+              v: np.ndarray) -> np.ndarray:
         """Mixed-level product over the inversion set of w_tail, heights
-        descending: the first d root sums use hi_values, the rest lo_values."""
+        descending, applied to v: the first d root sums use hi_values, the
+        rest lo_values."""
         roots = self.datum.phi_minus(w_tail)
         if not 0 <= d <= len(roots):
             raise ValueError("split point %d outside 0..%d" % (d, len(roots)))
-        M = np.eye(self.dim, dtype=np.int64)
-        for pos, ri in enumerate(roots):
-            M = (M @ self.root_sum(ri, hi_values if pos < d else lo_values)) % self.ell
-        return M
-
-    def transversal_sum(self, root_index: int, reps: Sequence[int]) -> np.ndarray:
-        return self.root_sum(root_index, reps)
-
-    def apply(self, M: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return (M @ v) % self.ell
+        return self.root_chain(roots[:d], hi_values, self.root_chain(roots[d:], lo_values, v))
 
     # -- distinguished vectors
 
@@ -253,7 +246,7 @@ class LevelModule:
         canonical parabolic-invariant vector of the coset module."""
         out = np.zeros(self.dim, dtype=np.int64)
         for w in self.datum.subgroup_elements(K):
-            out = (out + self.u_sum(w.inverse(), values) @ self.act_weyl(w, self.unit())) % self.ell
+            out = (out + self.u_sum(w.inverse(), values, self.act_weyl(w, self.unit()))) % self.ell
         return out
 
     def socle_generator(self, J: Iterable[int], values: Sequence[int]) -> np.ndarray:
@@ -263,7 +256,7 @@ class LevelModule:
         out = np.zeros(self.dim, dtype=np.int64)
         for v in self.datum.subgroup_elements(J):
             w = w0 * v
-            out = (out + self.u_sum(w, values) @ self.act_weyl(w.inverse(), self.unit())) % self.ell
+            out = (out + self.u_sum(w, values, self.act_weyl(w.inverse(), self.unit()))) % self.ell
         return out
 
     def unipotent_labels(self) -> List[tuple]:
@@ -375,11 +368,6 @@ class PermContext:
     def transversal_reps(self) -> List[int]:
         """Additive coset representatives of the embedded level-a field."""
         return list(additive_transversal(self.p, self.e * self.a, self.e * self.b))
-
-
-def build_context(kind: str, q: int, a: int = 1, b: Optional[int] = None,
-                  char: Optional[int] = None, budget: int = 200_000) -> PermContext:
-    return PermContext(kind, q, a=a, b=b, char=char, budget=budget)
 
 
 # -- closure hypotheses for the mixed-level operator identities ---------------
@@ -695,7 +683,7 @@ def suite_steinberg(ctx: PermContext, seed: int, opts: dict) -> SuiteReport:
         piece = pieces[J]
         wJ = datum.longest_element(J)
         eta = lm.alternating_sum(J)
-        base_vec = lm.u_sum(wJ, values) @ eta % lm.ell
+        base_vec = lm.u_sum(wJ, values, eta)
         out = np.zeros(lm.dim, dtype=np.int64)
         for w in datum.subgroup_elements(J):
             out = (out + lm.sign(w) * lm.act_weyl(w, base_vec)) % lm.ell
@@ -736,33 +724,28 @@ def suite_level_steps(ctx: PermContext, seed: int, opts: dict) -> SuiteReport:
                 rep.vacuous += 1
                 continue
             weta = lm.act_weyl(w, eta)
-            deltas = [piece.project(lm.theta(tail, d, hi, lo) @ weta % lm.ell) for d in range(t + 1)]
-            if not np.array_equal(deltas[0], deltas[t]):
+            thetas = [lm.theta(tail, d, hi, lo, weta) for d in range(t + 1)]
+            if not np.array_equal(piece.project(thetas[0]), piece.project(thetas[t])):
                 mixed_difference_seen = True
             for d in range(t + 1):
                 A, B = roots[:d], roots[d:]
                 if not closed_under_addition(datum, A):
                     rep.vacuous += 1
                     continue
+                delta = thetas[d]
                 if B:
                     beta1 = B[0]
                     if commutes_into(datum, A, beta1):
-                        pre = np.eye(lm.dim, dtype=np.int64)
-                        for ri in A:
-                            pre = (pre @ lm.root_sum(ri, hi)) % lm.ell
-                        post = np.eye(lm.dim, dtype=np.int64)
-                        for ri in B:
-                            post = (post @ lm.root_sum(ri, lo)) % lm.ell
+                        post = lm.root_chain(B, lo, weta)
                         for c in hi:
                             if c == 0:
                                 continue
-                            lhs = lm.act([(beta1, c)], (pre @ (post @ weta)) % lm.ell)
-                            rhs = pre @ lm.act([(beta1, c)], (post @ weta) % lm.ell) % lm.ell
+                            lhs = lm.act([(beta1, c)], delta)
+                            rhs = lm.root_chain(A, hi, lm.act([(beta1, c)], post))
                             rep.check(np.array_equal(piece.project(lhs), piece.project(rhs)),
                                       what="commutation", J=subset_tag(J), w=word_tag(w), d=d, c=c)
                     else:
                         rep.vacuous += 1
-                delta = lm.theta(tail, d, hi, lo) @ weta % lm.ell
                 for gamma in datum.positive_indices:
                     if gamma in set(roots):
                         continue
@@ -775,13 +758,12 @@ def suite_level_steps(ctx: PermContext, seed: int, opts: dict) -> SuiteReport:
                     )
                     rep.check(ok_fix, what="complement-absorption", J=subset_tag(J),
                               w=word_tag(w), d=d, root=gamma)
-                    vanish = piece.project(lm.transversal_sum(gamma, reps) @ delta % lm.ell)
+                    vanish = piece.project(lm.root_sum(gamma, reps, delta))
                     rep.check(not np.any(vanish), what="transversal-vanishing",
                               J=subset_tag(J), w=word_tag(w), d=d, root=gamma)
             for d in range(t):
-                lhs = lm.transversal_sum(roots[d], reps) @ (lm.theta(tail, d, hi, lo) @ weta) % lm.ell
-                rhs = lm.theta(tail, d + 1, hi, lo) @ weta % lm.ell
-                rep.check(np.array_equal(piece.project(lhs), piece.project(rhs)),
+                lhs = lm.root_sum(roots[d], reps, thetas[d])
+                rep.check(np.array_equal(piece.project(lhs), piece.project(thetas[d + 1])),
                           what="transversal-step", J=subset_tag(J), w=word_tag(w), d=d)
             if t >= 2 and datum.rank >= 2 and tail == datum.longest_element(range(datum.rank)):
                 # dropping only the tallest root from the inversion set leaves
@@ -808,7 +790,7 @@ def suite_separation(ctx: PermContext, seed: int, opts: dict) -> SuiteReport:
         wJ = datum.longest_element(J)
         ys = datum.y_set(J)
         translates = {
-            w.perm: piece.project(lm.theta(wJ * w.inverse(), 0, hi, lo) @ lm.act_weyl(w, eta) % lm.ell)
+            w.perm: piece.project(lm.theta(wJ * w.inverse(), 0, hi, lo, lm.act_weyl(w, eta)))
             for w in ys
         }
         configs = [("all", list(ys))]
@@ -826,7 +808,7 @@ def suite_separation(ctx: PermContext, seed: int, opts: dict) -> SuiteReport:
             found = None
             for w in ys:
                 for level_name, vals in (("a", lo), ("b", hi)):
-                    target = piece.project(lm.u_sum(wJ * w.inverse(), vals) @ lm.act_weyl(w, eta) % lm.ell)
+                    target = piece.project(lm.u_sum(wJ * w.inverse(), vals, lm.act_weyl(w, eta)))
                     if np.any(target) and M.contains(target):
                         found = (word_tag(w), level_name)
                         break
@@ -863,9 +845,9 @@ def suite_induction(ctx: PermContext, seed: int, opts: dict) -> SuiteReport:
         eta = lm.alternating_sum(J)
         wJ = datum.longest_element(J)
         sw = datum.simple_reflection(i) * w
-        seed_vec = piece.project(lm.u_sum(wJ * sw.inverse(), lo) @ lm.act_weyl(sw, eta) % lm.ell)
+        seed_vec = piece.project(lm.u_sum(wJ * sw.inverse(), lo, lm.act_weyl(sw, eta)))
         M = spin(piece.handle, [seed_vec])
-        target = piece.project(lm.u_sum(wJ * w.inverse(), hi) @ lm.act_weyl(w, eta) % lm.ell)
+        target = piece.project(lm.u_sum(wJ * w.inverse(), hi, lm.act_weyl(w, eta)))
         rep.check(np.any(target) and M.contains(target), what="membership",
                   J=subset_tag(J), w=word_tag(w), s=i + 1)
         rep.witness(J=subset_tag(J), w=word_tag(w), s=i + 1, generated_dim=M.dim)
@@ -892,21 +874,19 @@ def suite_socle(ctx: PermContext, seed: int, opts: dict) -> SuiteReport:
         vJ, wJ, wJp = datum.w0_factorization(J)
         sigma_Jp = frozenset(sigma[i] for i in Jp)
         frak = lm.parabolic_invariant_vector(Jp, values)
-        lead = lm.u_sum(wJ * vJ.inverse(), values)
+        lead = wJ * vJ.inverse()
         # (a) the closed form of the opposite-subset generator
         lhs = lm.socle_generator(sigma_Jp, values)
-        rhs = lead @ lm.act_weyl(vJ, lm.act_weyl(wJ, frak)) % lm.ell
+        rhs = lm.u_sum(lead, values, lm.act_weyl(vJ, lm.act_weyl(wJ, frak)))
         rep.check(np.array_equal(lhs, rhs), what="generator-closed-form", J=subset_tag(J))
-        # (b) annihilation below the longest subgroup element
-        for w in datum.subgroup_elements(J):
-            if w == wJ:
-                continue
-            img = lead @ lm.act_weyl(vJ, lm.act_weyl(w, frak)) % lm.ell
-            rep.check(not np.any(img), what="annihilation", J=subset_tag(J), w=word_tag(w))
-        # (a') the signed sum over the subgroup collapses to the closed form
+        # (b) annihilation below the longest subgroup element, and (a') the
+        # signed sum over the subgroup collapsing to the closed form
         signed = np.zeros(lm.dim, dtype=np.int64)
         for w in datum.subgroup_elements(J):
-            signed = (signed + lm.sign(w) * (lead @ lm.act_weyl(vJ, lm.act_weyl(w, frak)))) % lm.ell
+            img = lm.u_sum(lead, values, lm.act_weyl(vJ, lm.act_weyl(w, frak)))
+            signed = (signed + lm.sign(w) * img) % lm.ell
+            if w != wJ:
+                rep.check(not np.any(img), what="annihilation", J=subset_tag(J), w=word_tag(w))
         rep.check(np.array_equal(signed, (lm.sign(wJ) * lhs) % lm.ell),
                   what="signed-collapse", J=subset_tag(J))
         # (c) the generator spans the unique fixed line of its submodule
@@ -932,17 +912,12 @@ def suite_socle(ctx: PermContext, seed: int, opts: dict) -> SuiteReport:
             rep.check(not np.array_equal(img, lam * fJ % lm.ell), what="line-moved-outside",
                       J=subset_tag(J), j=j + 1)
         # (d) unique minimal submodule of the parabolic model
-        flags, phandle = lm.parabolic(Jp)
+        _, phandle = lm.parabolic(Jp)
         D = lm.parabolic_alternating_sum(J)
         EpJ = spin(phandle, [D])
         sub = restrict(phandle, EpJ)
-        lead_p = np.eye(len(flags), dtype=np.int64)
-        for ri in datum.phi_minus(wJ * vJ.inverse()):
-            step = np.zeros((len(flags), len(flags)), dtype=np.int64)
-            for c in values:
-                step += np.eye(len(flags), dtype=np.int64) if c == 0 else phandle.matrix(("r", ri, c))
-            lead_p = (lead_p @ step) % lm.ell
-        cand_amb = lm.sign(wJ) * (lead_p @ lm.act(weyl_word(lm.group, vJ), D, phandle)) % lm.ell
+        vec = lm.act(weyl_word(lm.group, vJ), D, phandle)
+        cand_amb = lm.sign(wJ) * lm.u_sum(lead, values, vec, handle=phandle) % lm.ell
         rep.check(np.any(cand_amb), what="candidate-nonzero", J=subset_tag(J))
         cand = EpJ.coords(cand_amb)
         socle_res = socle_simple_check(sub, cand, lm.unipotent_labels(), seed=seed)
@@ -1066,8 +1041,8 @@ class SuiteRunner:
 
     def context(self) -> PermContext:
         if self._ctx is None:
-            self._ctx = build_context(self.kind, self.q, a=self.a, b=self.b,
-                                      char=self.char, budget=self.budget)
+            self._ctx = PermContext(self.kind, self.q, a=self.a, b=self.b,
+                                    char=self.char, budget=self.budget)
         return self._ctx
 
     def applicable(self, name: str) -> Tuple[bool, str]:

@@ -14,7 +14,7 @@ import numpy as np
 from chevperm.cli import main as cli_main
 from chevperm.linrep import composition_series, meataxe_irreducible
 from chevperm.permmod import (
-    build_context,
+    PermContext,
     subset_tag,
     suite_combinatorics,
     suite_fixed_points,
@@ -29,7 +29,7 @@ from chevperm.permmod import (
 
 @lru_cache(maxsize=None)
 def ctx(kind, q, a=1, b=None, char=None):
-    return build_context(kind, q, a=a, b=b, char=char)
+    return PermContext(kind, q, a=a, b=b, char=char)
 
 
 def test_criterion_01_six_composition_factors_dim21():

@@ -154,12 +154,36 @@ FLAG_SIZES = [
     ("A3", 2, frozenset(), 315),
     ("A2", 2, frozenset({0}), 7),
     ("A2", 2, frozenset({0, 1}), 1),
+    # every parabolic of A3 q=2 and B2 q=3: W_K with non-involutions, and
+    # the odd-q Sp_4 cosets that column-scaled echelon forms over-count
+    ("A3", 2, frozenset({0}), 105),
+    ("A3", 2, frozenset({1}), 105),
+    ("A3", 2, frozenset({2}), 105),
+    ("A3", 2, frozenset({0, 1}), 15),
+    ("A3", 2, frozenset({0, 2}), 35),
+    ("A3", 2, frozenset({1, 2}), 15),
+    ("A3", 2, frozenset({0, 1, 2}), 1),
+    ("B2", 3, frozenset({0}), 40),
+    ("B2", 3, frozenset({1}), 40),
+    ("B2", 3, frozenset({0, 1}), 1),
 ]
 
 
 @pytest.mark.parametrize("kind,q,K,size", FLAG_SIZES)
 def test_flag_index_sizes(kind, q, K, size):
     assert len(FlagIndex(matrix_group(kind, q), K)) == size
+
+
+@pytest.mark.parametrize("kind,q", [("A3", 2), ("B2", 3)])
+def test_parabolic_reps_and_perm_of_every_root(kind, q):
+    group = matrix_group(kind, q)
+    for K in group.datum.all_subsets():
+        flags = FlagIndex(group, K)
+        for i, rep in enumerate(flags.reps):
+            assert group.in_group(rep) and flags.index_of(rep) == i, (sorted(K), i)
+        for r in range(len(group.datum.roots)):
+            perm = flags.perm_of(group.root_element(r, 1))
+            assert sorted(perm) == list(range(len(flags))), (sorted(K), r)
 
 
 def test_flag_budget():

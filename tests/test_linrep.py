@@ -144,7 +144,8 @@ def test_apply_word_and_operator_agree():
     h.add_matrix("m", np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
     v = np.array([1, 0, 2])
     word = ["c", "m", "c"]
-    assert np.array_equal(h.apply_word(word, v), (h.operator(word) @ v) % 3)
+    product = (h.matrix("c") @ h.matrix("m") @ h.matrix("c")) % 3
+    assert np.array_equal(h.apply_word(word, v), (product @ v) % 3)
 
 
 def test_spin_oracles_for_cyclic_shift():

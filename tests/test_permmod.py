@@ -14,9 +14,9 @@ import pytest
 from chevperm.gf import make_field
 from chevperm.permmod import (
     SUITES,
+    PermContext,
     SuiteRunner,
     absorbs_from,
-    build_context,
     closed_under_addition,
     commutes_into,
     parse_subset,
@@ -41,7 +41,7 @@ from chevperm.rootsys import root_datum
 @lru_cache(maxsize=None)
 def ctx(kind, q, a=1, b=None, char=None):
     # one shared context per configuration; tests only read from them
-    return build_context(kind, q, a=a, b=b, char=char)
+    return PermContext(kind, q, a=a, b=b, char=char)
 
 
 def suite_dict(rep):
@@ -102,14 +102,63 @@ def test_operator_levels_interpolate():
     c = ctx("A1", 3, b=2)
     lm = c.ext
     assert lm.dim == 10
+    # the operators act along axis 0, so the identity comes back as the matrix
+    I = np.eye(lm.dim, dtype=np.int64)
     s = lm.datum.simple_reflection(0)
     lo, hi = c.sub_values(), lm.values()
-    assert np.array_equal(lm.theta(s, 0, hi, lo), lm.u_sum(s, lo))
-    assert np.array_equal(lm.theta(s, 1, hi, lo), lm.u_sum(s, hi))
-    assert np.array_equal(lm.u_sum(lm.datum.identity, hi), np.eye(lm.dim, dtype=np.int64))
+    assert np.array_equal(lm.theta(s, 0, hi, lo, I), lm.u_sum(s, lo, I))
+    assert np.array_equal(lm.theta(s, 1, hi, lo, I), lm.u_sum(s, hi, I))
+    assert np.array_equal(lm.u_sum(lm.datum.identity, hi, I), I)
+    with pytest.raises(ValueError):
+        lm.theta(s, 2, hi, lo, I)
     # a full-field sum has every column summing to the field order = 0 mod 3
-    M = lm.root_sum(lm.datum.simple_indices[0], hi)
+    M = lm.root_sum(lm.datum.simple_indices[0], hi, I)
     assert (M.sum(axis=0) % lm.ell == 0).all()
+
+
+def dense_root_sum(handle, ri, values):
+    M = np.zeros((handle.dim, handle.dim), dtype=np.int64)
+    for c in values:
+        M += np.eye(handle.dim, dtype=np.int64) if c == 0 else handle.matrix(("r", ri, c))
+    return M % handle.l
+
+
+def dense_chain(handle, factors):
+    """Product of dense root sums, leftmost factor first in the product."""
+    M = np.eye(handle.dim, dtype=np.int64)
+    for ri, values in factors:
+        M = (M @ dense_root_sum(handle, ri, values)) % handle.l
+    return M
+
+
+@pytest.mark.parametrize("kind,q", [("A2", 2), ("A1", 3), ("A1", 5)])
+def test_vector_operators_match_dense_products(kind, q):
+    c = ctx(kind, q, b=2)
+    lm = c.ext
+    datum = lm.datum
+    lo, hi, reps = c.sub_values(), lm.values(), c.transversal_reps()
+    _, phandle = lm.parabolic(frozenset({0}))
+    for handle in (lm.handle, phandle):
+        basis = np.eye(handle.dim, dtype=np.int64)
+        for ri in range(len(datum.roots)):
+            for values in (hi, lo, reps):
+                M = dense_root_sum(handle, ri, values)
+                for i, e in enumerate(basis):
+                    assert np.array_equal(lm.root_sum(ri, values, e, handle), M[:, i])
+        for w in datum.elements:
+            for values in (hi, lo):
+                M = dense_chain(handle, [(ri, values) for ri in datum.phi_minus(w)])
+                for i, e in enumerate(basis):
+                    assert np.array_equal(lm.u_sum(w, values, e, handle), M[:, i])
+    # the order of the factors shows only for some level pairs (for A2 q=2:
+    # the small level on top of the big one), so both pairs are compared
+    for top, bottom in ((hi, lo), (lo, hi)):
+        for w in datum.elements:
+            roots = datum.phi_minus(w)
+            for d in range(len(roots) + 1):
+                M = dense_chain(lm.handle, [(ri, top if pos < d else bottom) for pos, ri in enumerate(roots)])
+                for i, e in enumerate(np.eye(lm.dim, dtype=np.int64)):
+                    assert np.array_equal(lm.theta(w, d, top, bottom, e), M[:, i])
 
 
 def test_embedded_values_and_transversal():
