@@ -9,7 +9,7 @@ unique minimal submodule witness.
 
 import numpy as np
 
-from chevperm.linrep import fixed_space, meataxe_irreducible, restrict, spin
+from chevperm.linrep import meataxe_irreducible, restrict, spin
 from chevperm.permmod import PermContext, subset_tag
 
 lm = PermContext("A1", 3).base

@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "Field",
-    "FieldElement",
     "make_field",
     "is_prime",
     "factor_prime_power",
@@ -225,9 +224,6 @@ class Field:
             self._tables = (add, mul, neg, inv)
         return self._tables
 
-    def element(self, v: int) -> "FieldElement":
-        return FieldElement(self, v)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and (self.p, self.k) == (other.p, other.k)
 
@@ -236,57 +232,6 @@ class Field:
 
     def __repr__(self) -> str:
         return "GF(%d)" % self.order if self.k == 1 else "GF(%d^%d)" % (self.p, self.k)
-
-
-class FieldElement:
-    """Thin operator-overloading wrapper around an integer encoding."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value: int):
-        if not 0 <= value < field.order:
-            raise ValueError("encoding %r out of range for %r" % (value, field))
-        self.field = field
-        self.value = value
-
-    def _check(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            other = FieldElement(self.field, other)
-        if other.field != self.field:
-            raise ValueError("mixed fields: %r vs %r" % (self.field, other.field))
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.field, self.field.pow(self.value, n))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other
-        return (self.field, self.value) == (other.field, other.value)
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        return "%r[%d]" % (self.field, self.value)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,10 @@
 """Exact module arithmetic over prime fields GF(l).
 
 Vectors are numpy int64 arrays mod l; subspaces are canonical reduced
-row-echelon bases, so equal subspaces have equal representations.  A
+row-echelon bases, so equal subspaces have equal representations.  One
+incremental routine, `Subspace._add`, keeps that canonical RREF as vectors
+arrive; spinning, kernels (`nullspace`) and inverses (`mat_inverse`) are all
+built on it.  A
 ModuleHandle bundles an ambient dimension with invertible labelled actions
 (permutations of a basis, or dense matrices) plus the sublist of labels
 used for submodule closure.  On top of that: spinning, fixed spaces,
@@ -30,6 +33,7 @@ algebra words until a kernel small enough to enumerate appears.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import itertools
 from dataclasses import dataclass, field
@@ -56,63 +60,81 @@ class MeatAxeBudgetError(RuntimeError):
     """The random search exhausted its budget without a usable element."""
 
 
-def _mod_inv(a: int, l: int) -> int:
-    return pow(int(a), l - 2, l)
-
-
-def rref(rows: np.ndarray, l: int) -> Tuple[np.ndarray, Tuple[int, ...]]:
-    """Reduced row echelon form mod l; returns (basis, pivot columns)."""
-    M = np.array(rows, dtype=np.int64).reshape(len(rows), -1) % l
-    n = M.shape[1]
-    r = 0
-    pivots: List[int] = []
-    for col in range(n):
-        k = next((i for i in range(r, M.shape[0]) if M[i, col]), None)
-        if k is None:
-            continue
-        M[[r, k]] = M[[k, r]]
-        M[r] = (M[r] * _mod_inv(M[r, col], l)) % l
-        fac = M[:, col].copy()
-        fac[r] = 0
-        M = (M - np.outer(fac, M[r])) % l
-        pivots.append(col)
-        r += 1
-        if r == M.shape[0]:
-            break
-    return M[:r], tuple(pivots)
-
-
 def nullspace(M: np.ndarray, l: int) -> np.ndarray:
     """Basis (rows) of the right kernel of M mod l."""
-    M = np.array(M, dtype=np.int64) % l
-    if M.size == 0:
-        return np.eye(M.shape[1], dtype=np.int64) if M.ndim == 2 else np.zeros((0, 0), np.int64)
-    R, pivots = rref(M, l)
-    n = M.shape[1]
-    free = [j for j in range(n) if j not in pivots]
-    out = np.zeros((len(free), n), dtype=np.int64)
-    for i, j in enumerate(free):
-        out[i, j] = 1
-        for r, p in enumerate(pivots):
-            out[i, p] = (-R[r, j]) % l
+    M = np.asarray(M, dtype=np.int64)
+    return _annihilator(Subspace(M.shape[1], l, M))
+
+
+def _annihilator(S: "Subspace") -> np.ndarray:
+    """Rows spanning {x : S.rows x = 0}: the identity on the free columns
+    and -R^T on the pivot columns, R the basis rows restricted to the free
+    columns."""
+    pivots = set(S.pivots)
+    free = [j for j in range(S.n) if j not in pivots]
+    out = np.zeros((len(free), S.n), dtype=np.int64)
+    out[:, free] = np.eye(len(free), dtype=np.int64)
+    out[:, list(S.pivots)] = (-S.rows[:, free].T) % S.l
     return out
 
 
 class Subspace:
-    """A subspace of GF(l)^n held as a canonical RREF basis."""
+    """A subspace of GF(l)^n held as a canonical RREF basis.
+
+    `_add` is the one elimination routine: it reduces a vector against the
+    basis, scales it to a leading 1, clears its pivot column from the other
+    rows and inserts it at its sorted pivot position, so `rows` and `pivots`
+    are the canonical RREF after every step.  The rows live in a buffer that
+    grows by doubling, capped at n rows, and is trimmed to the basis once
+    the subspace is built.
+    """
 
     def __init__(self, n: int, l: int, rows: Optional[np.ndarray] = None):
         self.n = n
         self.l = l
-        if rows is None or len(rows) == 0:
-            self.rows = np.zeros((0, n), dtype=np.int64)
-            self.pivots: Tuple[int, ...] = ()
-        else:
-            self.rows, self.pivots = rref(np.asarray(rows), l)
+        self.pivots: Tuple[int, ...] = ()
+        rows = np.zeros((0, n), dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
+        self._buf = np.zeros((min(n, len(rows)), n), dtype=np.int64)
+        for v in rows:
+            self._add(v)
+        self._trim()
+
+    def _add(self, v: np.ndarray) -> Optional[np.ndarray]:
+        """Add a vector to the span; returns its new basis row (a copy), or
+        None if the vector was already in the span."""
+        v = self.reduce(v)
+        nz = v.nonzero()[0]
+        if not len(nz):
+            return None
+        p = int(nz[0])
+        v = (v * pow(int(v[p]), -1, self.l)) % self.l
+        k = self.dim
+        R = self._buf[:k]
+        R -= np.outer(R[:, p], v)
+        R %= self.l
+        if k == len(self._buf):
+            grown = np.zeros((min(self.n, max(1, 2 * k)), self.n), dtype=np.int64)
+            grown[:k] = R
+            self._buf = grown
+        i = bisect.bisect(self.pivots, p)
+        self._buf[i + 1 : k + 1] = self._buf[i:k]
+        self._buf[i] = v
+        self.pivots = self.pivots[:i] + (p,) + self.pivots[i:]
+        return v
+
+    def _trim(self) -> "Subspace":
+        """Release the unused buffer rows once no more vectors will arrive."""
+        if len(self._buf) > self.dim:
+            self._buf = self.rows.copy()
+        return self
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._buf[: self.dim]
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     # reduce, contains and coords take one vector or a block of row vectors
 
@@ -142,11 +164,10 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         stacked = np.vstack([self.rows, other.rows])
         left_kernel = nullspace(stacked.T, self.l)
-        vecs = (left_kernel[:, : self.dim] @ self.rows) % self.l if len(left_kernel) else []
-        return Subspace(self.n, self.l, vecs if len(vecs) else None)
+        return Subspace(self.n, self.l, (left_kernel[:, : self.dim] @ self.rows) % self.l)
 
     def perp(self) -> "Subspace":
-        return Subspace(self.n, self.l, nullspace(self.rows, self.l) if self.dim else np.eye(self.n, dtype=np.int64))
+        return Subspace(self.n, self.l, _annihilator(self))
 
     def __eq__(self, other) -> bool:
         return self.dim == other.dim and np.array_equal(self.rows, other.rows)
@@ -251,61 +272,33 @@ class ModuleHandle:
 
 def mat_inverse(M: np.ndarray, l: int) -> np.ndarray:
     n = M.shape[0]
-    R, pivots = rref(np.hstack([M % l, np.eye(n, dtype=np.int64)]), l)
-    if pivots[:n] != tuple(range(n)):
+    S = Subspace(2 * n, l, np.hstack([M % l, np.eye(n, dtype=np.int64)]))
+    if S.pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular mod %d" % l)
-    return R[:, n:]
+    return S.rows[:, n:]
 
 
 # -- closure & friends -------------------------------------------------------
 
 
-class _Echelon:
-    """Incremental RREF accumulator used by spin."""
-
-    def __init__(self, n: int, l: int):
-        self.n, self.l = n, l
-        self.rows = np.zeros((0, n), dtype=np.int64)
-        self.pivots: List[int] = []
-
-    def add(self, v: np.ndarray) -> Optional[np.ndarray]:
-        v = np.asarray(v, dtype=np.int64) % self.l
-        if self.pivots:
-            v = (v - v[self.pivots] @ self.rows) % self.l
-        nz = np.flatnonzero(v)
-        if not len(nz):
-            return None
-        piv = int(nz[0])
-        v = (v * _mod_inv(v[piv], self.l)) % self.l
-        if len(self.rows):
-            self.rows = (self.rows - np.outer(self.rows[:, piv], v)) % self.l
-        self.rows = np.vstack([self.rows, v])
-        self.pivots.append(piv)
-        return v
-
-    def subspace(self) -> Subspace:
-        order = np.argsort(self.pivots)
-        return Subspace(self.n, self.l, self.rows[order])
-
-
 def spin(handle: ModuleHandle, seeds: Iterable[np.ndarray]) -> Subspace:
     """Smallest subspace containing the seeds and closed under the spin
     labels (hence under the group they generate).  Deterministic."""
-    ech = _Echelon(handle.dim, handle.l)
+    S = Subspace(handle.dim, handle.l)
     queue = collections.deque()
     for s in seeds:
-        added = ech.add(s)
+        added = S._add(s)
         if added is not None:
             queue.append(added)
     while queue:
         v = queue.popleft()
         for label in handle.spin_labels:
-            added = ech.add(handle.apply(label, v))
+            added = S._add(handle.apply(label, v))
             if added is not None:
                 queue.append(added)
-            if len(ech.pivots) == handle.dim:
-                return ech.subspace()
-    return ech.subspace()
+            if S.dim == handle.dim:
+                return S._trim()
+    return S._trim()
 
 
 def fixed_space(handle: ModuleHandle, labels: Optional[Sequence[Hashable]] = None) -> Subspace:
@@ -351,14 +344,13 @@ def quotient(handle: ModuleHandle, sub: Subspace) -> Tuple[ModuleHandle, Callabl
     if sub.dim == 0:
         return handle, lambda v: np.asarray(v, dtype=np.int64) % handle.l
     l = handle.l
-    keep = [j for j in range(handle.dim) if j not in set(sub.pivots)]
+    pivots = set(sub.pivots)
+    keep = [j for j in range(handle.dim) if j not in pivots]
 
     def project(v: np.ndarray) -> np.ndarray:
         return sub.reduce(v)[keep]
 
-    P = np.zeros((len(keep), handle.dim), dtype=np.int64)
-    P[:, keep] = np.eye(len(keep), dtype=np.int64)
-    P[:, list(sub.pivots)] = (-sub.rows[:, keep].T) % l
+    P = _annihilator(sub)
     out = ModuleHandle(len(keep), l, handle.spin_labels)
     for label in handle.actions:
         PA = handle.pullback(label, P)

@@ -25,6 +25,11 @@ def closure(group, extra=()):
             for c in group.field.units():
                 gens.append(group.root_element(root, c))
     gens.extend(extra)
+    return generated(group, gens)
+
+
+def generated(group, gens):
+    """The subgroup generated by gens, by breadth-first closure."""
     seen = {group.identity().tobytes(): group.identity()}
     frontier = list(seen.values())
     while frontier:
@@ -38,6 +43,17 @@ def closure(group, extra=()):
                     nxt.append(P)
         frontier = nxt
     return list(seen.values())
+
+
+def parabolic(group, K):
+    """P_K: the Borel (every positive root element and the torus) together
+    with x_{-a_i}(c) for i in K."""
+    datum = group.datum
+    units = group.field.units()
+    gens = [group.root_element(r, c) for r in datum.positive_indices for c in units]
+    gens += group.torus_elements()
+    gens += [group.root_element(datum.simple_indices[i] + datum.n_pos, c) for i in sorted(K) for c in units]
+    return generated(group, gens)
 
 
 def test_matrix_helpers_gf4():
@@ -142,6 +158,42 @@ def test_sp4_canonical_separates_cosets():
         r1i = group.inv(r1)
         for r2 in reps[i + 1 :]:
             assert not group.is_upper_triangular(group.mul(r1i, r2))
+
+
+@pytest.mark.parametrize("K", [frozenset({0}), frozenset({1})])
+def test_parabolic_canonical_separates_cosets_exhaustively(K):
+    group = matrix_group("A2", 2)
+    flags = FlagIndex(group, K)
+    P = {M.tobytes() for M in parabolic(group, K)}
+    assert len(P) == 24  # |SL_3(F_2)| / 7
+    els = closure(group)
+    inv = {M.tobytes(): group.inv(M) for M in els}
+    canon = {M.tobytes(): flags.canonical(M).tobytes() for M in els}
+    for M in els:
+        for N in els:
+            same_coset = group.mul(inv[M.tobytes()], N).tobytes() in P
+            assert same_coset == (canon[M.tobytes()] == canon[N.tobytes()])
+
+
+@pytest.mark.parametrize("K", [frozenset({0}), frozenset({1})])
+def test_sp4_parabolic_canonical_separates_cosets(K):
+    group = matrix_group("B2", 2)
+    flags = FlagIndex(group, K)
+    P = {M.tobytes() for M in parabolic(group, K)}
+    assert len(P) == 48  # |Sp_4(F_2)| / 15
+    classes = {}
+    for M in closure(group):
+        classes.setdefault(flags.canonical(M).tobytes(), []).append(M)
+    assert len(classes) == len(flags) == 15
+    assert all(len(v) == len(P) for v in classes.values())
+    reps = [v[0] for v in classes.values()]
+    for rep, members in zip(reps, classes.values()):
+        ri = group.inv(rep)
+        assert all(group.mul(ri, M).tobytes() in P for M in members)
+    for i, r1 in enumerate(reps):
+        r1i = group.inv(r1)
+        for r2 in reps[i + 1 :]:
+            assert group.mul(r1i, r2).tobytes() not in P
 
 
 FLAG_SIZES = [

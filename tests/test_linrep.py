@@ -21,7 +21,6 @@ from chevperm.linrep import (
     nullspace,
     quotient,
     restrict,
-    rref,
     socle_simple_check,
     spin,
 )
@@ -30,17 +29,40 @@ from chevperm.linrep import (
 # -- row echelon / nullspace --------------------------------------------------
 
 
+def rref(rows, l):
+    """Reference: column-by-column reduced row echelon form mod l; returns
+    (basis, pivot columns)."""
+    M = np.array(rows, dtype=np.int64).reshape(len(rows), -1) % l
+    n = M.shape[1]
+    r = 0
+    pivots = []
+    for col in range(n):
+        k = next((i for i in range(r, M.shape[0]) if M[i, col]), None)
+        if k is None:
+            continue
+        M[[r, k]] = M[[k, r]]
+        M[r] = (M[r] * pow(int(M[r, col]), l - 2, l)) % l
+        fac = M[:, col].copy()
+        fac[r] = 0
+        M = (M - np.outer(fac, M[r])) % l
+        pivots.append(col)
+        r += 1
+        if r == M.shape[0]:
+            break
+    return M[:r], tuple(pivots)
+
+
 def test_rref_frozen_mod2():
-    R, piv = rref(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), 2)
-    assert piv == (0, 1)
-    assert R.tolist() == [[1, 0, 1], [0, 1, 1]]
+    S = Subspace(3, 2, np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+    assert S.pivots == (0, 1)
+    assert S.rows.tolist() == [[1, 0, 1], [0, 1, 1]]
 
 
 def test_rref_frozen_mod5():
-    R, piv = rref(np.array([[2, 4], [1, 2]]), 5)
+    S = Subspace(2, 5, np.array([[2, 4], [1, 2]]))
     # 2x + 4y: scale by inverse of 2 (=3): x + 2y; second row is dependent
-    assert piv == (0,)
-    assert R.tolist() == [[1, 2]]
+    assert S.pivots == (0,)
+    assert S.rows.tolist() == [[1, 2]]
 
 
 def test_nullspace_annihilates_and_rank_nullity():
@@ -60,6 +82,64 @@ def test_mat_inverse_and_singular():
     assert mat_inverse(M, 3).tolist() == [[1, 2], [0, 1]]
     with pytest.raises(ValueError):
         mat_inverse(np.array([[1, 1], [2, 2]]), 3)
+
+
+@st.composite
+def matrices_mod_l(draw):
+    """A matrix mod l in one of five shapes: wide, tall, square, rank
+    deficient (a product through a thinner middle) or zero."""
+    l = draw(st.sampled_from([2, 3, 5]))
+    shape = draw(st.sampled_from(["wide", "tall", "square", "deficient", "zero"]))
+    if shape == "wide":
+        m, n = draw(st.integers(1, 4)), draw(st.integers(5, 8))
+    elif shape == "tall":
+        m, n = draw(st.integers(5, 8)), draw(st.integers(1, 4))
+    elif shape == "square":
+        m = n = draw(st.integers(1, 7))
+    else:
+        m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if shape == "zero":
+        M = np.zeros((m, n), dtype=np.int64)
+    elif shape == "deficient":
+        r = draw(st.integers(0, max(0, min(m, n) - 1)))
+        M = (rng.integers(0, l, size=(m, r)) @ rng.integers(0, l, size=(r, n))) % l
+    else:
+        M = rng.integers(0, l, size=(m, n))
+    perm = draw(st.permutations(range(m)))
+    return l, M, np.array(perm, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_mod_l())
+def test_subspace_matches_rref_oracle(case):
+    l, M, perm = case
+    m, n = M.shape
+    R, piv = rref(M, l)
+    for order in (np.arange(m), perm):
+        S = Subspace(n, l, M[order])
+        assert S.pivots == piv
+        assert np.array_equal(S.rows, R)
+    # the incremental form is canonical after every step, as spin reads it
+    S = Subspace(n, l)
+    for i in range(m):
+        before = S.dim
+        added = S._add(M[perm[i]])
+        R_i, piv_i = rref(M[perm[: i + 1]], l)
+        assert S.pivots == piv_i and np.array_equal(S.rows, R_i)
+        assert (added is None) == (S.dim == before)
+    N = nullspace(M, l)
+    assert N.shape[1] == n and len(R) + len(N) == n
+    assert not np.any((M @ N.T) % l)
+    assert Subspace(n, l, N).dim == len(N)
+    if m == n and len(R) == n:
+        Minv = mat_inverse(M, l)
+        eye = np.eye(n, dtype=np.int64)
+        assert np.array_equal((M @ Minv) % l, eye) and np.array_equal((Minv @ M) % l, eye)
+    elif m == n:
+        with pytest.raises(ValueError):
+            mat_inverse(M, l)
 
 
 # -- subspaces ----------------------------------------------------------------
