@@ -129,8 +129,6 @@ class MatrixGroup:
     def __init__(self, kind: str, field: Field):
         if kind not in MATRIX_KINDS:
             raise ValueError("unsupported type %r" % (kind,))
-        if field.order > 256:
-            raise ValueError("matrix work requires field order <= 256")
         self.kind = kind
         self.family, self.n = MATRIX_KINDS[kind]
         self.field = field
@@ -309,20 +307,6 @@ def unipotent_words(
     if values is None:
         values = list(group.field.elements())
     phi = group.datum.phi_minus(w)
-    out = []
-    for coeffs in itertools.product(values, repeat=len(phi)):
-        out.append(tuple(zip(phi, coeffs)))
-    return out
-
-
-def complement_words(
-    group: MatrixGroup, w: WeylElement, values: Optional[Sequence[int]] = None
-) -> List[Tuple[Tuple[int, int], ...]]:
-    """Same, for the complementary piece: positive roots kept positive by w."""
-    if values is None:
-        values = list(group.field.elements())
-    phi = [i for i in group.datum.positive_indices if i not in set(group.datum.phi_minus(w))]
-    phi.sort(key=lambda i: (-sum(group.datum.roots[i]), group.datum.roots[i]))
     out = []
     for coeffs in itertools.product(values, repeat=len(phi)):
         out.append(tuple(zip(phi, coeffs)))
@@ -586,25 +570,28 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
             if seen.setdefault(key, coeffs) != coeffs:
                 e["failures"].append(("factored-form-collision", coeffs))
     for w in datum.elements:
-        nw = len(datum.phi_minus(w))
-        size = F.order**nw * F.order ** (datum.n_pos - nw)
+        phi_w = datum.phi_minus(w)
+        # the complementary piece: positive roots kept positive by w, tallest first
+        phi_c = [r for r in datum.positive_indices if r not in set(phi_w)]
+        phi_c.sort(key=lambda r: (-sum(datum.roots[r]), datum.roots[r]))
+        size = F.order ** len(phi_w) * F.order ** len(phi_c)
         if size <= cap:
+            rights = [
+                group.from_word(tuple(zip(phi_c, cv)))
+                for cv in itertools.product(F.elements(), repeat=len(phi_c))
+            ]
+            lefts = unipotent_words(group, w)
             prods = set()
-            count = 0
-            for w1 in unipotent_words(group, w):
+            for w1 in lefts:
                 left = group.from_word(w1)
-                for w2 in complement_words(group, w):
-                    prods.add(group.mul(left, group.from_word(w2)).tobytes())
-                    count += 1
-            e["checked"] += count
+                for right in rights:
+                    prods.add(group.mul(left, right).tobytes())
+            e["checked"] += len(lefts) * len(rights)
             if len(prods) != size:
                 e["failures"].append(("split-collision", w.word, len(prods)))
         else:
             e["mode"] = "sampled"
             pairs: Dict[bytes, tuple] = {}
-            phi_w = datum.phi_minus(w)
-            phi_c = [r for r in datum.positive_indices if r not in set(phi_w)]
-            phi_c.sort(key=lambda r: (-sum(datum.roots[r]), datum.roots[r]))
             for _ in range(max(1, samples // len(datum.elements))):
                 cu = tuple(int(x) for x in rng.integers(F.order, size=len(phi_w)))
                 cv = tuple(int(x) for x in rng.integers(F.order, size=len(phi_c)))

@@ -18,7 +18,7 @@ import json
 import sys
 
 from .chevalley import BudgetError
-from .gf import factor_prime_power, is_prime
+from .gf import MAX_ORDER, factor_prime_power, is_prime
 from .linrep import MeatAxeBudgetError
 from .permmod import (
     SUITES,
@@ -155,8 +155,8 @@ def _sparse(v):
 
 def cmd_inspect(args):
     p, _, char = _field_data(args)
-    if args.q ** args.a > 256:
-        raise UsageError("field order %d exceeds the matrix-arithmetic bound 256" % args.q**args.a)
+    if args.q ** args.a > MAX_ORDER:
+        raise UsageError("field order %d exceeds the matrix-arithmetic bound %d" % (args.q**args.a, MAX_ORDER))
     try:
         ctx = PermContext(args.type, args.q, a=args.a, char=char, budget=args.budget)
     except BudgetError as exc:

@@ -10,19 +10,24 @@ every downstream tie-break (embedding roots, transversal representatives,
 product enumeration) is plain integer order on the encoding, which is
 lexicographic order on the (c_{k-1}, ..., c_0) coefficient word.
 
-Fields of order <= 256 carry dense add/mul/neg/inv lookup tables (numpy
-uint8) so that matrix work over the field can be vectorized; larger fields
-(up to 2^16) fall back to polynomial arithmetic.
+Every field has order at most MAX_ORDER = 256, and all of its arithmetic is
+four dense numpy uint8 lookup tables (add, mul, neg, inv), so matrix work
+over the field is vectorized and scalar operations are single lookups.  The
+tables are built from the base-p digit matrix of the elements and the
+companion matrix of the modulus: sums are digit sums mod p, the product
+with b applies sum(b_i X^i) to the digits, and inverses are read off the
+product table.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 __all__ = [
+    "MAX_ORDER",
     "Field",
     "make_field",
     "is_prime",
@@ -31,8 +36,7 @@ __all__ = [
     "additive_transversal",
 ]
 
-MAX_ORDER = 1 << 16
-TABLE_LIMIT = 256
+MAX_ORDER = 256
 
 
 def is_prime(n: int) -> bool:
@@ -72,14 +76,6 @@ def _poly_trim(c: List[int]) -> List[int]:
     return c
 
 
-def _poly_mul(a: List[int], b: List[int], p: int) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
 def _poly_mod(a: List[int], m: List[int], p: int) -> List[int]:
     a = list(a)
     dm = len(m) - 1
@@ -112,13 +108,6 @@ def _digits(v: int, p: int, k: int) -> List[int]:
     return out
 
 
-def _undigits(c: List[int], p: int) -> int:
-    v = 0
-    for ci in reversed(c):
-        v = v * p + ci
-    return v
-
-
 class Field:
     """GF(p^k) with integer-encoded elements.  Build via make_field()."""
 
@@ -130,45 +119,36 @@ class Field:
         self.p = p
         self.k = k
         self.order = p**k
-        self.modulus = None if k == 1 else self._find_modulus()
+        self.modulus = self._find_modulus()
         self._tables = None
 
     def _find_modulus(self) -> Tuple[int, ...]:
         # smallest non-leading coefficient word, degree k-1 digit most
-        # significant = smallest integer code
+        # significant = smallest integer code (for k = 1 that is x itself)
         for code in range(self.order):
             cand = _digits(code, self.p, self.k) + [1]
             if _irreducible(cand, self.p):
                 return tuple(reversed(cand))  # store descending by degree
         raise AssertionError("no irreducible polynomial found")
 
-    # -- element arithmetic on integer encodings
+    # -- element arithmetic on integer encodings, read from the tables
 
     def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        da, db = _digits(a, self.p, self.k), _digits(b, self.p, self.k)
-        return _undigits([(x + y) % self.p for x, y in zip(da, db)], self.p)
+        return int(self.tables()[0][a, b])
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return _undigits([(-x) % self.p for x in _digits(a, self.p, self.k)], self.p)
+        return int(self.tables()[2][a])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(_digits(a, self.p, self.k), _digits(b, self.p, self.k), self.p)
-        prod = _poly_mod(prod, list(reversed(self.modulus)), self.p)
-        return _undigits(prod, self.p)
+        return int(self.tables()[1][a, b])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero in GF(%d)" % self.order)
-        return self.pow(a, self.order - 2)
+        return int(self.tables()[3][a])
 
     def pow(self, a: int, n: int) -> int:
         n %= self.order - 1 if a else 1
@@ -206,22 +186,27 @@ class Field:
         return n
 
     def tables(self):
-        """(ADD, MUL, NEG, INV) dense uint8 tables; order <= 256 only."""
-        if self.order > TABLE_LIMIT:
-            raise ValueError("no dense tables for field of order %d" % self.order)
+        """(ADD, MUL, NEG, INV) dense uint8 tables indexed by encodings,
+        built on first use; INV[0] is 0."""
         if self._tables is None:
-            q = self.order
-            add = np.zeros((q, q), dtype=np.uint8)
-            mul = np.zeros((q, q), dtype=np.uint8)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = self.add(a, b)
-                    mul[a, b] = self.mul(a, b)
-            neg = np.array([self.neg(a) for a in range(q)], dtype=np.uint8)
-            inv = np.zeros(q, dtype=np.uint8)
-            for a in range(1, q):
-                inv[a] = self.inv(a)
-            self._tables = (add, mul, neg, inv)
+            p, k, q = self.p, self.k, self.order
+            D = np.array([_digits(v, p, k) for v in range(q)], dtype=np.int64)
+            weights = p ** np.arange(k, dtype=np.int64)
+            # X maps the digits of v to those of g*v: g^j -> g^(j+1) for
+            # j < k-1, and g^(k-1) -> g^k = -(m_0 + m_1 g + ... + m_(k-1) g^(k-1))
+            X = np.eye(k, k=-1, dtype=np.int64)
+            X[:, -1] = [-c % p for c in reversed(self.modulus[1:])]
+            powers = [np.eye(k, dtype=np.int64)]
+            for _ in range(1, k):
+                powers.append(X @ powers[-1] % p)
+            mats = np.tensordot(D, np.stack(powers), axes=1) % p  # b -> sum b_i X^i
+            add = (D[:, None, :] + D[None, :, :]) % p @ weights
+            mul = weights @ (mats @ D.T % p)  # [b, a]: digits of b*a, encoded
+            neg = -D % p @ weights
+            inv = np.zeros(q, dtype=np.int64)
+            units, inverses = np.nonzero(mul == 1)
+            inv[units] = inverses
+            self._tables = tuple(t.astype(np.uint8) for t in (add, mul, neg, inv))
         return self._tables
 
     def __eq__(self, other) -> bool:
@@ -250,27 +235,23 @@ def embedding_table(p: int, k_small: int, k_big: int) -> Tuple[int, ...]:
     if k_big % k_small != 0:
         raise ValueError("GF(%d^%d) does not embed in GF(%d^%d)" % (p, k_small, p, k_big))
     small, big = make_field(p, k_small), make_field(p, k_big)
-    if k_small == 1:
-        table = tuple(range(p))  # prime subfield encodings coincide
-    else:
-        mod = list(reversed(small.modulus))  # ascending degree, entries in GF(p)
-        root = None
-        for cand in big.elements():
-            acc = 0
-            for c in reversed(mod):
-                acc = big.add(big.mul(acc, cand), c)
-            if acc == 0:
-                root = cand
-                break
-        assert root is not None, "modulus has no root in the big field"
-        table = []
-        for v in small.elements():
-            acc, rpow = 0, 1
-            for c in _digits(v, p, k_small):
-                acc = big.add(acc, big.mul(c, rpow))
-                rpow = big.mul(rpow, root)
-            table.append(acc)
-        table = tuple(table)
+    root = None
+    for cand in big.elements():
+        acc = 0
+        for c in small.modulus:  # descending degree, entries in GF(p)
+            acc = big.add(big.mul(acc, cand), c)
+        if acc == 0:
+            root = cand
+            break
+    assert root is not None, "modulus has no root in the big field"
+    table = []
+    for v in small.elements():
+        acc, rpow = 0, 1
+        for c in _digits(v, p, k_small):
+            acc = big.add(acc, big.mul(c, rpow))
+            rpow = big.mul(rpow, root)
+        table.append(acc)
+    table = tuple(table)
     assert len(set(table)) == small.order
     for a in small.elements():
         for b in small.elements():

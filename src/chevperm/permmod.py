@@ -41,7 +41,7 @@ from .chevalley import (
     unipotent_words,
     weyl_word,
 )
-from .gf import additive_transversal, embedding_table, factor_prime_power, is_prime
+from .gf import MAX_ORDER, additive_transversal, embedding_table, factor_prime_power, is_prime
 from .linrep import (
     ModuleHandle,
     Subspace,
@@ -1053,8 +1053,8 @@ class SuiteRunner:
             return False, "requires an extension level b strictly above a"
         if spec.scope in ("group", "base", "ext"):
             top = self.b if (spec.scope == "ext" and self.b) else self.a
-            if self.q**top > 256:
-                return False, "field order %d exceeds the matrix-arithmetic bound 256" % self.q**top
+            if self.q**top > MAX_ORDER:
+                return False, "field order %d exceeds the matrix-arithmetic bound %d" % (self.q**top, MAX_ORDER)
         return True, ""
 
     def run(self, name: str) -> SuiteReport:

@@ -325,3 +325,14 @@ def test_structure_facts_sampled_gf16():
         total += data["checked"]
         sampled = sampled or data["mode"] == "sampled"
     assert sampled and total >= 1000
+
+
+def test_structure_facts_sampled_w_split():
+    # |U| = 16^4 > the default cap of 20 000, so both the factored form over
+    # w0 and every w-split U = U_w x U'_w are sampled
+    group = matrix_group("B2", 16)
+    fact = check_structure_facts(group)["unipotent-factorization"]
+    assert fact["mode"] == "sampled"
+    assert fact["failures"] == []
+    n_w = len(group.datum.elements)
+    assert fact["checked"] == 1000 + n_w * (1000 // n_w)

@@ -47,6 +47,19 @@ def test_usage_errors(tmp_path):
     assert main(["inspect", "--type", "A1", "--q", "2", "eta"]) == 2
 
 
+def test_field_order_cap(tmp_path, capsys):
+    # GF(2^9) is over the 256 cap: the ext suites skip with a fixed reason,
+    # and inspect refuses a base field that large
+    rc, out = run_to_file(tmp_path, "b9.json", ["--type", "A1", "--q", "2", "--b", "9", "--suites", "all"])
+    assert rc == 0
+    suites = json.loads(out.read_text())["suites"]
+    reason = "field order 512 exceeds the matrix-arithmetic bound 256"
+    skipped = {name: s["skip_reason"] for name, s in suites.items() if s.get("skipped")}
+    assert skipped == {"level-steps": reason, "separation": reason, "induction": reason}
+    assert main(["inspect", "--type", "A1", "--q", "2", "--a", "9", "dims"]) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_failing_suite_gives_exit_one(tmp_path, monkeypatch):
     def always_fails(ctx, seed, opts):
         rep = SuiteReport("composition", "forced failure for the exit-code path")

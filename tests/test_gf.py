@@ -1,11 +1,47 @@
+import random
+
 import pytest
 
 from chevperm.gf import (
+    MAX_ORDER,
+    _poly_mod,
     additive_transversal,
     embedding_table,
     factor_prime_power,
+    is_prime,
     make_field,
 )
+
+# every field the package can build, (p, k) for p^k <= 256
+PRIME_POWERS = sorted(
+    ((p, k) for p in range(2, MAX_ORDER + 1) if is_prime(p) for k in range(1, 9) if p**k <= MAX_ORDER),
+    key=lambda pk: pk[0] ** pk[1],
+)
+
+
+# -- reference arithmetic: digit vectors and polynomial products mod the
+# modulus (_poly_mod is the modulus search's own routine), no tables
+
+
+def _digits(v, p, k):
+    return [v // p**i % p for i in range(k)]
+
+
+def _undigits(c, p):
+    return sum(ci * p**i for i, ci in enumerate(c))
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def _ref_mul(F, a, b):
+    prod = _poly_mul(_digits(a, F.p, F.k), _digits(b, F.p, F.k), F.p)
+    return _undigits(_poly_mod(prod, list(reversed(F.modulus)), F.p), F.p)
 
 
 def test_modulus_is_smallest_irreducible():
@@ -14,7 +50,8 @@ def test_modulus_is_smallest_irreducible():
     assert make_field(2, 3).modulus == (1, 0, 1, 1)
     assert make_field(2, 4).modulus == (1, 0, 0, 1, 1)
     assert make_field(3, 2).modulus == (1, 0, 1)
-    assert make_field(2, 1).modulus is None
+    assert make_field(2, 1).modulus == (1, 0)  # x, the smallest of degree 1
+    assert make_field(7, 1).modulus == (1, 0)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)])
@@ -45,34 +82,53 @@ def test_gf4_arithmetic_values():
     assert F.fp_basis() == [1, 2]
 
 
-def test_tables_match_scalar_ops():
-    F = make_field(2, 3)
+def _ref_pow(F, a, n):
+    out = 1
+    for bit in bin(n)[2:]:
+        out = _ref_mul(F, out, out)
+        if bit == "1":
+            out = _ref_mul(F, out, a)
+    return out
+
+
+@pytest.mark.parametrize("p,k", PRIME_POWERS)
+def test_tables_match_reference_arithmetic(p, k):
+    """The tables against digit-wise addition, the polynomial product mod the
+    modulus and the Fermat inverse a^(q-2).  ADD and MUL are checked whole up
+    to order 64 and on a seeded sample of rows above; NEG and INV whole."""
+    F = make_field(p, k)
+    q = F.order
     ADD, MUL, NEG, INV = F.tables()
-    for a in F.elements():
-        assert NEG[a] == F.neg(a)
-        if a:
-            assert INV[a] == F.inv(a)
-        for b in F.elements():
-            assert ADD[a, b] == F.add(a, b)
-            assert MUL[a, b] == F.mul(a, b)
+    assert all(t.dtype == "uint8" for t in (ADD, MUL, NEG, INV))
+    assert ADD.shape == MUL.shape == (q, q) and NEG.shape == INV.shape == (q,)
+    digits = [_digits(v, p, k) for v in range(q)]
+    rows = range(q) if q <= 64 else sorted({0, 1, q - 1} | set(random.Random(q).sample(range(q), 13)))
+    for a in rows:
+        sums = [_undigits([(x + y) % p for x, y in zip(digits[a], digits[b])], p) for b in range(q)]
+        assert [int(v) for v in ADD[a]] == sums, a
+        assert [int(v) for v in MUL[a]] == [_ref_mul(F, a, b) for b in range(q)], a
+    assert [int(v) for v in NEG] == [_undigits([-x % p for x in d], p) for d in digits]
+    assert INV[0] == 0
+    assert [int(v) for v in INV[1:]] == [_ref_pow(F, a, q - 2) for a in range(1, q)]
+    assert F.add(q - 1, 1) == ADD[q - 1, 1] and type(F.add(q - 1, 1)) is int
 
 
 def test_field_guards():
     with pytest.raises(ValueError):
         make_field(4, 1)  # 4 is not prime
-    with pytest.raises(ValueError):
-        make_field(2, 17)  # 2^17 over the order cap
     assert factor_prime_power(8) == (2, 3)
     assert factor_prime_power(9) == (3, 2)
     with pytest.raises(ValueError):
         factor_prime_power(12)
 
 
-def test_large_field_fermat_inverse():
-    F = make_field(2, 16)
-    assert F.order == 65536
-    for a in [1, 2, 7, 501, 65535]:
-        assert F.mul(a, F.inv(a)) == 1
+def test_order_cap_is_256():
+    assert MAX_ORDER == 256
+    assert make_field(2, 8).order == 256
+    with pytest.raises(ValueError):
+        make_field(2, 9)
+    with pytest.raises(ValueError):
+        make_field(257)
 
 
 def test_embedding_gf2_in_gf4():
