@@ -12,16 +12,21 @@ restriction and quotient, an irreducibility test in the random-singular-
 element style with certified verdicts, recursive composition series, and a
 socle check that enumerates the fixed lines of a p-group action.
 
-Restriction and quotient work on whole matrices, one identity per label in
-`actions` (not only the spin labels), exact mod l:
+Restriction and quotient work on whole matrices, exact mod l.  Each checks
+one identity for every label in the input handle's `actions`, spin or not,
+but builds and stores an action only for the labels asked for (by default
+the spin labels, the only ones that spinning, the MeatAxe and composition
+series read):
 
   restrict  S (k x n, RREF rows) invariant: with img = S A^T (the images of
-            the rows) and C = img[:, pivots], assert C S == img.  The
-            restricted action is C^T.
-  quotient  P ((n-k) x n) the projection onto the non-pivot coordinates:
-            with Q = (P A)[:, keep], assert P A == Q P, i.e. equivariance
-            on every ambient basis vector, the dropped pivots included.  The
-            quotient action is Q.
+            the rows) and C = img[:, pivots], assert C S == img on the free
+            (non-pivot) columns; on the pivot columns S is the identity, so
+            there it holds by construction.  The restricted action is C^T.
+  quotient  P ((n-k) x n) the projection onto the free coordinates: with
+            Q = (P A)[:, free], assert P A == Q P on the pivot columns; on
+            the free columns P is the identity, so there it holds by
+            construction.  Together that is equivariance on every ambient
+            basis vector.  The quotient action is Q.
 
 The irreducibility criterion used: for a singular algebra element A, if
 some proper submodule exists then either a vector of ker A generates a
@@ -70,8 +75,7 @@ def _annihilator(S: "Subspace") -> np.ndarray:
     """Rows spanning {x : S.rows x = 0}: the identity on the free columns
     and -R^T on the pivot columns, R the basis rows restricted to the free
     columns."""
-    pivots = set(S.pivots)
-    free = [j for j in range(S.n) if j not in pivots]
+    free = S.free
     out = np.zeros((len(free), S.n), dtype=np.int64)
     out[:, free] = np.eye(len(free), dtype=np.int64)
     out[:, list(S.pivots)] = (-S.rows[:, free].T) % S.l
@@ -111,7 +115,7 @@ class Subspace:
         k = self.dim
         R = self._buf[:k]
         R -= np.outer(R[:, p], v)
-        R %= self.l
+        R -= (R // self.l) * self.l  # R %= l, but numpy's int64 remainder is slower
         if k == len(self._buf):
             grown = np.zeros((min(self.n, max(1, 2 * k)), self.n), dtype=np.int64)
             grown[:k] = R
@@ -135,6 +139,12 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.pivots)
+
+    @property
+    def free(self) -> List[int]:
+        """The non-pivot columns, ascending."""
+        pivots = set(self.pivots)
+        return [j for j in range(self.n) if j not in pivots]
 
     # reduce, contains and coords take one vector or a block of row vectors
 
@@ -316,47 +326,70 @@ def fixed_space(handle: ModuleHandle, labels: Optional[Sequence[Hashable]] = Non
     return Subspace(handle.dim, handle.l, nullspace(stacked, handle.l))
 
 
-def restrict(handle: ModuleHandle, sub: Subspace) -> ModuleHandle:
+def restrict(handle: ModuleHandle, sub: Subspace,
+             labels: Optional[Sequence[Hashable]] = None) -> ModuleHandle:
     """The module structure on an invariant subspace, in its basis coords.
 
-    For every label, the images S A^T of the basis rows S have coordinates
-    C = (S A^T)[:, pivots], and C S == S A^T is asserted: no image leaves
-    the subspace.  The restricted action is C^T.
+    For every label of the handle, the images S A^T of the basis rows S have
+    coordinates C = (S A^T)[:, pivots], and C S == S A^T is asserted on the
+    free columns; on the pivot columns S is the identity, so there it holds
+    by construction.  That costs k^2 (n - k) per label, not k^2 n.  The
+    restricted action C^T is built only for `labels`, by default the spin
+    labels, in that order.  The full space returns the handle itself.
     """
     if sub.dim == handle.dim:
         return handle
-    out = ModuleHandle(sub.dim, handle.l, handle.spin_labels)
+    labels = list(dict.fromkeys(handle.spin_labels if labels is None else labels))
+    pivots, free = list(sub.pivots), sub.free
+    R = sub.rows[:, free]
+    coords = {}
     for label in handle.actions:
-        out.add_matrix(label, sub.coords(handle.images(label, sub.rows)).T)
+        img = handle.images(label, sub.rows)
+        C = img[:, pivots]
+        assert np.array_equal((C @ R) % handle.l, img[:, free]), "vector outside the subspace"
+        if label in labels:
+            coords[label] = C
+    out = ModuleHandle(sub.dim, handle.l, handle.spin_labels)
+    for label in labels:
+        out.add_matrix(label, coords.pop(label).T)  # pop: hold one matrix twice at most
     return out
 
 
-def quotient(handle: ModuleHandle, sub: Subspace) -> Tuple[ModuleHandle, Callable[[np.ndarray], np.ndarray]]:
+def quotient(handle: ModuleHandle, sub: Subspace, labels: Optional[Sequence[Hashable]] = None
+             ) -> Tuple[ModuleHandle, Callable[[np.ndarray], np.ndarray]]:
     """The quotient module by an invariant subspace with its projection.
 
-    The projection reduces mod the subspace then reads off the coordinates
-    away from its pivots; as a matrix P it is the identity on those columns
-    and -R^T on the pivot columns (R the basis rows restricted to them).  For
-    every label, with Q = (P A)[:, keep], P A == Q P is asserted:
-    equivariance on the full ambient basis, including the dropped pivots.
-    The quotient action is Q.
+    The projection reduces mod the subspace then reads off the free
+    coordinates; as a matrix P it is the identity on those columns and -R^T
+    on the pivot columns (R the basis rows restricted to the free ones).
+    For every label of the handle, with Q = (P A)[:, free], P A == Q P is
+    asserted on the pivot columns; on the free columns it holds by
+    construction.  That is equivariance on the full ambient basis, the
+    dropped pivots included.  The quotient action Q is built only for
+    `labels`, by default the spin labels, in that order.  The zero subspace
+    returns the handle itself.
     """
     if sub.dim == 0:
         return handle, lambda v: np.asarray(v, dtype=np.int64) % handle.l
     l = handle.l
-    pivots = set(sub.pivots)
-    keep = [j for j in range(handle.dim) if j not in pivots]
+    labels = list(dict.fromkeys(handle.spin_labels if labels is None else labels))
+    pivots, keep = list(sub.pivots), sub.free
 
     def project(v: np.ndarray) -> np.ndarray:
         return sub.reduce(v)[keep]
 
     P = _annihilator(sub)
-    out = ModuleHandle(len(keep), l, handle.spin_labels)
+    P_pivots = P[:, pivots]
+    actions = {}
     for label in handle.actions:
         PA = handle.pullback(label, P)
         Q = PA[:, keep]
-        assert np.array_equal(PA, (Q @ P) % l), "projection is not equivariant"
-        out.add_matrix(label, Q)
+        assert np.array_equal((Q @ P_pivots) % l, PA[:, pivots]), "projection is not equivariant"
+        if label in labels:
+            actions[label] = Q
+    out = ModuleHandle(len(keep), l, handle.spin_labels)
+    for label in labels:
+        out.add_matrix(label, actions.pop(label))
     return out, project
 
 

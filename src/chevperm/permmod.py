@@ -97,7 +97,7 @@ class FiltrationPiece:
     J: FrozenSet[int]
     sub: Subspace               # the submodule generated by the alternating sum
     prime_dim: int              # dimension of the sum of the strictly-larger pieces
-    handle: ModuleHandle        # the subquotient as a module in its own right
+    handle: ModuleHandle        # the subquotient as a module over the spin labels only
     project: Callable[[np.ndarray], np.ndarray]   # ambient vector (in sub) -> subquotient coords
     C: np.ndarray               # image of the alternating sum
 
@@ -309,9 +309,12 @@ class LevelModule:
             sub = generated[J]
             merged = sub.sum(above)
             assert merged.dim == sub.dim, "larger-subset submodule escapes the smaller one"
-            sub_handle = restrict(self.handle, sub)
+            # restrict checks every generated submodule under every label of
+            # the module, so above, a sum of them, is invariant too; the
+            # quotient checks only the spin labels the restricted handle
+            # carries.  That handle is dropped before the next one is built.
             inner = Subspace(sub.dim, self.ell, sub.coords(above.rows))
-            e_handle, qproj = quotient(sub_handle, inner)
+            e_handle, qproj = quotient(restrict(self.handle, sub), inner)
 
             def project(v, _sub=sub, _qproj=qproj):
                 return _qproj(_sub.coords(v))
@@ -566,9 +569,12 @@ def suite_filtration(ctx: PermContext, seed: int, opts: dict) -> SuiteReport:
               dim=pieces[full].dim)
     empty_piece = pieces[frozenset()]
     rep.check(empty_piece.dim == 1, what="bottom-piece-dimension", dim=empty_piece.dim)
+    # the piece is spanned by the image of the unit coset, which every root
+    # label of the module must fix
+    base = empty_piece.project(lm.unit())
     identity_like = all(
-        np.array_equal(empty_piece.handle.matrix(lbl), np.eye(1, dtype=np.int64))
-        for lbl in empty_piece.handle.actions
+        np.array_equal(empty_piece.project(lm.handle.apply(lbl, lm.unit())), base)
+        for lbl in lm.handle.actions
     )
     rep.check(identity_like and empty_piece.dim == 1, what="bottom-piece-trivial")
     return rep
@@ -915,7 +921,8 @@ def suite_socle(ctx: PermContext, seed: int, opts: dict) -> SuiteReport:
         _, phandle = lm.parabolic(Jp)
         D = lm.parabolic_alternating_sum(J)
         EpJ = spin(phandle, [D])
-        sub = restrict(phandle, EpJ)
+        # socle_simple_check reads the fixed space of the unipotent labels
+        sub = restrict(phandle, EpJ, phandle.spin_labels + lm.unipotent_labels())
         vec = lm.act(weyl_word(lm.group, vJ), D, phandle)
         cand_amb = lm.sign(wJ) * lm.u_sum(lead, values, vec, handle=phandle) % lm.ell
         rep.check(np.any(cand_amb), what="candidate-nonzero", J=subset_tag(J))

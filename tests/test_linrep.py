@@ -510,7 +510,7 @@ def submodule_of_dim(handle, d):
 def mat_uniserial_module(l):
     """A restricted handle: every action is a dense matrix."""
     h = uniserial_module(l)
-    sub = restrict(h, submodule_of_dim(h, h.dim - 1))
+    sub = restrict(h, submodule_of_dim(h, h.dim - 1), labels=list(h.actions))
     assert all(kind == "mat" for kind, _, _ in sub.actions.values())
     return sub
 
@@ -531,8 +531,9 @@ def test_restrict_quotient_match_per_vector_reference(l, build):
     vectors = rng.integers(0, l, size=(6, n))
     for d in (0, 1, n - 1, n):
         S = submodule_of_dim(handle, d)
-        assert_same_handle(restrict(handle, S), loop_restrict(handle, S))
-        quot, project = quotient(handle, S)
+        every = list(handle.actions)
+        assert_same_handle(restrict(handle, S, labels=every), loop_restrict(handle, S))
+        quot, project = quotient(handle, S, labels=every)
         ref_quot, ref_project = loop_quotient(handle, S)
         assert_same_handle(quot, ref_quot)
         for v in list(vectors) + list(S.rows):
@@ -562,3 +563,22 @@ def test_restrict_quotient_check_non_spin_labels():
         restrict(handle, S)
     with pytest.raises(AssertionError, match="not equivariant"):
         quotient(handle, S)
+
+
+@pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
+def test_restrict_quotient_store_only_the_asked_labels(build):
+    # the checks reach every label, but by default only the spin labels are
+    # built, and an explicit list is built in its own order
+    handle = build(3)
+    assert handle.spin_labels == ["c"] and list(handle.actions) == ["c", "c2"]
+    S = submodule_of_dim(handle, 2)
+    ref_sub = loop_restrict(handle, S)
+    ref_quot, _ = loop_quotient(handle, S)
+    for new, ref in ((restrict(handle, S), ref_sub), (quotient(handle, S)[0], ref_quot)):
+        assert list(new.actions) == new.spin_labels == ["c"]
+        assert np.array_equal(new.matrix("c"), ref.matrix("c"))
+    for new, ref in ((restrict(handle, S, labels=["c2", "c"]), ref_sub),
+                     (quotient(handle, S, labels=["c2", "c"])[0], ref_quot)):
+        assert list(new.actions) == ["c2", "c"] and new.spin_labels == ["c"]
+        for label in ("c", "c2"):
+            assert np.array_equal(new.matrix(label), ref.matrix(label)), label

@@ -14,6 +14,7 @@ import pytest
 from chevperm.gf import make_field
 from chevperm.permmod import (
     SUITES,
+    LevelModule,
     PermContext,
     SuiteRunner,
     absorbs_from,
@@ -89,6 +90,18 @@ def test_filtration_dims_b2():
     pieces = ctx("B2", 2).base.filtration()
     dims = sorted(p.dim for p in pieces.values())
     assert dims == [1, 14, 14, 16] and sum(dims) == 45
+
+
+def test_filtration_checks_non_spin_labels():
+    # a transposition of two cosets is no group element; the pieces carry
+    # only the spin labels, but the filtration must still check every label
+    lm = LevelModule("A2", 2, 2)
+    swap = np.arange(lm.dim)
+    swap[[1, 2]] = [2, 1]
+    lm.handle.add_perm(("bogus",), swap)
+    assert ("bogus",) not in lm.handle.spin_labels
+    with pytest.raises(AssertionError):
+        lm.filtration()
 
 
 def test_filtration_dims_survive_coefficient_change():
