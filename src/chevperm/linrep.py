@@ -14,9 +14,9 @@ socle check that enumerates the fixed lines of a p-group action.
 
 Restriction and quotient work on whole matrices, exact mod l.  Each checks
 one identity for every label in the input handle's `actions`, spin or not,
-but builds and stores an action only for the labels asked for (by default
-the spin labels, the only ones that spinning, the MeatAxe and composition
-series read):
+but builds and stores an action only for the spin labels, the only ones that
+spinning, the MeatAxe and composition series read; `restrict` also takes an
+explicit label list, for callers that read other labels of a submodule:
 
   restrict  S (k x n, RREF rows) invariant: with img = S A^T (the images of
             the rows) and C = img[:, pivots], assert C S == img on the free
@@ -355,8 +355,7 @@ def restrict(handle: ModuleHandle, sub: Subspace,
     return out
 
 
-def quotient(handle: ModuleHandle, sub: Subspace, labels: Optional[Sequence[Hashable]] = None
-             ) -> Tuple[ModuleHandle, Callable[[np.ndarray], np.ndarray]]:
+def quotient(handle: ModuleHandle, sub: Subspace) -> Tuple[ModuleHandle, Callable[[np.ndarray], np.ndarray]]:
     """The quotient module by an invariant subspace with its projection.
 
     The projection reduces mod the subspace then reads off the free
@@ -365,14 +364,13 @@ def quotient(handle: ModuleHandle, sub: Subspace, labels: Optional[Sequence[Hash
     For every label of the handle, with Q = (P A)[:, free], P A == Q P is
     asserted on the pivot columns; on the free columns it holds by
     construction.  That is equivariance on the full ambient basis, the
-    dropped pivots included.  The quotient action Q is built only for
-    `labels`, by default the spin labels, in that order.  The zero subspace
-    returns the handle itself.
+    dropped pivots included.  The quotient action Q is built only for the
+    spin labels, in their order.  The zero subspace returns the handle
+    itself.
     """
     if sub.dim == 0:
         return handle, lambda v: np.asarray(v, dtype=np.int64) % handle.l
     l = handle.l
-    labels = list(dict.fromkeys(handle.spin_labels if labels is None else labels))
     pivots, keep = list(sub.pivots), sub.free
 
     def project(v: np.ndarray) -> np.ndarray:
@@ -385,10 +383,10 @@ def quotient(handle: ModuleHandle, sub: Subspace, labels: Optional[Sequence[Hash
         PA = handle.pullback(label, P)
         Q = PA[:, keep]
         assert np.array_equal((Q @ P_pivots) % l, PA[:, pivots]), "projection is not equivariant"
-        if label in labels:
+        if label in handle.spin_labels:
             actions[label] = Q
     out = ModuleHandle(len(keep), l, handle.spin_labels)
-    for label in labels:
+    for label in handle.spin_labels:
         out.add_matrix(label, actions.pop(label))
     return out, project
 

@@ -307,12 +307,11 @@ class LevelModule:
                 if J < K:
                     above = above.sum(generated[K])
             sub = generated[J]
-            merged = sub.sum(above)
-            assert merged.dim == sub.dim, "larger-subset submodule escapes the smaller one"
-            # restrict checks every generated submodule under every label of
-            # the module, so above, a sum of them, is invariant too; the
-            # quotient checks only the spin labels the restricted handle
-            # carries.  That handle is dropped before the next one is built.
+            # coords asserts that above lies in sub.  restrict checks every
+            # generated submodule under every label of the module, so above,
+            # a sum of them, is invariant too; the quotient checks only the
+            # spin labels the restricted handle carries.  That handle is
+            # dropped before the next one is built.
             inner = Subspace(sub.dim, self.ell, sub.coords(above.rows))
             e_handle, qproj = quotient(restrict(self.handle, sub), inner)
 

@@ -515,10 +515,13 @@ def mat_uniserial_module(l):
     return sub
 
 
-def assert_same_handle(new, ref):
-    assert new.dim == ref.dim and list(new.actions) == list(ref.actions)
+def assert_same_handle(new, ref, labels=None):
+    """new carries exactly `labels` (by default every label of ref), each
+    with ref's matrix."""
+    labels = list(ref.actions) if labels is None else labels
+    assert new.dim == ref.dim and list(new.actions) == labels
     assert new.spin_labels == ref.spin_labels
-    for label in ref.actions:
+    for label in labels:
         assert np.array_equal(new.matrix(label), ref.matrix(label)), label
 
 
@@ -531,11 +534,12 @@ def test_restrict_quotient_match_per_vector_reference(l, build):
     vectors = rng.integers(0, l, size=(6, n))
     for d in (0, 1, n - 1, n):
         S = submodule_of_dim(handle, d)
-        every = list(handle.actions)
-        assert_same_handle(restrict(handle, S, labels=every), loop_restrict(handle, S))
-        quot, project = quotient(handle, S, labels=every)
+        assert_same_handle(restrict(handle, S, labels=list(handle.actions)), loop_restrict(handle, S))
+        # a proper quotient stores the spin labels only; the zero subspace
+        # returns the handle itself
+        quot, project = quotient(handle, S)
         ref_quot, ref_project = loop_quotient(handle, S)
-        assert_same_handle(quot, ref_quot)
+        assert_same_handle(quot, ref_quot, None if d == 0 else handle.spin_labels)
         for v in list(vectors) + list(S.rows):
             assert np.array_equal(project(v), ref_project(v))
 
@@ -568,17 +572,11 @@ def test_restrict_quotient_check_non_spin_labels():
 @pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
 def test_restrict_quotient_store_only_the_asked_labels(build):
     # the checks reach every label, but by default only the spin labels are
-    # built, and an explicit list is built in its own order
+    # built, and restrict builds an explicit list in its own order
     handle = build(3)
     assert handle.spin_labels == ["c"] and list(handle.actions) == ["c", "c2"]
     S = submodule_of_dim(handle, 2)
     ref_sub = loop_restrict(handle, S)
-    ref_quot, _ = loop_quotient(handle, S)
-    for new, ref in ((restrict(handle, S), ref_sub), (quotient(handle, S)[0], ref_quot)):
-        assert list(new.actions) == new.spin_labels == ["c"]
-        assert np.array_equal(new.matrix("c"), ref.matrix("c"))
-    for new, ref in ((restrict(handle, S, labels=["c2", "c"]), ref_sub),
-                     (quotient(handle, S, labels=["c2", "c"])[0], ref_quot)):
-        assert list(new.actions) == ["c2", "c"] and new.spin_labels == ["c"]
-        for label in ("c", "c2"):
-            assert np.array_equal(new.matrix(label), ref.matrix(label)), label
+    assert_same_handle(restrict(handle, S), ref_sub, ["c"])
+    assert_same_handle(quotient(handle, S)[0], loop_quotient(handle, S)[0], ["c"])
+    assert_same_handle(restrict(handle, S, labels=["c2", "c"]), ref_sub, ["c2", "c"])

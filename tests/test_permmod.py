@@ -100,8 +100,9 @@ def test_filtration_checks_non_spin_labels():
     swap[[1, 2]] = [2, 1]
     lm.handle.add_perm(("bogus",), swap)
     assert ("bogus",) not in lm.handle.spin_labels
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="outside the subspace|not equivariant") as err:
         lm.filtration()
+    assert err.traceback[-1].name in ("restrict", "quotient")
 
 
 def test_filtration_dims_survive_coefficient_change():
