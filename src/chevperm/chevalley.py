@@ -21,10 +21,14 @@ Borel for this Gram matrix.  The enumeration cross-checks the orbit count
 against the q-power sum over Weyl-group lengths, which would catch any
 failure of this argument.
 
-A coset gP_K of a standard parabolic is canonicalized as the minimum (in
-byte order) of the Borel forms of g*r over the finitely many Borel-coset
-representatives r of P_K, which inherits coset invariance and separation
-from the Borel case.
+Forms are computed on stacks (N, n, n) of matrices in one numpy pass: the
+loops run over the n columns and their earlier pivots, never over N, and a
+single matrix is a stack of one.  `mat_mul` multiplies stacks the same way.
+
+A coset gP_K of a standard parabolic is canonicalized as the minimum, in
+byte order, of the Borel forms of g*r over the Borel-coset representatives
+r of P_K (`_pk_reps`), taking the first minimum in `_pk_reps` order; it
+inherits coset invariance and separation from the Borel case.
 """
 
 from __future__ import annotations
@@ -58,11 +62,13 @@ class BudgetError(RuntimeError):
 
 
 def mat_mul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A*B for stacks (..., n, k) and (..., k, m), broadcast over the leading
+    axes: one MUL gather, then k-1 ADD gathers."""
     ADD, MUL, _, _ = field.tables()
-    prod = MUL[A[:, :, None], B[None, :, :]]
-    acc = prod[:, 0, :]
-    for k in range(1, A.shape[1]):
-        acc = ADD[acc, prod[:, k, :]]
+    prod = MUL[A[..., :, :, None], B[..., None, :, :]]
+    acc = prod[..., 0, :]
+    for k in range(1, A.shape[-1]):
+        acc = ADD[acc, prod[..., k, :]]
     return acc
 
 
@@ -241,22 +247,29 @@ class MatrixGroup:
 
     # -- coset canonical forms
 
-    def borel_canonical(self, M: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    def borel_canonical(self, M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The Borel echelon forms of a stack (..., n, n) and their pivot rows
+        (..., n).  A matrix with no pivot in some column (a singular one)
+        raises ValueError."""
         ADD, MUL, NEG, INV = self.field.tables()
-        A = M.copy()
         n = self.n
-        pivots: List[int] = []
+        A = M.reshape(-1, n, n).copy()
+        at = np.arange(len(A))
+        pivots = np.empty((len(A), n), dtype=np.intp)
         for j in range(n):
-            for pj, pr in enumerate(pivots):
-                f = A[pr, j]
-                if f:
-                    A[:, j] = ADD[A[:, j], MUL[NEG[f], A[:, pj]]]
-            r = max(i for i in range(n) if A[i, j])
-            pivots.append(r)
-            f = A[r, j]
-            if f != 1:
-                A[:, j] = MUL[INV[f], A[:, j]]
-        return A, tuple(pivots)
+            col = A[:, :, j]
+            # no per-matrix branch: a zero entry in an earlier pivot row adds
+            # MUL[NEG[0], .] = 0, and a pivot already 1 is scaled by INV[1] = 1
+            for pj in range(j):
+                f = col[at, pivots[:, pj]]
+                col[...] = ADD[col, MUL[NEG[f][:, None], A[:, :, pj]]]
+            nonzero = col != 0
+            if not nonzero.any(axis=1).all():
+                raise ValueError("singular matrix: column %d has no pivot" % j)
+            r = n - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+            pivots[:, j] = r
+            col[...] = MUL[INV[col[at, r]][:, None], col]
+        return A.reshape(M.shape), pivots.reshape(M.shape[:-1])
 
 
 def matrix_group(kind: str, q: int) -> MatrixGroup:
@@ -316,6 +329,12 @@ def unipotent_words(
 # -- flag-variety index ------------------------------------------------------
 
 
+def _keys(forms: np.ndarray) -> List[bytes]:
+    """`tobytes()` of each matrix of a stack (N, n, n)."""
+    flat = np.ascontiguousarray(forms).reshape(len(forms), forms.shape[1] * forms.shape[2])
+    return flat.view(np.dtype((np.void, flat.shape[1]))).ravel().tolist()
+
+
 class FlagIndex:
     """All cosets of a standard parabolic P_K (K = empty set: the Borel),
     indexed 0..N-1 with deterministic BFS order, plus a permutation cache."""
@@ -333,66 +352,83 @@ class FlagIndex:
         # each Bruhat cell, keyed by the pivot rows of its Borel echelon
         # forms: its Weyl element w and the entries of w's representative at
         # those pivots
-        self._cells: Dict[Tuple[int, ...], Tuple[WeylElement, np.ndarray]] = {}
-        for w in datum.elements:
-            wd = group.weyl_rep(w)
-            piv = group.borel_canonical(wd)[1]
-            self._cells[piv] = (w, wd[piv, range(group.n)])
+        wds = np.stack([group.weyl_rep(w) for w in datum.elements])
+        pivots = group.borel_canonical(wds)[1]
+        self._cells: Dict[Tuple[int, ...], Tuple[WeylElement, np.ndarray]] = {
+            tuple(piv.tolist()): (w, wd[piv, range(group.n)])
+            for w, wd, piv in zip(datum.elements, wds, pivots)
+        }
         assert len(self._cells) == len(datum.elements)
-        self.reps: List[np.ndarray] = []   # a group element in each coset
         self._index: Dict[bytes, int] = {}  # canonical form -> coset index
         self._perm_cache: Dict[bytes, np.ndarray] = {}
         self._bruhat: Optional[List[WeylElement]] = None
-        self._build(predicted)
+        self.reps = self._build(predicted)  # (N, n, n): a group element in each coset
 
-    def _parabolic_reps(self) -> List[np.ndarray]:
+    def _parabolic_reps(self) -> np.ndarray:
         reps = []
         # BwB/B = U_{Phi(w^-1)} w B: the unipotent factor runs over the
         # inversion set of w^-1, not of w
         for w in self.group.datum.subgroup_elements(self.K):
             for word in unipotent_words(self.group, w.inverse()):
                 reps.append(self.group.mul(self.group.from_word(word), self.group.weyl_rep(w)))
-        return reps
+        return np.stack(reps)
 
-    def _borel_form(self, M: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        """The canonical form of the coset of M and its pivot rows."""
+    def _forms(self, M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The canonical forms (N, n, n) of the cosets of a stack (N, n, n)
+        and the pivot rows (N, n) of each form."""
+        group = self.group
         if not self.K:
-            return self.group.borel_canonical(M)
-        forms = (self.group.borel_canonical(self.group.mul(M, r)) for r in self._pk_reps)
-        return min(forms, key=lambda form: form[0].tobytes())
+            return group.borel_canonical(M)
+        forms, pivots = group.borel_canonical(mat_mul(group.field, M[:, None], self._pk_reps))
+        # byte-order minimum over the P_K/B axis: keep the candidates that
+        # reach the least value at each byte, then take the first survivor
+        flat = forms.reshape(len(M), len(self._pk_reps), -1)
+        alive = np.ones(flat.shape[:2], dtype=bool)
+        for b in range(flat.shape[2]):
+            byte = flat[:, :, b]
+            alive &= byte == np.where(alive, byte, 255).min(axis=1, keepdims=True)
+        at, best = np.arange(len(M)), np.argmax(alive, axis=1)
+        return forms[at, best], pivots[at, best]
 
     def canonical(self, M: np.ndarray) -> np.ndarray:
-        return self._borel_form(M)[0]
+        return self._forms(M[None])[0][0]
 
-    def _build(self, predicted: int) -> None:
-        datum, group = self.group.datum, self.group
+    def _build(self, predicted: int) -> np.ndarray:
+        """Breadth-first enumeration, one frontier at a time: every queued
+        coset times every generator in one batch, the new forms numbered in
+        base-major, generator-minor order."""
+        datum, group, n = self.group.datum, self.group, self.group.n
         gens = []
         for i in range(datum.rank):
             pos = datum.simple_indices[i]
             for root in (pos, pos + datum.n_pos):
                 for b in group.field.fp_basis():
                     gens.append(group.root_element(root, b))
+        gens = np.stack(gens)
         _, MUL, _, _ = group.field.tables()
 
         def visit(M):
-            form, piv = self._borel_form(M)
-            key = form.tobytes()
-            if key not in self._index:
-                self._index[key] = len(self.reps)
-                # the form is u*P_w, u upper unitriangular: column-scaled, so
-                # at odd q it can lie outside Sp_4.  Scaling each column by
-                # the entry of w's representative at its pivot gives u*w, a
-                # group element as sparse as the form.
-                self.reps.append(MUL[form, self._cells[piv][1]])
+            forms, pivots = self._forms(M)
+            new = []
+            for t, key in enumerate(_keys(forms)):
+                if key not in self._index:
+                    self._index[key] = len(self._index)
+                    new.append(t)
+            # a form is u*P_w, u upper unitriangular: column-scaled, so at
+            # odd q it can lie outside Sp_4.  Scaling each column by the
+            # entry of w's representative at its pivot gives u*w, a group
+            # element as sparse as the form.
+            signs = [self._cells[piv][1] for piv in map(tuple, pivots[new].tolist())]
+            return MUL[forms[new], np.array(signs, dtype=np.uint8).reshape(len(new), 1, n)]
 
-        visit(group.identity())
-        head = 0
-        while head < len(self.reps):
-            base = self.reps[head]
-            head += 1
-            for g in gens:
-                visit(group.mul(g, base))
-        assert len(self.reps) == predicted, (len(self.reps), predicted)
+        frontier = visit(group.identity()[None])
+        levels = [frontier]
+        while len(frontier):
+            frontier = visit(mat_mul(group.field, gens, frontier[:, None]).reshape(-1, n, n))
+            levels.append(frontier)
+        reps = np.concatenate(levels)
+        assert len(reps) == predicted, (len(reps), predicted)
+        return reps
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -404,10 +440,9 @@ class FlagIndex:
         key = M.tobytes()
         perm = self._perm_cache.get(key)
         if perm is None:
-            perm = np.array(
-                [self._index[self.canonical(self.group.mul(M, rep)).tobytes()] for rep in self.reps],
-                dtype=np.int64,
-            )
+            # a KeyError here is an image outside the enumerated cosets
+            forms = self._forms(mat_mul(self.group.field, M, self.reps))[0]
+            perm = np.array([self._index[k] for k in _keys(forms)], dtype=np.int64)
             self._perm_cache[key] = perm
         return perm
 
@@ -423,19 +458,21 @@ class FlagIndex:
         if self.K:
             raise ValueError("Bruhat labels are defined on the Borel index")
         if self._bruhat is None:
-            self._bruhat = [self._cells[self.group.borel_canonical(rep)[1]][0] for rep in self.reps]
+            pivots = self.group.borel_canonical(self.reps)[1]
+            self._bruhat = [self._cells[piv][0] for piv in map(tuple, pivots.tolist())]
         return self._bruhat
 
 
 # -- Bruhat-cell decomposition of a simple-reflection conjugate --------------
 
 
-def decompose_simple_conjugate(group: MatrixGroup, i: int, c: int):
+def decompose_simple_conjugate(group: MatrixGroup, i: int, c: int) -> int:
     """Split s_i u s_i^{-1} (u a nonzero simple root element) as x * s_i * t * y
     with x, y in the simple root subgroup and t in the torus.
 
-    Everything happens in the SL_2 embedded along alpha_i; the x-parameter,
-    -1/c, is returned as well since downstream case identities consume it.
+    Everything happens in the SL_2 embedded along alpha_i.  Only the
+    x-parameter, -1/c, is returned: the case identities downstream consume
+    it; the decomposition itself is asserted here.
     """
     if c == 0:
         raise ValueError("needs a nonzero root-subgroup parameter")
@@ -449,7 +486,7 @@ def decompose_simple_conjugate(group: MatrixGroup, i: int, c: int):
     t = group.mul(group.inv(s), group.inv(x), lhs, group.inv(y))
     assert group.is_diagonal(t), "torus part of the decomposition is not diagonal"
     assert np.array_equal(group.mul(x, s, t, y), lhs)
-    return x, t, y, f_param
+    return f_param
 
 
 # -- structure sweeps --------------------------------------------------------

@@ -302,10 +302,11 @@ class LevelModule:
         generated = {J: spin(self.handle, [self.alternating_sum(J)]) for J in subsets}
         pieces: Dict[FrozenSet[int], FiltrationPiece] = {}
         for J in subsets:
-            above = Subspace(self.dim, self.ell)
-            for K in subsets:
-                if J < K:
-                    above = above.sum(generated[K])
+            # the sum over every K > J is the sum over the minimal ones,
+            # J + {i}: each larger K lies in some J + {i}, and coords asserts
+            # generated[K] <= generated[J + {i}] when J + {i} is processed
+            rows = [generated[J | {i}].rows for i in range(self.datum.rank) if i not in J]
+            above = Subspace(self.dim, self.ell, np.vstack(rows) if rows else None)
             sub = generated[J]
             # coords asserts that above lies in sub.  restrict checks every
             # generated submodule under every label of the module, so above,
@@ -521,7 +522,7 @@ def suite_reflection_cases(ctx: PermContext, seed: int, opts: dict) -> SuiteRepo
                         case_counts["transfer"] += 1
                         rhs = lm.act_weyl(sw, eta)
                     else:
-                        x_param = decompose_simple_conjugate(lm.group, i, c)[3]
+                        x_param = decompose_simple_conjugate(lm.group, i, c)
                         x_weta = lm.act([(ri, x_param)], weta)
                         if case3:
                             case_counts["absorb"] += 1

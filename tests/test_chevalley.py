@@ -56,6 +56,78 @@ def parabolic(group, K):
     return generated(group, gens)
 
 
+# -- scalar reference oracles for the batched coset kernels -------------------
+
+
+def borel_canonical_scalar(group, M):
+    """The Borel echelon form of one matrix, one column operation at a time."""
+    ADD, MUL, NEG, INV = group.field.tables()
+    A = M.copy()
+    n = group.n
+    pivots = []
+    for j in range(n):
+        for pj, pr in enumerate(pivots):
+            f = A[pr, j]
+            if f:
+                A[:, j] = ADD[A[:, j], MUL[NEG[f], A[:, pj]]]
+        r = max(i for i in range(n) if A[i, j])
+        pivots.append(r)
+        f = A[r, j]
+        if f != 1:
+            A[:, j] = MUL[INV[f], A[:, j]]
+    return A, tuple(pivots)
+
+
+def coset_form_scalar(flags, M):
+    """The coset form of one matrix: for K nonempty, the first byte-order
+    minimum of the Borel forms of M*r over the P_K/B representatives."""
+    group = flags.group
+    if not flags.K:
+        return borel_canonical_scalar(group, M)
+    forms = (borel_canonical_scalar(group, group.mul(M, r)) for r in flags._pk_reps)
+    return min(forms, key=lambda form: form[0].tobytes())
+
+
+def flag_index_scalar(flags):
+    """reps and index of the breadth-first enumeration, one coset and one
+    generator at a time, with the generators of FlagIndex._build."""
+    group, datum = flags.group, flags.group.datum
+    _, MUL, _, _ = group.field.tables()
+    gens = [
+        group.root_element(root, b)
+        for i in range(datum.rank)
+        for root in (datum.simple_indices[i], datum.simple_indices[i] + datum.n_pos)
+        for b in group.field.fp_basis()
+    ]
+    reps, index = [], {}
+
+    def visit(M):
+        form, piv = coset_form_scalar(flags, M)
+        if form.tobytes() not in index:
+            index[form.tobytes()] = len(reps)
+            reps.append(MUL[form, flags._cells[piv][1]])
+
+    visit(group.identity())
+    head = 0
+    while head < len(reps):
+        base = reps[head]
+        head += 1
+        for g in gens:
+            visit(group.mul(g, base))
+    return reps, index
+
+
+def random_elements(group, count, seed, length=12):
+    """Seeded products of random root elements."""
+    rng = np.random.default_rng(seed)
+    n_roots, order = len(group.datum.roots), group.field.order
+    return [
+        group.from_word([(int(r), int(c)) for r, c in zip(rng.integers(n_roots, size=length),
+                                                           rng.integers(order, size=length))])
+        for _ in range(count)
+    ]
+
+
 def test_matrix_helpers_gf4():
     group = matrix_group("A2", 4)
     F = group.field
@@ -238,6 +310,55 @@ def test_parabolic_reps_and_perm_of_every_root(kind, q):
             assert sorted(perm) == list(range(len(flags))), (sorted(K), r)
 
 
+def test_batched_borel_canonical_matches_scalar_sl2_gf4():
+    group = matrix_group("A1", 4)
+    els = np.stack(closure(group))
+    assert len(els) == 60
+    forms, pivots = group.borel_canonical(els)
+    for M, form, piv in zip(els, forms, pivots):
+        want_form, want_piv = borel_canonical_scalar(group, M)
+        assert np.array_equal(form, want_form) and tuple(piv.tolist()) == want_piv
+
+
+@pytest.mark.parametrize("kind,q,seed", [("B2", 3, 1), ("A3", 2, 2)])
+def test_batched_borel_canonical_matches_scalar_sample(kind, q, seed):
+    group = matrix_group(kind, q)
+    els = np.stack(random_elements(group, 300, seed))
+    forms, pivots = group.borel_canonical(els)
+    assert len({piv.tobytes() for piv in pivots}) > 1
+    for M, form, piv in zip(els, forms, pivots):
+        want_form, want_piv = borel_canonical_scalar(group, M)
+        assert np.array_equal(form, want_form) and tuple(piv.tolist()) == want_piv
+    # a single matrix is a stack of one
+    form, piv = group.borel_canonical(els[0])
+    assert np.array_equal(form, forms[0]) and np.array_equal(piv, pivots[0])
+
+
+def test_borel_canonical_singular_raises():
+    group = matrix_group("A2", 3)
+    M = group.simple_rep(0).copy()
+    M[:, 1] = 0
+    with pytest.raises(ValueError):
+        group.borel_canonical(M)
+    with pytest.raises(ValueError):
+        group.borel_canonical(np.stack([group.identity(), M]))
+
+
+@pytest.mark.parametrize("kind,q", [("A2", 3), ("B2", 3), ("A3", 2)])
+def test_flag_index_and_perm_of_match_scalar_oracle(kind, q):
+    group = matrix_group(kind, q)
+    for K in group.datum.all_subsets():
+        flags = FlagIndex(group, K)
+        reps, index = flag_index_scalar(flags)
+        assert np.array_equal(flags.reps, np.stack(reps)), sorted(K)
+        assert flags._index == index, sorted(K)
+        for ri in range(len(group.datum.roots)):
+            for c in group.field.units():
+                M = group.root_element(ri, c)
+                want = [index[coset_form_scalar(flags, group.mul(M, rep))[0].tobytes()] for rep in reps]
+                assert flags.perm_of(M).tolist() == want, (sorted(K), ri, c)
+
+
 def test_flag_budget():
     with pytest.raises(BudgetError):
         FlagIndex(matrix_group("A2", 4), budget=50)
@@ -281,7 +402,7 @@ def test_unipotent_words_sl3():
 def test_decompose_simple_conjugate_bijection():
     group = matrix_group("A1", 4)
     F = group.field
-    params = {decompose_simple_conjugate(group, 0, c)[3] for c in F.units()}
+    params = {decompose_simple_conjugate(group, 0, c) for c in F.units()}
     assert params == set(F.units())  # c -> -1/c permutes the units
     with pytest.raises(ValueError):
         decompose_simple_conjugate(group, 0, 0)
