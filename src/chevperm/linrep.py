@@ -3,11 +3,13 @@
 Vectors are numpy int64 arrays mod l; subspaces are canonical reduced
 row-echelon bases, so equal subspaces have equal representations.  One
 incremental routine, `Subspace._add`, keeps that canonical RREF as vectors
-arrive; spinning, kernels (`nullspace`) and inverses (`mat_inverse`) are all
-built on it.  A
+arrive; spinning and kernels (`nullspace`) are built on it.  A
 ModuleHandle bundles an ambient dimension with invertible labelled actions
 (permutations of a basis, or dense matrices) plus the sublist of labels
-used for submodule closure.  On top of that: spinning, fixed spaces,
+used for submodule closure.  An action is read only through `apply` (one
+vector), `images` (a block of rows, rows A^T) and `pullback` (rows A); on a
+permutation each is an index gather.  `transpose` gives the transpose
+module.  On top of that: spinning, fixed spaces,
 restriction and quotient, an irreducibility test in the random-singular-
 element style with certified verdicts, recursive composition series, and a
 socle check that enumerates the fixed lines of a p-group action.
@@ -203,7 +205,7 @@ class ModuleHandle:
     """An exact GF(l)-module with labelled invertible actions.
 
     `actions` maps label -> ("perm", fwd, inv) with index arrays, or
-    ("mat", M, Minv) with dense matrices.  `spin_labels` names the actions
+    ("mat", M, None) with a dense matrix.  `spin_labels` names the actions
     that generate the acting group; closure operations use exactly those.
     """
 
@@ -212,7 +214,6 @@ class ModuleHandle:
         self.l = l
         self.actions: Dict[Hashable, tuple] = {}
         self.spin_labels = list(spin_labels)
-        self._mat_cache: Dict[Hashable, np.ndarray] = {}
 
     def add_perm(self, label: Hashable, perm: np.ndarray) -> None:
         perm = np.asarray(perm, dtype=np.int64)
@@ -221,25 +222,18 @@ class ModuleHandle:
         assert len(perm) == self.dim and np.array_equal(perm[inv], np.arange(self.dim))
         self.actions[label] = ("perm", perm, inv)
 
-    def add_matrix(self, label: Hashable, M: np.ndarray, Minv: Optional[np.ndarray] = None) -> None:
+    def add_matrix(self, label: Hashable, M: np.ndarray) -> None:
         M = np.asarray(M, dtype=np.int64) % self.l
         assert M.shape == (self.dim, self.dim)
-        # the inverse is computed lazily on first use; most workloads never ask
-        self.actions[label] = ("mat", M, Minv)
+        self.actions[label] = ("mat", M, None)
 
-    def apply(self, label: Hashable, v: np.ndarray, inverse: bool = False) -> np.ndarray:
-        kind, fwd, inv = self.actions[label]
+    def apply(self, label: Hashable, v: np.ndarray) -> np.ndarray:
+        kind, fwd, _ = self.actions[label]
         if kind == "perm":
-            perm = inv if inverse else fwd
             out = np.empty_like(v)
-            out[perm] = v
+            out[fwd] = v
             return out
-        if inverse and inv is None:
-            inv = mat_inverse(fwd, self.l)
-            assert np.array_equal((fwd @ inv) % self.l, np.eye(self.dim, dtype=np.int64))
-            self.actions[label] = ("mat", fwd, inv)
-        M = inv if inverse else fwd
-        return (M @ v) % self.l
+        return (fwd @ v) % self.l
 
     def images(self, label: Hashable, rows: np.ndarray) -> np.ndarray:
         """The images of the row vectors of a block under one action: rows A^T."""
@@ -262,30 +256,20 @@ class ModuleHandle:
             v = self.apply(label, v)
         return v
 
-    def matrix(self, label: Hashable) -> np.ndarray:
-        M = self._mat_cache.get(label)
-        if M is None:
+    def transpose(self) -> "ModuleHandle":
+        """The transpose module: each spin label acts by A^T.  A permutation
+        P has P^T = P^-1, so its label keeps the arrays with fwd and inv
+        swapped."""
+        out = ModuleHandle(self.dim, self.l, self.spin_labels)
+        for label in self.spin_labels:
             kind, fwd, inv = self.actions[label]
-            if kind == "mat":
-                M = fwd
-            else:
-                M = np.zeros((self.dim, self.dim), dtype=np.int64)
-                M[fwd, np.arange(self.dim)] = 1
-            self._mat_cache[label] = M
-        return M
+            out.actions[label] = ("perm", inv, fwd) if kind == "perm" else ("mat", fwd.T.copy(), None)
+        return out
 
     def basis_vector(self, i: int) -> np.ndarray:
         v = np.zeros(self.dim, dtype=np.int64)
         v[i] = 1
         return v
-
-
-def mat_inverse(M: np.ndarray, l: int) -> np.ndarray:
-    n = M.shape[0]
-    S = Subspace(2 * n, l, np.hstack([M % l, np.eye(n, dtype=np.int64)]))
-    if S.pivots[:n] != tuple(range(n)):
-        raise ValueError("matrix is singular mod %d" % l)
-    return S.rows[:, n:]
 
 
 # -- closure & friends -------------------------------------------------------
@@ -320,9 +304,8 @@ def fixed_space(handle: ModuleHandle, labels: Optional[Sequence[Hashable]] = Non
     labels = handle.spin_labels if labels is None else list(labels)
     if not labels:
         return Subspace(handle.dim, handle.l, np.eye(handle.dim, dtype=np.int64))
-    stacked = np.vstack(
-        [(handle.matrix(lbl) - np.eye(handle.dim, dtype=np.int64)) % handle.l for lbl in labels]
-    )
+    eye = np.eye(handle.dim, dtype=np.int64)
+    stacked = np.vstack([(handle.pullback(lbl, eye) - eye) % handle.l for lbl in labels])
     return Subspace(handle.dim, handle.l, nullspace(stacked, handle.l))
 
 
@@ -412,17 +395,10 @@ def _random_algebra_element(handle: ModuleHandle, rng, max_word: int) -> Tuple[n
         picks = [gens[int(k)] for k in rng.integers(len(gens), size=length)]
         term = np.eye(handle.dim, dtype=np.int64)
         for lbl in picks:
-            term = (term @ handle.matrix(lbl)) % handle.l
+            term = handle.pullback(lbl, term)
         A = (A + coeff * term) % handle.l
         spec.append((coeff, [str(lbl) for lbl in picks]))
     return A, spec
-
-
-def _transpose_handle(handle: ModuleHandle) -> ModuleHandle:
-    out = ModuleHandle(handle.dim, handle.l, handle.spin_labels)
-    for label in handle.spin_labels:
-        out.add_matrix(label, handle.matrix(label).T.copy())
-    return out
 
 
 def meataxe_irreducible(
@@ -463,7 +439,7 @@ def meataxe_irreducible(
             if S.dim < d:
                 return Verdict(False, witness=S, certificate={"method": "kernel-spin", "element": spec})
         if tr is None:
-            tr = _transpose_handle(handle)
+            tr = handle.transpose()
         kerT = nullspace(A.T, handle.l)
         assert len(kerT) == nu
         for w in line_representatives(kerT, handle.l):

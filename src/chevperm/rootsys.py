@@ -58,9 +58,6 @@ class WeylElement:
             inv[j] = i
         return self.datum.from_perm(tuple(inv))
 
-    def act_index(self, root_index: int) -> int:
-        return self.perm[root_index]
-
     def __eq__(self, other) -> bool:
         return self.perm == other.perm
 

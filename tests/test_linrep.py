@@ -13,10 +13,10 @@ from chevperm.linrep import (
     MeatAxeBudgetError,
     ModuleHandle,
     Subspace,
+    _random_algebra_element,
     composition_series,
     fixed_space,
     line_representatives,
-    mat_inverse,
     meataxe_irreducible,
     nullspace,
     quotient,
@@ -77,13 +77,6 @@ def test_nullspace_annihilates_and_rank_nullity():
                 assert not np.any((M @ N.T) % l)
 
 
-def test_mat_inverse_and_singular():
-    M = np.array([[1, 1], [0, 1]])
-    assert mat_inverse(M, 3).tolist() == [[1, 2], [0, 1]]
-    with pytest.raises(ValueError):
-        mat_inverse(np.array([[1, 1], [2, 2]]), 3)
-
-
 @st.composite
 def matrices_mod_l(draw):
     """A matrix mod l in one of five shapes: wide, tall, square, rank
@@ -133,13 +126,6 @@ def test_subspace_matches_rref_oracle(case):
     assert N.shape[1] == n and len(R) + len(N) == n
     assert not np.any((M @ N.T) % l)
     assert Subspace(n, l, N).dim == len(N)
-    if m == n and len(R) == n:
-        Minv = mat_inverse(M, l)
-        eye = np.eye(n, dtype=np.int64)
-        assert np.array_equal((M @ Minv) % l, eye) and np.array_equal((Minv @ M) % l, eye)
-    elif m == n:
-        with pytest.raises(ValueError):
-            mat_inverse(M, l)
 
 
 # -- subspaces ----------------------------------------------------------------
@@ -203,10 +189,28 @@ def test_line_representatives_count():
 # -- module handles -----------------------------------------------------------
 
 
+def dense_matrix(handle, label):
+    """Reference: the action of one label as a dense matrix, a permutation
+    scattered into the columns of the identity."""
+    kind, fwd, _ = handle.actions[label]
+    if kind == "mat":
+        return fwd
+    M = np.zeros((handle.dim, handle.dim), dtype=np.int64)
+    M[fwd, np.arange(handle.dim)] = 1
+    return M
+
+
 def cyclic_shift_module(l, n=3):
     # the label sends basis vector i to basis vector i+1 (mod n)
     h = ModuleHandle(n, l, ["c"])
     h.add_perm("c", np.roll(np.arange(n), -1))
+    return h
+
+
+def mat_cyclic_shift_module(l, n=3):
+    """The same module with the shift stored as a dense matrix."""
+    h = ModuleHandle(n, l, ["c"])
+    h.add_matrix("c", dense_matrix(cyclic_shift_module(l, n), "c"))
     return h
 
 
@@ -215,8 +219,9 @@ def test_perm_action_matches_matrix():
     v = np.array([1, 2, 3])
     shifted = h.apply("c", v)
     assert shifted.tolist() == [3, 1, 2]
-    assert np.array_equal((h.matrix("c") @ v) % 5, shifted)
-    assert np.array_equal(h.apply("c", shifted, inverse=True), v)
+    assert np.array_equal((dense_matrix(h, "c") @ v) % 5, shifted)
+    # the transpose of a permutation is its inverse
+    assert np.array_equal(h.transpose().apply("c", shifted), v)
 
 
 def test_apply_word_and_operator_agree():
@@ -224,7 +229,7 @@ def test_apply_word_and_operator_agree():
     h.add_matrix("m", np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
     v = np.array([1, 0, 2])
     word = ["c", "m", "c"]
-    product = (h.matrix("c") @ h.matrix("m") @ h.matrix("c")) % 3
+    product = (dense_matrix(h, "c") @ dense_matrix(h, "m") @ dense_matrix(h, "c")) % 3
     assert np.array_equal(h.apply_word(word, v), (product @ v) % 3)
 
 
@@ -239,9 +244,11 @@ def test_spin_oracles_for_cyclic_shift():
 
 
 def test_fixed_space_of_cyclic_shift():
+    # the socle check calls fixed_space on restricted (dense) handles too
     for l in (2, 3, 5):
-        F = fixed_space(cyclic_shift_module(l))
-        assert F.dim == 1 and F.rows.tolist() == [[1, 1, 1]]
+        for h in (cyclic_shift_module(l), mat_cyclic_shift_module(l)):
+            F = fixed_space(h)
+            assert F.dim == 1 and F.rows.tolist() == [[1, 1, 1]]
 
 
 def test_fixed_space_no_labels_is_everything():
@@ -330,7 +337,7 @@ def test_restrict_quotient_roundtrip():
     # the quotient of a transitive permutation module by the sum-zero part
     # is the trivial module
     for lbl in quot.actions:
-        assert quot.matrix(lbl).tolist() == [[1]]
+        assert dense_matrix(quot, lbl).tolist() == [[1]]
 
 
 def test_restrict_rejects_non_invariant():
@@ -478,7 +485,7 @@ def loop_quotient(handle, sub):
         M = np.array(cols, dtype=np.int64).T if cols else np.zeros((0, 0), np.int64)
         out.add_matrix(label, M)
     for label in handle.actions:
-        M = out.matrix(label)
+        M = dense_matrix(out, label)
         for j in range(handle.dim):
             lhs = project(handle.apply(label, handle.basis_vector(j)))
             rhs = (M @ project(handle.basis_vector(j))) % handle.l
@@ -522,7 +529,7 @@ def assert_same_handle(new, ref, labels=None):
     assert new.dim == ref.dim and list(new.actions) == labels
     assert new.spin_labels == ref.spin_labels
     for label in labels:
-        assert np.array_equal(new.matrix(label), ref.matrix(label)), label
+        assert np.array_equal(dense_matrix(new, label), dense_matrix(ref, label)), label
 
 
 @pytest.mark.parametrize("l", [2, 3, 5])
@@ -580,3 +587,91 @@ def test_restrict_quotient_store_only_the_asked_labels(build):
     assert_same_handle(restrict(handle, S), ref_sub, ["c"])
     assert_same_handle(quotient(handle, S)[0], loop_quotient(handle, S)[0], ["c"])
     assert_same_handle(restrict(handle, S, labels=["c2", "c"]), ref_sub, ["c2", "c"])
+
+
+# -- action reads against the dense-matrix reference ---------------------------
+
+
+def dense_algebra_element(handle, rng, max_word):
+    """Reference: the random algebra element as a sum of dense matrix words,
+    drawing from the generator in the same order."""
+    gens = handle.spin_labels
+    nterms = int(rng.integers(1, 4))
+    A = np.zeros((handle.dim, handle.dim), dtype=np.int64)
+    spec = []
+    for _ in range(nterms):
+        coeff = int(rng.integers(1, handle.l))
+        length = int(rng.integers(1, max_word + 1))
+        picks = [gens[int(k)] for k in rng.integers(len(gens), size=length)]
+        term = np.eye(handle.dim, dtype=np.int64)
+        for lbl in picks:
+            term = (term @ dense_matrix(handle, lbl)) % handle.l
+        A = (A + coeff * term) % handle.l
+        spec.append((coeff, [str(lbl) for lbl in picks]))
+    return A, spec
+
+
+def dense_fixed_space(handle, labels=None):
+    """Reference: the kernel of the stacked dense (A - 1) over the labels."""
+    labels = handle.spin_labels if labels is None else list(labels)
+    if not labels:
+        return Subspace(handle.dim, handle.l, np.eye(handle.dim, dtype=np.int64))
+    eye = np.eye(handle.dim, dtype=np.int64)
+    stacked = np.vstack([(dense_matrix(handle, lbl) - eye) % handle.l for lbl in labels])
+    return Subspace(handle.dim, handle.l, nullspace(stacked, handle.l))
+
+
+def flag_module(l):
+    """The flag module of SL_2(F_2) (the symmetric group on three points):
+    its spin labels do not commute, so word order shows."""
+    return borel_perm_module("A1", 2, l)[2]
+
+
+def mat_flag_module(l):
+    """Its augmentation submodule, every action a dense matrix."""
+    h = flag_module(l)
+    sub = restrict(h, spin(h, [np.array([1, l - 1, 0])]))
+    assert sub.dim == 2 and all(kind == "mat" for kind, _, _ in sub.actions.values())
+    return sub
+
+
+HANDLES = [uniserial_module, mat_uniserial_module, flag_module, mat_flag_module]
+HANDLE_IDS = ["perm", "mat", "flag-perm", "flag-mat"]
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+@pytest.mark.parametrize("build", HANDLES, ids=HANDLE_IDS)
+def test_random_algebra_element_matches_dense_words(l, build):
+    handle = build(l)
+    rng, ref_rng = np.random.default_rng(l), np.random.default_rng(l)
+    for _ in range(20):
+        A, spec = _random_algebra_element(handle, rng, 8)
+        ref_A, ref_spec = dense_algebra_element(handle, ref_rng, 8)
+        assert np.array_equal(A, ref_A) and spec == ref_spec
+    # both consumed the generator alike
+    assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+@pytest.mark.parametrize("build", HANDLES, ids=HANDLE_IDS)
+def test_transpose_acts_as_the_transposed_matrix(l, build):
+    handle = build(l)
+    tr = handle.transpose()
+    assert tr.dim == handle.dim and tr.l == handle.l
+    assert tr.spin_labels == handle.spin_labels and list(tr.actions) == handle.spin_labels
+    for label in handle.spin_labels:
+        # a permutation stays a permutation
+        assert tr.actions[label][0] == handle.actions[label][0]
+        MT = dense_matrix(handle, label).T
+        assert np.array_equal(dense_matrix(tr, label), MT)
+        for i in range(handle.dim):
+            e = handle.basis_vector(i)
+            assert np.array_equal(tr.apply(label, e), MT @ e % l)
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+@pytest.mark.parametrize("build", HANDLES, ids=HANDLE_IDS)
+def test_fixed_space_matches_dense_stack(l, build):
+    handle = build(l)
+    for labels in (None, list(handle.actions), list(handle.actions)[-1:]):
+        assert fixed_space(handle, labels) == dense_fixed_space(handle, labels)

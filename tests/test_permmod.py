@@ -38,6 +38,8 @@ from chevperm.permmod import (
 )
 from chevperm.rootsys import root_datum
 
+from test_linrep import dense_matrix
+
 
 @lru_cache(maxsize=None)
 def ctx(kind, q, a=1, b=None, char=None):
@@ -133,7 +135,7 @@ def test_operator_levels_interpolate():
 def dense_root_sum(handle, ri, values):
     M = np.zeros((handle.dim, handle.dim), dtype=np.int64)
     for c in values:
-        M += np.eye(handle.dim, dtype=np.int64) if c == 0 else handle.matrix(("r", ri, c))
+        M += np.eye(handle.dim, dtype=np.int64) if c == 0 else dense_matrix(handle, ("r", ri, c))
     return M % handle.l
 
 
