@@ -5,10 +5,9 @@ cells, then assembles the alternating Weyl sums and the submodule lattice
 they generate, ending with the subquotient dimension table.
 """
 
-from chevperm.permmod import PermContext, subset_tag
+from chevperm.permmod import SuiteRunner, subset_tag
 
-ctx = PermContext("A2", 2)
-lm = ctx.base
+lm = SuiteRunner("A2", 2).base
 datum = lm.datum
 
 print("group type A2 over GF(%d), coefficients GF(%d)" % (lm.field.order, lm.ell))

@@ -10,10 +10,10 @@ unipotent-sum image of the generator returns the generator.
 import numpy as np
 
 from chevperm.linrep import meataxe_irreducible
-from chevperm.permmod import PermContext
+from chevperm.permmod import SuiteRunner
 
 for kind, q in (("A1", 2), ("A1", 3), ("A2", 2), ("B2", 2)):
-    lm = PermContext(kind, q).base
+    lm = SuiteRunner(kind, q).base
     datum = lm.datum
     full = frozenset(range(datum.rank))
     piece = lm.filtration()[full]

@@ -8,13 +8,13 @@ spinning any nonzero mixed combination recovers a pure translate.
 
 import numpy as np
 
-from chevperm.permmod import PermContext, subset_tag
+from chevperm.permmod import SuiteRunner, subset_tag
 
-ctx = PermContext("A2", 2, a=1, b=2)
-lm = ctx.ext
+runner = SuiteRunner("A2", 2, a=1, b=2)
+lm = runner.ext
 print("extension-level module: dim %d over GF(%d)" % (lm.dim, lm.field.order))
-lo, hi = ctx.sub_values(), lm.values()
-reps = ctx.transversal_reps()
+lo, hi = runner.sub_values(), lm.values()
+reps = runner.transversal_reps()
 print("embedded subfield values: %s   transversal: %s" % (lo, reps))
 
 datum = lm.datum

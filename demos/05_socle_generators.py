@@ -10,9 +10,9 @@ unique minimal submodule witness.
 import numpy as np
 
 from chevperm.linrep import meataxe_irreducible, restrict, spin
-from chevperm.permmod import PermContext, subset_tag
+from chevperm.permmod import SuiteRunner, subset_tag
 
-lm = PermContext("A1", 3).base
+lm = SuiteRunner("A1", 3).base
 datum = lm.datum
 values = lm.values()
 u_fixed = lm.unipotent_fixed_space()

@@ -11,7 +11,7 @@ from .gf import make_field, embedding_table, additive_transversal
 from .rootsys import root_datum
 from .chevalley import matrix_group, FlagIndex, BudgetError
 from .linrep import MeatAxeBudgetError
-from .permmod import PermContext, SuiteRunner, SUITES
+from .permmod import SuiteRunner, SUITES
 
 __all__ = [
     "make_field",
@@ -22,7 +22,6 @@ __all__ = [
     "FlagIndex",
     "BudgetError",
     "MeatAxeBudgetError",
-    "PermContext",
     "SuiteRunner",
     "SUITES",
 ]

@@ -18,11 +18,10 @@ import json
 import sys
 
 from .chevalley import BudgetError
-from .gf import MAX_ORDER, factor_prime_power, is_prime
+from .gf import MAX_ORDER
 from .linrep import MeatAxeBudgetError
 from .permmod import (
     SUITES,
-    PermContext,
     SuiteRunner,
     parse_subset,
     subset_tag,
@@ -35,19 +34,6 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
 class UsageError(Exception):
     pass
-
-
-def _field_data(args):
-    try:
-        p, e = factor_prime_power(args.q)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc))
-    if args.a < 1:
-        raise UsageError("--a must be a positive integer")
-    char = p if args.char is None else args.char
-    if not is_prime(char):
-        raise UsageError("--char must be a prime")
-    return p, e, char
 
 
 def _resolve_suites(text):
@@ -85,14 +71,13 @@ def _summary_lines(reports):
 
 
 def cmd_run(args):
-    p, _, char = _field_data(args)
     b = 2 * args.a if args.b is None else args.b
-    if b < args.a or b % args.a:
-        raise UsageError("--b must be a multiple of --a, at least --a")
+    try:
+        runner = SuiteRunner(args.type, args.q, a=args.a, b=b, char=args.char,
+                             budget=args.budget, seed=args.seed, samples=args.samples)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     requested, explicit = _resolve_suites(args.suites)
-    runner = SuiteRunner(args.type, args.q, a=args.a, b=b, char=char,
-                         budget=args.budget, seed=args.seed,
-                         options={"samples": args.samples})
     if explicit:
         for name in requested:
             ok, reason = runner.applicable(name)
@@ -109,7 +94,7 @@ def cmd_run(args):
     payload = {
         "schema": "1",
         "config": {
-            "type": args.type, "q": args.q, "a": args.a, "b": b, "char": char,
+            "type": args.type, "q": args.q, "a": args.a, "b": b, "char": runner.char,
             "seed": args.seed, "budget": args.budget, "samples": args.samples,
             "suites": requested,
         },
@@ -154,15 +139,17 @@ def _sparse(v):
 
 
 def cmd_inspect(args):
-    p, _, char = _field_data(args)
+    try:
+        runner = SuiteRunner(args.type, args.q, a=args.a, char=args.char, budget=args.budget)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     if args.q ** args.a > MAX_ORDER:
         raise UsageError("field order %d exceeds the matrix-arithmetic bound %d" % (args.q**args.a, MAX_ORDER))
     try:
-        ctx = PermContext(args.type, args.q, a=args.a, char=char, budget=args.budget)
+        lm = runner.base
     except BudgetError as exc:
         print("budget exhausted: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    lm = ctx.base
     datum = lm.datum
     rank = datum.rank
     values = lm.values()

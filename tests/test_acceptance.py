@@ -14,7 +14,7 @@ import numpy as np
 from chevperm.cli import main as cli_main
 from chevperm.linrep import composition_series, meataxe_irreducible
 from chevperm.permmod import (
-    PermContext,
+    SuiteRunner,
     subset_tag,
     suite_combinatorics,
     suite_fixed_points,
@@ -29,7 +29,7 @@ from chevperm.permmod import (
 
 @lru_cache(maxsize=None)
 def ctx(kind, q, a=1, b=None, char=None):
-    return PermContext(kind, q, a=a, b=b, char=char)
+    return SuiteRunner(kind, q, a=a, b=b, char=char)
 
 
 def test_criterion_01_six_composition_factors_dim21():
@@ -69,7 +69,7 @@ def test_criterion_03_steinberg_dimension_and_irreducibility():
 def test_criterion_04_reflection_case_sweep():
     start = time.perf_counter()
     for kind, q in (("A1", 2), ("A1", 3), ("A2", 2)):
-        rep = suite_reflection_cases(ctx(kind, q), 0, {})
+        rep = suite_reflection_cases(ctx(kind, q), 0)
         assert rep.ok and rep.failed == 0, (kind, q, rep.failures)
         assert rep.checked > 0
     assert time.perf_counter() - start < 60.0
@@ -77,15 +77,15 @@ def test_criterion_04_reflection_case_sweep():
 
 def test_criterion_05_structure_and_combinatorial_sweeps():
     for kind in ("A1", "A2", "A3", "B2"):
-        rep = suite_combinatorics(kind, 0, {})
+        rep = suite_combinatorics(ctx(kind, 2), 0)
         assert rep.ok and rep.failed == 0, (kind, rep.failures)
     # exhaustive matrix sweeps at small field orders
     for kind, q in (("A1", 9), ("A2", 3), ("A3", 2), ("B2", 2)):
-        rep = suite_structure(kind, q, 0, {"samples": 1000})
+        rep = suite_structure(ctx(kind, q), 0)
         assert rep.ok and rep.failed == 0, (kind, q, rep.failures)
         assert all(w["mode"] == "exhaustive" for w in rep.witnesses), (kind, q)
     # sampled sweeps at field order 16, at least 1000 cases apiece
-    rep16 = suite_structure("B2", 16, 0, {"samples": 1000})
+    rep16 = suite_structure(ctx("B2", 16), 0)
     assert rep16.ok and rep16.failed == 0, rep16.failures
     sampled = [w for w in rep16.witnesses if w["mode"] == "sampled"]
     assert sampled and all(w["checked"] >= 1000 for w in sampled)
@@ -94,23 +94,23 @@ def test_criterion_05_structure_and_combinatorial_sweeps():
 def test_criterion_06_two_level_machinery():
     start = time.perf_counter()
     c = ctx("A2", 2, a=1, b=2)
-    induction = suite_induction(c, 0, {})
+    induction = suite_induction(c, 0)
     assert induction.ok and induction.failed == 0, induction.failures
     assert not induction.skipped and induction.checked == 2  # every admissible pair
 
-    separation = suite_separation(c, 0, {})
+    separation = suite_separation(c, 0)
     assert separation.ok and separation.failed == 0, separation.failures
     full_runs = {w["J"] for w in separation.witnesses if w["Y"] == "all"}
     assert full_runs == {subset_tag(J) for J in c.ext.datum.all_subsets()}
 
-    steps = suite_level_steps(c, 0, {})
+    steps = suite_level_steps(c, 0)
     assert steps.ok and steps.failed == 0, steps.failures
     assert time.perf_counter() - start < 600.0
 
 
 def test_criterion_07_socle_suite():
     for kind, q in (("A1", 2), ("A1", 3), ("A2", 2)):
-        rep = suite_socle(ctx(kind, q), 0, {"random_vectors": 20})
+        rep = suite_socle(ctx(kind, q), 0)
         assert rep.ok and rep.failed == 0, (kind, q, rep.failures)
         hits = [w for w in rep.witnesses if "random_hits" in w]
         assert len(hits) == 2 ** ctx(kind, q).base.datum.rank
@@ -119,7 +119,7 @@ def test_criterion_07_socle_suite():
 
 def test_criterion_08_fixed_points_100_of_100():
     for kind, q in (("A1", 2), ("A1", 3), ("A2", 2)):
-        rep = suite_fixed_points(ctx(kind, q), 0, {"trials": 100})
+        rep = suite_fixed_points(ctx(kind, q), 0)
         assert rep.checked == 100 and rep.failed == 0, (kind, q, rep.failures)
 
 

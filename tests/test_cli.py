@@ -45,6 +45,9 @@ def test_usage_errors(tmp_path):
     assert main(["run", "--type", "A1", "--q", "2", "--suites", "nope"]) == 2
     assert main(["inspect", "--type", "A1", "--q", "2", "what:J=1"]) == 2
     assert main(["inspect", "--type", "A1", "--q", "2", "eta"]) == 2
+    assert main(["run", "--type", "A1", "--q", "2", "--seed", "-1"]) == 2
+    assert main(["run", "--type", "A1", "--q", "2", "--samples", "0"]) == 2
+    assert main(["inspect", "--type", "A1", "--q", "2", "--a", "0", "dims"]) == 2
 
 
 def test_field_order_cap(tmp_path, capsys):
@@ -61,7 +64,7 @@ def test_field_order_cap(tmp_path, capsys):
 
 
 def test_failing_suite_gives_exit_one(tmp_path, monkeypatch):
-    def always_fails(ctx, seed, opts):
+    def always_fails(runner, seed):
         rep = SuiteReport("composition", "forced failure for the exit-code path")
         rep.check(False, what="forced")
         return rep
@@ -77,7 +80,7 @@ def test_failing_suite_gives_exit_one(tmp_path, monkeypatch):
 
 
 def test_vacuous_run_gives_exit_one(tmp_path, monkeypatch):
-    def checks_nothing(ctx, seed, opts):
+    def checks_nothing(runner, seed):
         return SuiteReport("composition", "ran but verified nothing")
 
     spec = permmod.SUITES["composition"]

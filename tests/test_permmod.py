@@ -13,9 +13,9 @@ import pytest
 
 from chevperm.gf import make_field
 from chevperm.permmod import (
+    FIXED_POINT_TRIALS,
     SUITES,
     LevelModule,
-    PermContext,
     SuiteRunner,
     absorbs_from,
     closed_under_addition,
@@ -43,8 +43,8 @@ from test_linrep import dense_matrix
 
 @lru_cache(maxsize=None)
 def ctx(kind, q, a=1, b=None, char=None):
-    # one shared context per configuration; tests only read from them
-    return PermContext(kind, q, a=a, b=b, char=char)
+    # one shared runner per configuration; tests only read from them
+    return SuiteRunner(kind, q, a=a, b=b, char=char)
 
 
 def suite_dict(rep):
@@ -227,25 +227,25 @@ def test_subset_tags_roundtrip():
 
 def test_combinatorics_suite():
     for kind in ("A1", "A2", "A3", "B2"):
-        rep = suite_combinatorics(kind, 0, {})
+        rep = suite_combinatorics(ctx(kind, 2), 0)
         assert rep.ok and rep.failed == 0, (kind, rep.failures)
-    assert suite_combinatorics("A2", 0, {}).checked > 30
+    assert suite_combinatorics(ctx("A2", 2), 0).checked > 30
 
 
 def test_structure_suite():
-    rep = suite_structure("A1", 3, 0, {"samples": 200})
+    rep = suite_structure(SuiteRunner("A1", 3, samples=200), 0)
     assert rep.ok and rep.failed == 0, rep.failures
-    rep2 = suite_structure("A2", 2, 1, {"samples": 200})
+    rep2 = suite_structure(SuiteRunner("A2", 2, samples=200), 1)
     assert rep2.ok and rep2.checked > 100
 
 
 def test_reflection_cases_frozen_counts():
-    rep = suite_reflection_cases(ctx("A1", 3), 0, {})
+    rep = suite_reflection_cases(ctx("A1", 3), 0)
     assert rep.ok and rep.failed == 0, rep.failures
     assert rep.checked == 9  # 3 coverage + 6 identity checks
     assert rep.witnesses[-1] == {"transfer": 2, "absorb": 2, "split": 2}
 
-    rep2 = suite_reflection_cases(ctx("A2", 2), 0, {})
+    rep2 = suite_reflection_cases(ctx("A2", 2), 0)
     assert rep2.ok and rep2.checked == 52, rep2.failures
     tallies = rep2.witnesses[-1]
     assert tallies["transfer"] + tallies["absorb"] + tallies["split"] == 26
@@ -255,23 +255,23 @@ def test_reflection_cases_frozen_counts():
 
 
 def test_filtration_suite():
-    rep = suite_filtration(ctx("A2", 2), 0, {})
+    rep = suite_filtration(ctx("A2", 2), 0)
     assert rep.ok and rep.failed == 0, rep.failures
-    rep_b2 = suite_filtration(ctx("B2", 2), 0, {})
+    rep_b2 = suite_filtration(ctx("B2", 2), 0)
     assert rep_b2.ok and rep_b2.failed == 0, rep_b2.failures
 
 
 def test_subquotient_basis_suite():
-    rep = suite_subquotient_basis(ctx("A2", 2), 0, {})
+    rep = suite_subquotient_basis(ctx("A2", 2), 0)
     assert rep.ok and rep.failed == 0, rep.failures
     # every subset contributes independence + count + spanning
     assert rep.checked > 10
 
 
 def test_parabolic_model_suite():
-    rep = suite_parabolic_model(ctx("A1", 3), 0, {})
+    rep = suite_parabolic_model(ctx("A1", 3), 0)
     assert rep.ok and rep.failed == 0, rep.failures
-    rep2 = suite_parabolic_model(ctx("A2", 2), 0, {})
+    rep2 = suite_parabolic_model(ctx("A2", 2), 0)
     assert rep2.ok and rep2.failed == 0, rep2.failures
     by_J = {w["J"]: w for w in rep2.witnesses if "factors" in w}
     assert by_J["12"]["factors"] == [8]
@@ -279,53 +279,53 @@ def test_parabolic_model_suite():
 
 
 def test_steinberg_suite():
-    rep = suite_steinberg(ctx("A1", 2), 0, {})
+    rep = suite_steinberg(ctx("A1", 2), 0)
     assert rep.ok and rep.failed == 0, rep.failures
-    rep2 = suite_steinberg(ctx("A2", 2), 0, {})
+    rep2 = suite_steinberg(ctx("A2", 2), 0)
     assert rep2.ok and rep2.failed == 0, rep2.failures
     assert rep2.witnesses[-1]["dim"] == 8
 
 
 def test_socle_suite():
     for kind, q in (("A1", 2), ("A1", 3)):
-        rep = suite_socle(ctx(kind, q), 0, {"random_vectors": 5})
+        rep = suite_socle(ctx(kind, q), 0)
         assert rep.ok and rep.failed == 0, (kind, q, rep.failures)
-    rep3 = suite_socle(ctx("A1", 3), 0, {"random_vectors": 5})
+    rep3 = suite_socle(ctx("A1", 3), 0)
     gen_dims = {w["J"]: w["generated_dim"] for w in rep3.witnesses}
     # the empty-set generator spans the top simple piece, the full-set one
     # the invariant line
     assert gen_dims == {"-": 3, "1": 1}
-    rep_a2 = suite_socle(ctx("A2", 2), 0, {"random_vectors": 5})
+    rep_a2 = suite_socle(ctx("A2", 2), 0)
     assert rep_a2.ok and rep_a2.failed == 0, rep_a2.failures
 
 
 def test_composition_suite():
-    rep = suite_composition(ctx("A2", 2), 0, {})
+    rep = suite_composition(ctx("A2", 2), 0)
     assert rep.ok and rep.failed == 0, rep.failures
     full = [w for w in rep.witnesses if w["module"] == "full"][0]
     assert full["factors"] == [1, 3, 3, 3, 3, 8]
-    rep5 = suite_composition(ctx("A1", 2, char=5), 0, {})
+    rep5 = suite_composition(ctx("A1", 2, char=5), 0)
     assert rep5.ok, rep5.failures
     full5 = [w for w in rep5.witnesses if w["module"] == "full"][0]
     assert full5["factors"] == [1, 2]
 
 
 def test_fixed_points_suite():
-    rep = suite_fixed_points(ctx("A1", 3), 0, {"trials": 15})
-    assert rep.ok and rep.failed == 0 and rep.checked == 15
+    rep = suite_fixed_points(ctx("A1", 3), 0)
+    assert rep.ok and rep.failed == 0 and rep.checked == FIXED_POINT_TRIALS == 100
 
 
 # -- suites: two field levels -------------------------------------------------
 
 
 def test_level_steps_suite():
-    rep = suite_level_steps(ctx("A2", 2, b=2), 0, {})
+    rep = suite_level_steps(ctx("A2", 2, b=2), 0)
     assert rep.ok and rep.failed == 0, rep.failures
     assert rep.checked > 20
 
 
 def test_separation_suite():
-    rep = suite_separation(ctx("A2", 2, b=2), 0, {})
+    rep = suite_separation(ctx("A2", 2, b=2), 0)
     assert rep.ok and rep.failed == 0, rep.failures
     assert rep.checked + rep.vacuous == 8 and rep.checked >= 6
     levels = {w["level"] for w in rep.witnesses}
@@ -333,10 +333,10 @@ def test_separation_suite():
 
 
 def test_induction_suite_and_skip():
-    rep = suite_induction(ctx("A2", 2, b=2), 0, {})
+    rep = suite_induction(ctx("A2", 2, b=2), 0)
     assert rep.ok and rep.failed == 0, rep.failures
     assert rep.checked == 2  # one admissible pair per one-element subset
-    rep_a1 = suite_induction(ctx("A1", 2, b=2), 0, {})
+    rep_a1 = suite_induction(ctx("A1", 2, b=2), 0)
     assert rep_a1.skipped and "no admissible" in rep_a1.skip_reason
     assert rep_a1.ok
 
@@ -379,3 +379,28 @@ def test_runner_runs_and_skips():
     assert rep2.ok and rep2.checked > 0 and rep2.seconds >= 0
     rep3 = runner.run("composition")
     assert rep3.ok and not rep3.skipped
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "C3"},
+    {"q": 6},
+    {"q": 1},
+    {"a": 0},
+    {"b": 1, "a": 2},
+    {"b": 3, "a": 2},
+    {"char": 9},
+    {"budget": 0},
+    {"seed": -1},
+    {"samples": 0},
+])
+def test_runner_rejects_invalid_input(kwargs):
+    config = {"kind": "A1", "q": 2, **kwargs}
+    with pytest.raises(ValueError):
+        SuiteRunner(**config)
+
+
+def test_runner_builds_modules_lazily():
+    # the B2 flag module over GF(16) has far more than 10 cosets, so building
+    # it would raise BudgetError; the structure suite never reads it
+    runner = SuiteRunner("B2", 16, b=1, budget=10)
+    assert runner.run("structure").ok
