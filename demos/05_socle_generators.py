@@ -31,7 +31,7 @@ rng = np.random.default_rng(1)
 full = frozenset(range(datum.rank))
 vJ, wJ, _ = datum.w0_factorization(full)
 D = lm.parabolic_alternating_sum(full)
-_, phandle = lm.parabolic(frozenset())
+phandle = lm.parabolic(frozenset())
 EpJ = spin(phandle, [D])
 sub = restrict(phandle, EpJ)
 cand = EpJ.coords(lm.sign(wJ) * lm.u_sum(wJ * vJ.inverse(), values, D, handle=phandle) % lm.ell)

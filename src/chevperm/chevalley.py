@@ -25,16 +25,15 @@ Forms are computed on stacks (N, n, n) of matrices in one numpy pass: the
 loops run over the n columns and their earlier pivots, never over N, and a
 single matrix is a stack of one.  `mat_mul` multiplies stacks the same way.
 
-A coset gP_K of a standard parabolic is canonicalized as the minimum, in
-byte order, of the Borel forms of g*r over the Borel-coset representatives
-r of P_K (`_pk_reps`), taking the first minimum in `_pk_reps` order; it
-inherits coset invariance and separation from the Borel case.
+Only G/B is enumerated.  The cosets of a standard parabolic P_K are blocks
+of Borel cosets, and their module is built from the Borel permutations
+(`permmod.LevelModule.parabolic`).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -336,19 +335,19 @@ def _keys(forms: np.ndarray) -> List[bytes]:
 
 
 class FlagIndex:
-    """All cosets of a standard parabolic P_K (K = empty set: the Borel),
-    indexed 0..N-1 with deterministic BFS order, plus a permutation cache."""
+    """All cosets of the Borel subgroup, indexed 0..N-1 with deterministic
+    BFS order."""
 
-    def __init__(self, group: MatrixGroup, K: FrozenSet[int] = frozenset(), budget: int = 200_000):
+    K = frozenset()  # the benchmark's tracer (perfbench/tracing.py) tags spans by obj.K
+
+    def __init__(self, group: MatrixGroup, budget: int = 200_000):
         self.group = group
-        self.K = frozenset(K)
         datum = group.datum
-        predicted = datum.poincare_sum(self.K, group.field.order)
+        predicted = datum.poincare_sum((), group.field.order)
         if predicted > budget:
             raise BudgetError(
                 "coset space of size %d exceeds budget %d" % (predicted, budget)
             )
-        self._pk_reps = self._parabolic_reps()
         # each Bruhat cell, keyed by the pivot rows of its Borel echelon
         # forms: its Weyl element w and the entries of w's representative at
         # those pivots
@@ -360,38 +359,8 @@ class FlagIndex:
         }
         assert len(self._cells) == len(datum.elements)
         self._index: Dict[bytes, int] = {}  # canonical form -> coset index
-        self._perm_cache: Dict[bytes, np.ndarray] = {}
         self._bruhat: Optional[List[WeylElement]] = None
         self.reps = self._build(predicted)  # (N, n, n): a group element in each coset
-
-    def _parabolic_reps(self) -> np.ndarray:
-        reps = []
-        # BwB/B = U_{Phi(w^-1)} w B: the unipotent factor runs over the
-        # inversion set of w^-1, not of w
-        for w in self.group.datum.subgroup_elements(self.K):
-            for word in unipotent_words(self.group, w.inverse()):
-                reps.append(self.group.mul(self.group.from_word(word), self.group.weyl_rep(w)))
-        return np.stack(reps)
-
-    def _forms(self, M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The canonical forms (N, n, n) of the cosets of a stack (N, n, n)
-        and the pivot rows (N, n) of each form."""
-        group = self.group
-        if not self.K:
-            return group.borel_canonical(M)
-        forms, pivots = group.borel_canonical(mat_mul(group.field, M[:, None], self._pk_reps))
-        # byte-order minimum over the P_K/B axis: keep the candidates that
-        # reach the least value at each byte, then take the first survivor
-        flat = forms.reshape(len(M), len(self._pk_reps), -1)
-        alive = np.ones(flat.shape[:2], dtype=bool)
-        for b in range(flat.shape[2]):
-            byte = flat[:, :, b]
-            alive &= byte == np.where(alive, byte, 255).min(axis=1, keepdims=True)
-        at, best = np.arange(len(M)), np.argmax(alive, axis=1)
-        return forms[at, best], pivots[at, best]
-
-    def canonical(self, M: np.ndarray) -> np.ndarray:
-        return self._forms(M[None])[0][0]
 
     def _build(self, predicted: int) -> np.ndarray:
         """Breadth-first enumeration, one frontier at a time: every queued
@@ -408,7 +377,7 @@ class FlagIndex:
         _, MUL, _, _ = group.field.tables()
 
         def visit(M):
-            forms, pivots = self._forms(M)
+            forms, pivots = group.borel_canonical(M)
             new = []
             for t, key in enumerate(_keys(forms)):
                 if key not in self._index:
@@ -434,29 +403,15 @@ class FlagIndex:
         return len(self.reps)
 
     def index_of(self, M: np.ndarray) -> int:
-        return self._index[self.canonical(M).tobytes()]
+        return self._index[self.group.borel_canonical(M)[0].tobytes()]
 
     def perm_of(self, M: np.ndarray) -> np.ndarray:
-        key = M.tobytes()
-        perm = self._perm_cache.get(key)
-        if perm is None:
-            # a KeyError here is an image outside the enumerated cosets
-            forms = self._forms(mat_mul(self.group.field, M, self.reps))[0]
-            perm = np.array([self._index[k] for k in _keys(forms)], dtype=np.int64)
-            self._perm_cache[key] = perm
-        return perm
-
-    def perm_of_word(self, word: Sequence[Tuple[int, int]]) -> np.ndarray:
-        """Permutation of the left action of a product of root elements."""
-        perm = np.arange(len(self.reps), dtype=np.int64)
-        for root_index, c in reversed(word):
-            perm = self.perm_of(self.group.root_element(root_index, c))[perm]
-        return perm
+        # a KeyError here is an image outside the enumerated cosets
+        forms = self.group.borel_canonical(mat_mul(self.group.field, M, self.reps))[0]
+        return np.array([self._index[k] for k in _keys(forms)], dtype=np.int64)
 
     def bruhat_labels(self) -> List[WeylElement]:
-        """The Weyl stratum of every point (Borel index only)."""
-        if self.K:
-            raise ValueError("Bruhat labels are defined on the Borel index")
+        """The Weyl stratum of every point."""
         if self._bruhat is None:
             pivots = self.group.borel_canonical(self.reps)[1]
             self._bruhat = [self._cells[piv][0] for piv in map(tuple, pivots.tolist())]

@@ -18,7 +18,6 @@ import json
 import sys
 
 from .chevalley import BudgetError
-from .gf import MAX_ORDER
 from .linrep import MeatAxeBudgetError
 from .permmod import (
     SUITES,
@@ -143,8 +142,9 @@ def cmd_inspect(args):
         runner = SuiteRunner(args.type, args.q, a=args.a, char=args.char, budget=args.budget)
     except ValueError as exc:
         raise UsageError(str(exc))
-    if args.q ** args.a > MAX_ORDER:
-        raise UsageError("field order %d exceeds the matrix-arithmetic bound %d" % (args.q**args.a, MAX_ORDER))
+    reason = runner.field_too_large(args.a)
+    if reason:
+        raise UsageError(reason)
     try:
         lm = runner.base
     except BudgetError as exc:

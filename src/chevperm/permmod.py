@@ -11,7 +11,9 @@ enumeration:
   * the coset permutation module with labelled root-element actions,
   * the alternating Weyl sums over a subset J of simple reflections and
     the submodule lattice they generate, with its subquotients,
-  * parabolic coset modules and the corresponding alternating sums,
+  * parabolic coset modules k[G/P_K] and the corresponding alternating
+    sums; a coset of P_K is a block of cosets of B, the fibre of
+    G/B -> G/P_K, so these modules are built from the Borel permutations,
   * unipotent subgroup sums applied to vectors, at one field level or
     mixed across two levels, plus coset-transversal sums between levels;
     each is a chain of root-subgroup sums, each of those a sum of coset
@@ -127,25 +129,20 @@ class LevelModule:
         self.datum: RootDatum = self.group.datum
         self.field = self.group.field
         self.ell = ell
-        self.budget = budget
         self.flags = FlagIndex(self.group, budget=budget)
         self.dim = len(self.flags)
-        self.handle = self._build_handle(self.flags)
-        self._parabolic: Dict[FrozenSet[int], Tuple[FlagIndex, ModuleHandle]] = {}
+        self.handle = self._build_handle()
+        self._parabolic_handles: Dict[FrozenSet[int], ModuleHandle] = {frozenset(): self.handle}
         self._filtration: Optional[Dict[FrozenSet[int], FiltrationPiece]] = None
         self._fixed_space: Optional[Subspace] = None
 
-    def _build_handle(self, flags: FlagIndex) -> ModuleHandle:
-        handle = ModuleHandle(len(flags), self.ell, [])
+    def _build_handle(self) -> ModuleHandle:
+        handle = ModuleHandle(self.dim, self.ell, [])
         for ri in range(len(self.datum.roots)):
-            for c in self.field.elements():
-                if c == 0:
-                    continue
-                handle.add_perm(("r", ri, c), flags.perm_of_word([(ri, c)]))
-        for i in range(self.datum.rank):
-            si = self.datum.simple_indices[i]
-            neg = self.datum.root_index[tuple(-x for x in self.datum.roots[si])]
-            for ri in (si, neg):
+            for c in self.field.units():
+                handle.add_perm(("r", ri, c), self.flags.perm_of(self.group.root_element(ri, c)))
+        for si in self.datum.simple_indices:
+            for ri in (si, si + self.datum.n_pos):
                 for c in self.field.fp_basis():
                     handle.spin_labels.append(("r", ri, c))
         return handle
@@ -222,25 +219,51 @@ class LevelModule:
 
     # -- distinguished vectors
 
-    def parabolic(self, K: Iterable[int]) -> Tuple[FlagIndex, ModuleHandle]:
+    def _blocks(self, K: FrozenSet[int]) -> np.ndarray:
+        """The coset of P_K holding each coset of B.  The base block is
+        P_K/B, the cosets whose Bruhat label lies in W_K; the others are its
+        translates, found breadth-first with the generators of
+        FlagIndex._build, so the cosets of P_K are numbered as a
+        breadth-first enumeration of G/P_K would number them."""
+        W_K = {w.perm for w in self.datum.subgroup_elements(K)}
+        base = np.array([x for x, w in enumerate(self.flags.bruhat_labels()) if w.perm in W_K])
+        block = np.full(self.dim, -1, dtype=np.int64)
+        block[base] = 0
+        members = [base]
+        for cosets in members:  # members grows inside the loop: a FIFO queue
+            for label in self.handle.spin_labels:
+                image = self.handle.actions[label][1][cosets]
+                if block[image[0]] < 0:
+                    block[image] = len(members)
+                    members.append(image)
+        # with disjoint blocks of equal size, every coset lies in exactly one
+        assert len(members) * len(base) == self.dim and block.min() >= 0
+        return block
+
+    def parabolic(self, K: Iterable[int]) -> ModuleHandle:
+        """The coset module k[G/P_K] over every label of the Borel module.
+        Each label's permutation of the blocks is read off its permutation
+        of the Borel cosets, and is asserted to map every block onto one."""
         K = frozenset(K)
-        if K not in self._parabolic:
-            if not K:
-                self._parabolic[K] = (self.flags, self.handle)
-            else:
-                flags = FlagIndex(self.group, K, budget=self.budget)
-                self._parabolic[K] = (flags, self._build_handle(flags))
-        return self._parabolic[K]
+        if K not in self._parabolic_handles:
+            block = self._blocks(K)
+            handle = ModuleHandle(int(block.max()) + 1, self.ell, self.handle.spin_labels)
+            for label, (_, fwd, _) in self.handle.actions.items():
+                perm = np.empty(handle.dim, dtype=np.int64)
+                perm[block] = block[fwd]
+                assert np.array_equal(perm[block], block[fwd]), ("label does not permute the cosets of P_K", label)
+                handle.add_perm(label, perm)
+            self._parabolic_handles[K] = handle
+        return self._parabolic_handles[K]
 
     def parabolic_alternating_sum(self, J: Iterable[int]) -> np.ndarray:
         """Signed W_J-sum over the base coset of the opposite-subset
         parabolic module (the module induced from the complement of J)."""
         J = frozenset(J)
         Jp = frozenset(range(self.datum.rank)) - J
-        flags, handle = self.parabolic(Jp)
-        out = np.zeros(len(flags), dtype=np.int64)
-        base = np.zeros(len(flags), dtype=np.int64)
-        base[0] = 1
+        handle = self.parabolic(Jp)
+        out = np.zeros(handle.dim, dtype=np.int64)
+        base = handle.basis_vector(0)
         for w in self.datum.subgroup_elements(J):
             out = (out + self.sign(w) * self.act(weyl_word(self.group, w), base, handle)) % self.ell
         return out
@@ -290,8 +313,7 @@ class LevelModule:
             for i in range(self.datum.rank):
                 words.append(("t%d" % (i + 1), coroot_word(self.group, i, g)))
         for i in K:
-            si = self.datum.simple_indices[i]
-            neg = self.datum.root_index[tuple(-x for x in self.datum.roots[si])]
+            neg = self.datum.simple_indices[i] + self.datum.n_pos
             for c in self.field.fp_basis():
                 words.append(("u-s%d" % (i + 1), [(neg, c)]))
             words.append(("w-s%d" % (i + 1), simple_reflection_word(self.group, i)))
@@ -591,26 +613,26 @@ def suite_parabolic_model(runner: SuiteRunner, seed: int) -> SuiteReport:
     pieces = lm.filtration()
     q_a = lm.field.order
     for K in datum.all_subsets():
-        flags, _ = lm.parabolic(K)
-        rep.check(len(flags) == datum.poincare_sum(K, q_a), what="coset-count", K=subset_tag(K))
+        cosets = lm.parabolic(K).dim
+        rep.check(cosets == datum.poincare_sum(K, q_a), what="coset-count", K=subset_tag(K))
         fK = lm.parabolic_invariant_vector(K, values)
         for name, word in lm.parabolic_test_words(K):
             rep.check(np.array_equal(lm.act(word, fK), fK), what="invariance",
                       K=subset_tag(K), generator=name)
         spun = spin(lm.handle, [fK])
-        rep.check(spun.dim == len(flags), what="generated-dimension",
-                  K=subset_tag(K), dim=spun.dim, cosets=len(flags))
+        rep.check(spun.dim == cosets, what="generated-dimension",
+                  K=subset_tag(K), dim=spun.dim, cosets=cosets)
         translates = []
         for w in datum.min_coset_reps(K):
             wfK = lm.act_weyl(w, fK)
             for u_word in unipotent_words(lm.group, w.inverse()):
                 translates.append(lm.act(u_word, wfK))
         rank = Subspace(lm.dim, lm.ell, np.array(translates)).dim
-        rep.check(rank == len(translates) == len(flags), what="translate-basis",
+        rep.check(rank == len(translates) == cosets, what="translate-basis",
                   K=subset_tag(K), rank=rank)
     for J in datum.all_subsets():
         Jp = frozenset(range(datum.rank)) - J
-        flags, handle = lm.parabolic(Jp)
+        handle = lm.parabolic(Jp)
         D = lm.parabolic_alternating_sum(J)
         EpJ = spin(handle, [D])
         piece = pieces[J]
@@ -625,7 +647,7 @@ def suite_parabolic_model(runner: SuiteRunner, seed: int) -> SuiteReport:
             wD = lm.act(weyl_word(lm.group, w), D, handle)
             for u_word in unipotent_words(lm.group, tail):
                 translates.append(lm.act(u_word, wD, handle))
-        rank = Subspace(len(flags), lm.ell, np.array(translates)).dim
+        rank = Subspace(handle.dim, lm.ell, np.array(translates)).dim
         rep.check(rank == len(translates) == predicted == EpJ.dim, what="model-basis",
                   J=subset_tag(J), rank=rank, predicted=predicted)
         model_series = composition_series(restrict(handle, EpJ), seed=seed)
@@ -869,15 +891,14 @@ def suite_socle(runner: SuiteRunner, seed: int) -> SuiteReport:
             rep.check(np.array_equal(img, lam * fJ % lm.ell), what="line-stabilized",
                       J=subset_tag(J), generator=name)
         for j in sorted(full - J):
-            sj = datum.simple_indices[j]
-            neg = datum.root_index[tuple(-x for x in datum.roots[sj])]
+            neg = datum.simple_indices[j] + datum.n_pos
             img = lm.act([(neg, 1)], fJ)
             pivot = int(np.flatnonzero(fJ)[0])
             lam = img[pivot] * pow(int(fJ[pivot]), lm.ell - 2, lm.ell) % lm.ell
             rep.check(not np.array_equal(img, lam * fJ % lm.ell), what="line-moved-outside",
                       J=subset_tag(J), j=j + 1)
         # (d) unique minimal submodule of the parabolic model
-        _, phandle = lm.parabolic(Jp)
+        phandle = lm.parabolic(Jp)
         D = lm.parabolic_alternating_sum(J)
         EpJ = spin(phandle, [D])
         # socle_simple_check reads the fixed space of the unipotent labels
@@ -1065,10 +1086,18 @@ class SuiteRunner:
         if spec.scope == "ext" and not self.has_ext:
             return False, "requires an extension level b strictly above a"
         if spec.scope != "datum":
-            order = self.q ** (self.b if spec.scope == "ext" else self.a)
-            if order > MAX_ORDER:
-                return False, "field order %d exceeds the matrix-arithmetic bound %d" % (order, MAX_ORDER)
+            reason = self.field_too_large(self.b if spec.scope == "ext" else self.a)
+            if reason:
+                return False, reason
         return True, ""
+
+    def field_too_large(self, level: int) -> str:
+        """Why the matrices cannot be built over GF(q^level), or "" when
+        they can."""
+        order = self.q**level
+        if order > MAX_ORDER:
+            return "field order %d exceeds the matrix-arithmetic bound %d" % (order, MAX_ORDER)
+        return ""
 
     def run(self, name: str) -> SuiteReport:
         spec = SUITES[name]

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from chevperm.chevalley import (
     mat_mul,
     identity_matrix,
     unipotent_words,
-    weyl_word,
 )
+from chevperm.permmod import LevelModule
 
 
 def closure(group, extra=()):
@@ -78,20 +80,30 @@ def borel_canonical_scalar(group, M):
     return A, tuple(pivots)
 
 
-def coset_form_scalar(flags, M):
-    """The coset form of one matrix: for K nonempty, the first byte-order
-    minimum of the Borel forms of M*r over the P_K/B representatives."""
-    group = flags.group
-    if not flags.K:
-        return borel_canonical_scalar(group, M)
-    forms = (borel_canonical_scalar(group, group.mul(M, r)) for r in flags._pk_reps)
+def parabolic_reps(group, K):
+    """Representatives of the Borel cosets in P_K: BwB/B = U_{Phi(w^-1)} w B
+    for w in W_K (the unipotent factor runs over the inversion set of w^-1,
+    not of w)."""
+    return [
+        group.mul(group.from_word(word), group.weyl_rep(w))
+        for w in group.datum.subgroup_elements(K)
+        for word in unipotent_words(group, w.inverse())
+    ]
+
+
+def coset_form_scalar(group, pk_reps, M):
+    """The form of the coset M*P_K: the first byte-order minimum of the
+    Borel forms of M*r over the P_K/B representatives r."""
+    forms = (borel_canonical_scalar(group, group.mul(M, r)) for r in pk_reps)
     return min(forms, key=lambda form: form[0].tobytes())
 
 
-def flag_index_scalar(flags):
-    """reps and index of the breadth-first enumeration, one coset and one
-    generator at a time, with the generators of FlagIndex._build."""
+def flag_index_scalar(flags, K=frozenset()):
+    """reps and index of the breadth-first enumeration of G/P_K, one coset
+    and one generator at a time, with the generators of FlagIndex._build;
+    `flags` is the Borel index, whose cells turn forms into group elements."""
     group, datum = flags.group, flags.group.datum
+    pk_reps = parabolic_reps(group, K)
     _, MUL, _, _ = group.field.tables()
     gens = [
         group.root_element(root, b)
@@ -102,7 +114,7 @@ def flag_index_scalar(flags):
     reps, index = [], {}
 
     def visit(M):
-        form, piv = coset_form_scalar(flags, M)
+        form, piv = coset_form_scalar(group, pk_reps, M)
         if form.tobytes() not in index:
             index[form.tobytes()] = len(reps)
             reps.append(MUL[form, flags._cells[piv][1]])
@@ -114,7 +126,13 @@ def flag_index_scalar(flags):
         head += 1
         for g in gens:
             visit(group.mul(g, base))
-    return reps, index
+    return reps, index, pk_reps
+
+
+@functools.lru_cache(maxsize=None)
+def level_module(kind, q):
+    """The coset module over GF(q) with coefficients in its characteristic."""
+    return LevelModule(kind, q, matrix_group(kind, q).field.p)
 
 
 def random_elements(group, count, seed, length=12):
@@ -232,40 +250,40 @@ def test_sp4_canonical_separates_cosets():
             assert not group.is_upper_triangular(group.mul(r1i, r2))
 
 
+def assert_blocks_are_parabolic_cosets(kind, K, size, cosets):
+    """Two Borel cosets share a block of LevelModule.parabolic(K) iff their
+    representatives r_x, r_y have r_x^-1 r_y in the brute-force P_K."""
+    lm = level_module(kind, 2)
+    group, reps = lm.group, lm.flags.reps
+    P = {M.tobytes() for M in parabolic(group, K)}
+    assert len(P) == size
+    block = lm._blocks(K)
+    assert lm.parabolic(K).dim == block.max() + 1 == cosets
+    for x, rx in enumerate(reps):
+        rxi = group.inv(rx)
+        for y, ry in enumerate(reps):
+            assert (group.mul(rxi, ry).tobytes() in P) == (block[x] == block[y]), (x, y)
+
+
 @pytest.mark.parametrize("K", [frozenset({0}), frozenset({1})])
 def test_parabolic_canonical_separates_cosets_exhaustively(K):
-    group = matrix_group("A2", 2)
-    flags = FlagIndex(group, K)
-    P = {M.tobytes() for M in parabolic(group, K)}
-    assert len(P) == 24  # |SL_3(F_2)| / 7
-    els = closure(group)
-    inv = {M.tobytes(): group.inv(M) for M in els}
-    canon = {M.tobytes(): flags.canonical(M).tobytes() for M in els}
-    for M in els:
-        for N in els:
-            same_coset = group.mul(inv[M.tobytes()], N).tobytes() in P
-            assert same_coset == (canon[M.tobytes()] == canon[N.tobytes()])
+    assert_blocks_are_parabolic_cosets("A2", K, 24, 7)  # |SL_3(F_2)| / 7
 
 
 @pytest.mark.parametrize("K", [frozenset({0}), frozenset({1})])
 def test_sp4_parabolic_canonical_separates_cosets(K):
-    group = matrix_group("B2", 2)
-    flags = FlagIndex(group, K)
-    P = {M.tobytes() for M in parabolic(group, K)}
-    assert len(P) == 48  # |Sp_4(F_2)| / 15
-    classes = {}
-    for M in closure(group):
-        classes.setdefault(flags.canonical(M).tobytes(), []).append(M)
-    assert len(classes) == len(flags) == 15
-    assert all(len(v) == len(P) for v in classes.values())
-    reps = [v[0] for v in classes.values()]
-    for rep, members in zip(reps, classes.values()):
-        ri = group.inv(rep)
-        assert all(group.mul(ri, M).tobytes() in P for M in members)
-    for i, r1 in enumerate(reps):
-        r1i = group.inv(r1)
-        for r2 in reps[i + 1 :]:
-            assert group.mul(r1i, r2).tobytes() not in P
+    assert_blocks_are_parabolic_cosets("B2", K, 48, 15)  # |Sp_4(F_2)| / 15
+
+
+def test_parabolic_rejects_a_label_that_splits_a_block():
+    lm = LevelModule("A2", 2, 2)
+    w0 = lm.datum.longest_element(range(2))
+    far = lm.flags.bruhat_labels().index(w0)  # outside the base block P_{0}/B
+    swap = np.arange(lm.dim)
+    swap[[0, far]] = far, 0
+    lm.handle.add_perm("swap", swap)
+    with pytest.raises(AssertionError):
+        lm.parabolic({0})
 
 
 FLAG_SIZES = [
@@ -295,19 +313,26 @@ FLAG_SIZES = [
 
 @pytest.mark.parametrize("kind,q,K,size", FLAG_SIZES)
 def test_flag_index_sizes(kind, q, K, size):
-    assert len(FlagIndex(matrix_group(kind, q), K)) == size
+    if K:
+        assert level_module(kind, q).parabolic(K).dim == size
+    else:
+        assert len(FlagIndex(matrix_group(kind, q))) == size
 
 
 @pytest.mark.parametrize("kind,q", [("A3", 2), ("B2", 3)])
 def test_parabolic_reps_and_perm_of_every_root(kind, q):
-    group = matrix_group(kind, q)
+    lm = level_module(kind, q)
+    group, flags = lm.group, lm.flags
+    for i, rep in enumerate(flags.reps):
+        assert group.in_group(rep) and flags.index_of(rep) == i, i
+    for r in range(len(group.datum.roots)):
+        perm = flags.perm_of(group.root_element(r, 1))
+        assert sorted(perm) == list(range(len(flags))), r
     for K in group.datum.all_subsets():
-        flags = FlagIndex(group, K)
-        for i, rep in enumerate(flags.reps):
-            assert group.in_group(rep) and flags.index_of(rep) == i, (sorted(K), i)
+        handle = lm.parabolic(K)
         for r in range(len(group.datum.roots)):
-            perm = flags.perm_of(group.root_element(r, 1))
-            assert sorted(perm) == list(range(len(flags))), (sorted(K), r)
+            perm = handle.actions[("r", r, 1)][1]
+            assert sorted(perm) == list(range(handle.dim)), (sorted(K), r)
 
 
 def test_batched_borel_canonical_matches_scalar_sl2_gf4():
@@ -346,17 +371,23 @@ def test_borel_canonical_singular_raises():
 
 @pytest.mark.parametrize("kind,q", [("A2", 3), ("B2", 3), ("A3", 2)])
 def test_flag_index_and_perm_of_match_scalar_oracle(kind, q):
-    group = matrix_group(kind, q)
+    # the Borel index against the scalar BFS, and every label of every
+    # parabolic module against the P_K/B byte-order-minimum oracle
+    lm = level_module(kind, q)
+    group, flags = lm.group, lm.flags
     for K in group.datum.all_subsets():
-        flags = FlagIndex(group, K)
-        reps, index = flag_index_scalar(flags)
-        assert np.array_equal(flags.reps, np.stack(reps)), sorted(K)
-        assert flags._index == index, sorted(K)
+        reps, index, pk_reps = flag_index_scalar(flags, K)
+        if not K:
+            assert np.array_equal(flags.reps, np.stack(reps))
+            assert flags._index == index
+        handle = lm.parabolic(K)
         for ri in range(len(group.datum.roots)):
             for c in group.field.units():
                 M = group.root_element(ri, c)
-                want = [index[coset_form_scalar(flags, group.mul(M, rep))[0].tobytes()] for rep in reps]
-                assert flags.perm_of(M).tolist() == want, (sorted(K), ri, c)
+                want = [index[coset_form_scalar(group, pk_reps, group.mul(M, rep))[0].tobytes()] for rep in reps]
+                assert handle.actions[("r", ri, c)][1].tolist() == want, (sorted(K), ri, c)
+                if not K:
+                    assert flags.perm_of(M).tolist() == want, (ri, c)
 
 
 def test_flag_budget():
@@ -385,8 +416,6 @@ def test_perm_of_is_action():
     assert sorted(pg) == list(range(21))
     assert np.array_equal(flags.perm_of(group.identity()), np.arange(21))
     assert np.array_equal(flags.perm_of(group.mul(g, h)), pg[ph])
-    word = weyl_word(group, group.datum.longest_element(range(2)))
-    assert np.array_equal(flags.perm_of_word(word), flags.perm_of(group.from_word(word)))
 
 
 def test_unipotent_words_sl3():

@@ -267,11 +267,11 @@ def borel_perm_module(kind, q, l):
     datum = group.datum
     handle = ModuleHandle(len(fi), l, [])
     for si in datum.simple_indices:
-        neg = datum.root_index[tuple(-c for c in datum.roots[si])]
+        neg = si + datum.n_pos
         for root in (si, neg):
             for c in group.field.fp_basis():
                 label = ("u", root, c)
-                handle.add_perm(label, fi.perm_of_word([(root, c)]))
+                handle.add_perm(label, fi.perm_of(group.root_element(root, c)))
                 handle.spin_labels.append(label)
     return group, fi, handle
 

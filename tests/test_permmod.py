@@ -153,7 +153,7 @@ def test_vector_operators_match_dense_products(kind, q):
     lm = c.ext
     datum = lm.datum
     lo, hi, reps = c.sub_values(), lm.values(), c.transversal_reps()
-    _, phandle = lm.parabolic(frozenset({0}))
+    phandle = lm.parabolic(frozenset({0}))
     for handle in (lm.handle, phandle):
         basis = np.eye(handle.dim, dtype=np.int64)
         for ri in range(len(datum.roots)):
