@@ -33,9 +33,18 @@ explicit label list, for callers that read other labels of a submodule:
 The irreducibility criterion used: for a singular algebra element A, if
 some proper submodule exists then either a vector of ker A generates a
 proper submodule, or every functional in ker A^T generates a proper
-submodule of the transpose module.  Spinning every line of both kernels
-therefore certifies irreducibility; the search keeps drawing random short
-algebra words until a kernel small enough to enumerate appears.
+submodule of the transpose module.  So if every line of both kernels
+generates the module, it is irreducible; the search keeps drawing random
+short algebra words until a kernel small enough to enumerate appears.  The lines
+need not be spun one by one: for c != 0, pi_c : M^j -> M, (x_i) ->
+sum c_i x_i, is a module map onto M, so if the last j kernel rows, stacked
+as one vector of M^j, spin to all of M^j, every line of their span generates
+M.  Those lines are the first (l^j - 1)/(l - 1) in `line_representatives`
+order.  With nu = dim ker A, the l^(j-1) lines led by row nu - j are
+certified by one stacked spin when j^3 <= l^(j-1) (the stack costs about
+j^3 single-line spins), until a stack first falls short; every other line
+is spun on its own.  At l = 2 that needs j >= 12, more rows than a kernel
+within the default line budget has, so there every line is spun alone.
 """
 
 from __future__ import annotations
@@ -192,13 +201,25 @@ class Subspace:
 
 
 def line_representatives(basis: np.ndarray, l: int):
-    """One representative per 1-dimensional subspace of the row span."""
-    k = len(basis)
-    for combo in itertools.product(range(l), repeat=k):
-        lead = next((c for c in combo if c), None)
-        if lead != 1:
-            continue
-        yield (np.array(combo, dtype=np.int64) @ basis) % l
+    """One representative per 1-dimensional subspace of the row span: the
+    combinations c @ basis whose first nonzero coefficient is 1, in
+    lexicographic order of c.
+
+    That order groups the lines by the row of their leading 1, last row
+    first: group j (j = 1..k) holds the l^(j-1) lines led by row k - j.  So
+    the first (l^j - 1)/(l - 1) lines are exactly the lines of the span of
+    the last j rows, the prefix property `_first_proper_spin` relies on.
+    """
+    basis = np.asarray(basis, dtype=np.int64)
+    for i in reversed(range(len(basis))):
+        yield from _lines_led_by(basis, l, i)
+
+
+def _lines_led_by(basis: np.ndarray, l: int, i: int):
+    """The lines whose leading 1 sits on row i, later coefficients in
+    lexicographic order."""
+    for tail in itertools.product(range(l), repeat=len(basis) - 1 - i):
+        yield (basis[i] + np.array(tail, dtype=np.int64) @ basis[i + 1 :]) % l
 
 
 class ModuleHandle:
@@ -277,20 +298,35 @@ class ModuleHandle:
 
 def spin(handle: ModuleHandle, seeds: Iterable[np.ndarray]) -> Subspace:
     """Smallest subspace containing the seeds and closed under the spin
-    labels (hence under the group they generate).  Deterministic."""
-    S = Subspace(handle.dim, handle.l)
+    labels (hence under the group they generate).  Deterministic.
+
+    A seed is a vector of M = GF(l)^d or an (m x d) block, read as one
+    vector of M^m = GF(l)^(m d), row i in coordinates i d .. i d + d - 1,
+    on which each label acts row by row (`images`); all seeds have one
+    shape, and the result is a subspace of GF(l)^(m d).
+    """
+    blocks = [np.asarray(s, dtype=np.int64).reshape(-1, handle.dim) for s in seeds]
+    m = len(blocks[0]) if blocks else 1
+    if m == 1:
+        act = handle.apply  # the same map as below; on one vector a scatter beats a 2-D gather
+    else:
+
+        def act(label, v):
+            return handle.images(label, v.reshape(m, handle.dim)).ravel()
+
+    S = Subspace(m * handle.dim, handle.l)
     queue = collections.deque()
-    for s in seeds:
-        added = S._add(s)
+    for b in blocks:
+        added = S._add(b.ravel())
         if added is not None:
             queue.append(added)
     while queue:
         v = queue.popleft()
         for label in handle.spin_labels:
-            added = S._add(handle.apply(label, v))
+            added = S._add(act(label, v))
             if added is not None:
                 queue.append(added)
-            if S.dim == handle.dim:
+            if S.dim == S.n:
                 return S._trim()
     return S._trim()
 
@@ -401,6 +437,34 @@ def _random_algebra_element(handle: ModuleHandle, rng, max_word: int) -> Tuple[n
     return A, spec
 
 
+def _first_proper_spin(handle: ModuleHandle, basis: np.ndarray) -> Optional[Subspace]:
+    """The spin of the first line of the row span, in `line_representatives`
+    order, that generates a proper subspace; None when every line generates
+    the module.
+
+    If the last j basis rows, stacked as one vector of M^j, spin to all of
+    M^j, every line of their span generates M (the module docstring says
+    why); by the prefix property those lines are groups 1..j.  Group j >= 2
+    is certified by one stacked spin when j^3 <= l^(j-1): the stack lives
+    in dimension j d, so it costs about j^3 single-line spins against the
+    group's l^(j-1).  Once a stack falls short no later one is tried: stack
+    j is the image of stack j + 1 under dropping its first row, so it
+    cannot fill either.  Every other group is spun line by line.
+    """
+    l, k = handle.l, len(basis)
+    stacking = True
+    for j in range(1, k + 1):
+        if stacking and j > 1 and j**3 <= l ** (j - 1):
+            if spin(handle, [basis[k - j :]]).dim == j * handle.dim:
+                continue
+            stacking = False
+        for v in _lines_led_by(basis, l, k - j):
+            S = spin(handle, [v])
+            if S.dim < handle.dim:
+                return S
+    return None
+
+
 def meataxe_irreducible(
     handle: ModuleHandle,
     seed: int = 0,
@@ -411,12 +475,15 @@ def meataxe_irreducible(
     """Certified irreducibility test.
 
     Draws random short algebra elements until one has a small nonzero
-    kernel, then spins every line of the kernel and of the transpose
-    kernel.  A proper spin on the primal side is itself a witness
-    submodule; on the transpose side its perp is (and is checked to be)
-    invariant.  If both sides only produce the full space the module is
-    irreducible and the verdict carries the certifying data.  A final
-    fallback spins every line of the whole space when that is affordable.
+    kernel, then checks that every line of the kernel and of the transpose
+    kernel generates the module (`_first_proper_spin`: stacked spins where
+    they pay, single-line spins elsewhere).  The spin of the first line that
+    does not, in `line_representatives` order, decides: on the primal side
+    it is itself a witness submodule; on the transpose side its perp is (and
+    is checked to be) invariant.  If both sides only produce the full space
+    the module is irreducible and the verdict carries the certifying data.
+    A final fallback checks every line of the whole space the same way when
+    that is affordable.
     """
     d = handle.dim
     if d == 0:
@@ -434,22 +501,20 @@ def meataxe_irreducible(
         n_lines = (handle.l**nu - 1) // (handle.l - 1)
         if n_lines > line_budget:
             continue
-        for v in line_representatives(ker, handle.l):
-            S = spin(handle, [v])
-            if S.dim < d:
-                return Verdict(False, witness=S, certificate={"method": "kernel-spin", "element": spec})
+        S = _first_proper_spin(handle, ker)
+        if S is not None:
+            return Verdict(False, witness=S, certificate={"method": "kernel-spin", "element": spec})
         if tr is None:
             tr = handle.transpose()
         kerT = nullspace(A.T, handle.l)
         assert len(kerT) == nu
-        for w in line_representatives(kerT, handle.l):
-            S = spin(tr, [w])
-            if S.dim < d:
-                witness = S.perp()
-                for lbl in handle.spin_labels:
-                    assert witness.contains(handle.images(lbl, witness.rows))
-                assert 0 < witness.dim < d
-                return Verdict(False, witness=witness, certificate={"method": "transpose-kernel", "element": spec})
+        S = _first_proper_spin(tr, kerT)
+        if S is not None:
+            witness = S.perp()
+            for lbl in handle.spin_labels:
+                assert witness.contains(handle.images(lbl, witness.rows))
+            assert 0 < witness.dim < d
+            return Verdict(False, witness=witness, certificate={"method": "transpose-kernel", "element": spec})
         return Verdict(
             True,
             certificate={
@@ -462,10 +527,9 @@ def meataxe_irreducible(
         )
     n_lines = (handle.l**d - 1) // (handle.l - 1)
     if n_lines <= line_budget:
-        for v in line_representatives(np.eye(d, dtype=np.int64), handle.l):
-            S = spin(handle, [v])
-            if S.dim < d:
-                return Verdict(False, witness=S, certificate={"method": "exhaustive-lines"})
+        S = _first_proper_spin(handle, np.eye(d, dtype=np.int64))
+        if S is not None:
+            return Verdict(False, witness=S, certificate={"method": "exhaustive-lines"})
         return Verdict(True, certificate={"method": "exhaustive-lines", "lines": n_lines})
     raise MeatAxeBudgetError("no usable singular element in %d attempts" % budget)
 

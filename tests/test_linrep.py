@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chevperm import linrep
 from chevperm.chevalley import FlagIndex, matrix_group
 from chevperm.linrep import (
     MeatAxeBudgetError,
     ModuleHandle,
     Subspace,
+    _first_proper_spin,
     _random_algebra_element,
     composition_series,
     fixed_space,
@@ -675,3 +677,225 @@ def test_fixed_space_matches_dense_stack(l, build):
     handle = build(l)
     for labels in (None, list(handle.actions), list(handle.actions)[-1:]):
         assert fixed_space(handle, labels) == dense_fixed_space(handle, labels)
+
+
+# -- line certification: stacked spins against one spin per line --------------
+
+
+def product_and_skip_lines(basis, l):
+    """Reference: scan every coefficient tuple in lexicographic order and keep
+    those whose first nonzero entry is 1."""
+    for combo in itertools.product(range(l), repeat=len(basis)):
+        if next((c for c in combo if c), None) == 1:
+            yield (np.array(combo, dtype=np.int64) @ basis) % l
+
+
+def first_proper_spin_per_line(handle, basis):
+    """Reference: spin every line of the row span one at a time, in line
+    order, and return the first proper spin."""
+    for v in product_and_skip_lines(basis, handle.l):
+        S = spin(handle, [v])
+        if S.dim < handle.dim:
+            return S
+    return None
+
+
+def assert_same_first_proper_spin(handle, basis):
+    got, ref = _first_proper_spin(handle, basis), first_proper_spin_per_line(handle, basis)
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert got == ref
+    return got
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+def test_line_representatives_match_product_and_skip(l):
+    rng = np.random.default_rng(l)
+    for k in range(5):
+        for basis in (np.eye(k, 6, dtype=np.int64), rng.integers(0, l, size=(k, 6))):
+            lines = [v.tolist() for v in line_representatives(basis, l)]
+            assert lines == [v.tolist() for v in product_and_skip_lines(basis, l)]
+        # the prefix property: the first (l^j - 1)/(l - 1) lines are the
+        # lines of the span of the last j rows
+        lines = list(line_representatives(np.eye(k, 6, dtype=np.int64), l))
+        assert len(lines) == (l**k - 1) // (l - 1)
+        for j in range(k + 1):
+            head = lines[: (l**j - 1) // (l - 1)]
+            assert all(not np.any(v[: k - j]) for v in head)
+
+
+def matrix_module(l, mats):
+    h = ModuleHandle(len(mats[0]), l, [])
+    for i, M in enumerate(mats):
+        h.add_matrix(i, M)
+        h.spin_labels.append(i)
+    return h
+
+
+def transvections(l, d):
+    """1 + E(i, i+1 mod d) for every i: generators of SL_d(l), whose words
+    span the full matrix algebra, so GF(l)^d is absolutely irreducible."""
+    out = []
+    for i in range(d):
+        T = np.eye(d, dtype=np.int64)
+        T[i, (i + 1) % d] = 1
+        out.append(T)
+    return out
+
+
+def mat_pow(M, e, l):
+    out = np.eye(len(M), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = (out @ M) % l
+        M, e = (M @ M) % l, e >> 1
+    return out
+
+
+def field_module(l, e):
+    """GF(l^e) as an e-dimensional GF(l)-module under multiplication by a
+    primitive element: the first companion matrix of order l^e - 1.  It is
+    irreducible with endomorphism ring GF(l^e), so every line generates it
+    but no stack of two or more independent rows fills M^j."""
+    N = l**e - 1
+    primes = [p for p in range(2, N + 1) if N % p == 0 and all(p % r for r in range(2, p))]
+    eye = np.eye(e, dtype=np.int64)
+    for tail in itertools.product(range(l), repeat=e):
+        C = np.zeros((e, e), dtype=np.int64)
+        C[1:, :-1] = eye[:-1, :-1]
+        C[:, -1] = tail
+        if np.array_equal(mat_pow(C, N, l), eye) and all(
+            not np.array_equal(mat_pow(C, N // p, l), eye) for p in primes
+        ):
+            return matrix_module(l, [C])
+    raise AssertionError("no primitive element")
+
+
+def full_rank_basis(rng, l, k, n):
+    while True:
+        B = rng.integers(0, l, size=(k, n))
+        if Subspace(n, l, B).dim == k:
+            return B
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """(rows, dim) of every stacked spin, one seed of two or more rows, that
+    linrep runs while the fixture is active."""
+    seen = []
+
+    def recording_spin(handle, seeds):
+        seeds = list(seeds)
+        S = spin(handle, seeds)
+        rows = np.asarray(seeds[0]).size // handle.dim if seeds else 1
+        if rows > 1:
+            seen.append((rows, S.dim))
+        return S
+
+    monkeypatch.setattr(linrep, "spin", recording_spin)
+    return seen
+
+
+# (l, d): every l > 2 stacks at least once on d kernel rows (j^3 <= l^(j-1)
+# first holds at j = 6, 4, 2 for l = 3, 5, 11)
+@pytest.mark.parametrize("l,d", [(2, 4), (3, 6), (5, 4), (11, 3)])
+def test_first_proper_spin_absolutely_irreducible(l, d, stacks):
+    h = matrix_module(l, transvections(l, d))
+    rng = np.random.default_rng(l)
+    for basis in (np.eye(d, dtype=np.int64), full_rank_basis(rng, l, d, d)):
+        assert assert_same_first_proper_spin(h, basis) is None
+    # End = GF(l), so independent rows stack to all of M^j
+    assert all(dim == rows * d for rows, dim in stacks)
+    assert (len(stacks) > 0) == (l > 2)
+
+
+def dual_sum_module(l):
+    """V + V* for V = GF(l)^3 under SL_3(l): two non-isomorphic simples,
+    each generator acting as diag(T, T^-T), with T^-1 = 2 - T."""
+    mats = []
+    for T in transvections(l, 3):
+        M = np.zeros((6, 6), dtype=np.int64)
+        M[:3, :3], M[3:, 3:] = T, (2 * np.eye(3, dtype=np.int64) - T).T % l
+        mats.append(M)
+    return matrix_module(l, mats)
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 11])
+def test_first_proper_spin_reducible(l, stacks):
+    h = dual_sum_module(l)
+    # rows (v'', 0), (v', w'), (v, w): the first line (v, w) generates V + V*,
+    # and so does every line of the last two rows, but the first line led by
+    # (v'', 0) spins to V alone
+    basis = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]])
+    assert spin(h, [basis[2]]).dim == 6
+    S = assert_same_first_proper_spin(h, basis)
+    assert S == Subspace(6, l, np.eye(3, 6, dtype=np.int64))
+    # at l = 11 the stack of the last two rows fills M^2 and the stack of all
+    # three falls short (its V* part is 0 + V*^2)
+    assert stacks == ([(2, 12), (3, 15)] if l == 11 else [])
+    rng = np.random.default_rng(l)
+    for _ in range(4):
+        assert_same_first_proper_spin(h, full_rank_basis(rng, l, 3, 6))
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 11])
+def test_first_proper_spin_field_extension(l, stacks):
+    h = field_module(l, 2)
+    rng = np.random.default_rng(l)
+    for basis in (np.eye(2, dtype=np.int64), full_rank_basis(rng, l, 2, 2)):
+        assert assert_same_first_proper_spin(h, basis) is None
+    # a stack (x, y) spins to GF(l^2) (x, y), half of M^2, yet every line
+    # generates
+    assert stacks == ([(2, 2)] * 2 if l == 11 else [])
+
+
+def test_first_proper_spin_stops_stacking_after_a_short_stack(stacks):
+    # GF(11^3): the stack of two rows falls short, so the stack of three, the
+    # stack of two as an image, cannot fill and is never spun
+    h = field_module(11, 3)
+    assert assert_same_first_proper_spin(h, np.eye(3, dtype=np.int64)) is None
+    assert stacks == [(2, 3)]
+
+
+def test_meataxe_runs_no_stacked_spin_at_l2(stacks):
+    # GF(2^10) under a primitive element, with no element drawn (budget 0):
+    # the fallback checks all 1023 lines, one spin each, since j^3 <= 2^(j-1)
+    # needs j >= 12
+    verdict = meataxe_irreducible(field_module(2, 10), budget=0)
+    assert verdict.irreducible and verdict.certificate == {"method": "exhaustive-lines", "lines": 1023}
+    for seed in range(3):
+        assert composition_series(borel_perm_module("A2", 2, 2)[2], seed=seed) == [1, 3, 3, 3, 3, 8]
+    assert stacks == []
+    # the same fallback at l = 11 stacks from j = 2 on
+    assert meataxe_irreducible(field_module(11, 2), budget=0).irreducible
+    assert stacks == [(2, 2)]
+
+
+def direct_sum(handle, m):
+    """Reference: M^m as a handle of its own, each permutation tiled over the
+    m summands and each matrix repeated down the block diagonal."""
+    d = handle.dim
+    out = ModuleHandle(m * d, handle.l, handle.spin_labels)
+    for label in handle.spin_labels:
+        kind, fwd, _ = handle.actions[label]
+        if kind == "perm":
+            out.add_perm(label, (np.arange(m)[:, None] * d + fwd).ravel())
+        else:
+            out.add_matrix(label, np.kron(np.eye(m, dtype=np.int64), fwd))
+    return out
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 11])
+@pytest.mark.parametrize("build", HANDLES, ids=HANDLE_IDS)
+def test_block_spin_matches_direct_sum(l, build):
+    handle = build(l)
+    rng = np.random.default_rng(l)
+    for m in (1, 2, 3):
+        big = direct_sum(handle, m)
+        for _ in range(3):
+            block = rng.integers(0, l, size=(m, handle.dim))
+            S, ref = spin(handle, [block]), spin(big, [block.ravel()])
+            assert S.n == ref.n == m * handle.dim
+            assert S.pivots == ref.pivots and np.array_equal(S.rows, ref.rows)
+        blocks = rng.integers(0, l, size=(2, m, handle.dim))
+        assert spin(handle, list(blocks)) == spin(big, [b.ravel() for b in blocks])
