@@ -19,7 +19,7 @@ u_fixed = lm.unipotent_fixed_space()
 print("module dim %d, ambient unipotent-fixed space dim %d" % (lm.dim, u_fixed.dim))
 
 for J in datum.all_subsets():
-    fJ = lm.socle_generator(J, values)
+    fJ = lm.socle_generator(J)
     S = spin(lm.handle, [fJ])
     verdict = meataxe_irreducible(restrict(lm.handle, S), seed=0)
     line = S.intersect(u_fixed)

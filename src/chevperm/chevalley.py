@@ -306,21 +306,17 @@ def coroot_word(group: MatrixGroup, i: int, c: int) -> List[Tuple[int, int]]:
     return sc + invert_word(group, simple_reflection_word(group, i))
 
 
-def unipotent_words(
-    group: MatrixGroup, w: WeylElement, values: Optional[Sequence[int]] = None
-) -> List[Tuple[Tuple[int, int], ...]]:
+def unipotent_words(group: MatrixGroup, w: WeylElement) -> List[Tuple[Tuple[int, int], ...]]:
     """All members of the unipotent piece attached to w, as root-element words.
 
     Factors run over the positive roots sent negative by w, tallest first;
-    coefficients run over `values` (default: the whole field) with the last
-    factor varying fastest.  The factored form is unique, so the list has
-    len(values)**length entries, all distinct as group elements.
+    coefficients run over the whole field with the last factor varying
+    fastest.  The factored form is unique, so the list has q**length
+    entries, all distinct as group elements.
     """
-    if values is None:
-        values = list(group.field.elements())
     phi = group.datum.phi_minus(w)
     out = []
-    for coeffs in itertools.product(values, repeat=len(phi)):
+    for coeffs in itertools.product(group.field.elements(), repeat=len(phi)):
         out.append(tuple(zip(phi, coeffs)))
     return out
 

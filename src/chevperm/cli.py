@@ -152,7 +152,6 @@ def cmd_inspect(args):
         return EXIT_BUDGET
     datum = lm.datum
     rank = datum.rank
-    values = lm.values()
     for item in args.items:
         head, _, arg = item.partition(":")
         try:
@@ -167,9 +166,9 @@ def cmd_inspect(args):
             vec = lm.parabolic_alternating_sum(J)
             print("D[J=%s] in dim-%d induced module  %s" % (subset_tag(J), len(vec), _sparse(vec)))
         elif head == "fK":
-            print("fK[K=%s]  %s" % (subset_tag(J), _sparse(lm.parabolic_invariant_vector(J, values))))
+            print("fK[K=%s]  %s" % (subset_tag(J), _sparse(lm.parabolic_invariant_vector(J))))
         elif head == "fJ":
-            print("fJ[J=%s]  %s" % (subset_tag(J), _sparse(lm.socle_generator(J, values))))
+            print("fJ[J=%s]  %s" % (subset_tag(J), _sparse(lm.socle_generator(J))))
         elif head == "YJ":
             ys = datum.y_set(J)
             print("YJ[J=%s]  size=%d  %s" % (subset_tag(J), len(ys),

@@ -44,7 +44,7 @@ order.  With nu = dim ker A, the l^(j-1) lines led by row nu - j are
 certified by one stacked spin when j^3 <= l^(j-1) (the stack costs about
 j^3 single-line spins), until a stack first falls short; every other line
 is spun on its own.  At l = 2 that needs j >= 12, more rows than a kernel
-within the default line budget has, so there every line is spun alone.
+within MEATAXE_LINE_BUDGET has, so there every line is spun alone.
 """
 
 from __future__ import annotations
@@ -74,6 +74,12 @@ __all__ = [
 
 class MeatAxeBudgetError(RuntimeError):
     """The random search exhausted its budget without a usable element."""
+
+
+# the MeatAxe draws algebra elements as sums of words of at most this many
+# labels, and enumerates a kernel's lines only when it has at most this many
+MEATAXE_MAX_WORD = 8
+MEATAXE_LINE_BUDGET = 2000
 
 
 def nullspace(M: np.ndarray, l: int) -> np.ndarray:
@@ -378,8 +384,9 @@ def quotient(handle: ModuleHandle, sub: Subspace) -> Tuple[ModuleHandle, Callabl
     """The quotient module by an invariant subspace with its projection.
 
     The projection reduces mod the subspace then reads off the free
-    coordinates; as a matrix P it is the identity on those columns and -R^T
-    on the pivot columns (R the basis rows restricted to the free ones).
+    coordinates, of one vector or of each row of a block; as a matrix P it
+    is the identity on those columns and -R^T on the pivot columns (R the
+    basis rows restricted to the free ones).
     For every label of the handle, with Q = (P A)[:, free], P A == Q P is
     asserted on the pivot columns; on the free columns it holds by
     construction.  That is equivariance on the full ambient basis, the
@@ -393,7 +400,7 @@ def quotient(handle: ModuleHandle, sub: Subspace) -> Tuple[ModuleHandle, Callabl
     pivots, keep = list(sub.pivots), sub.free
 
     def project(v: np.ndarray) -> np.ndarray:
-        return sub.reduce(v)[keep]
+        return sub.reduce(v)[..., keep]
 
     P = _annihilator(sub)
     P_pivots = P[:, pivots]
@@ -465,13 +472,7 @@ def _first_proper_spin(handle: ModuleHandle, basis: np.ndarray) -> Optional[Subs
     return None
 
 
-def meataxe_irreducible(
-    handle: ModuleHandle,
-    seed: int = 0,
-    budget: int = 200,
-    max_word: int = 8,
-    line_budget: int = 2000,
-) -> Verdict:
+def meataxe_irreducible(handle: ModuleHandle, seed: int = 0, budget: int = 200) -> Verdict:
     """Certified irreducibility test.
 
     Draws random short algebra elements until one has a small nonzero
@@ -493,13 +494,13 @@ def meataxe_irreducible(
     rng = np.random.default_rng(seed)
     tr = None
     for attempt in range(budget):
-        A, spec = _random_algebra_element(handle, rng, max_word)
+        A, spec = _random_algebra_element(handle, rng, MEATAXE_MAX_WORD)
         ker = nullspace(A, handle.l)
         nu = len(ker)
         if nu == 0 or nu == d:
             continue
         n_lines = (handle.l**nu - 1) // (handle.l - 1)
-        if n_lines > line_budget:
+        if n_lines > MEATAXE_LINE_BUDGET:
             continue
         S = _first_proper_spin(handle, ker)
         if S is not None:
@@ -526,7 +527,7 @@ def meataxe_irreducible(
             },
         )
     n_lines = (handle.l**d - 1) // (handle.l - 1)
-    if n_lines <= line_budget:
+    if n_lines <= MEATAXE_LINE_BUDGET:
         S = _first_proper_spin(handle, np.eye(d, dtype=np.int64))
         if S is not None:
             return Verdict(False, witness=S, certificate={"method": "exhaustive-lines"})

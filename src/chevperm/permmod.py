@@ -9,6 +9,9 @@ each level on first use.  A LevelModule materialises, on top of the coset
 enumeration:
 
   * the coset permutation module with labelled root-element actions,
+  * the Weyl translates the paper's bases are made of, on any handle:
+    signed sums over W_J (`signed_sum`), blocks of translates by a
+    unipotent piece (`translates`) and the translates by Y_J (`y_translates`),
   * the alternating Weyl sums over a subset J of simple reflections and
     the submodule lattice they generate, with its subquotients,
   * parabolic coset modules k[G/P_K] and the corresponding alternating
@@ -45,7 +48,6 @@ from .chevalley import (
     decompose_simple_conjugate,
     matrix_group,
     simple_reflection_word,
-    unipotent_words,
     weyl_word,
 )
 from .gf import MAX_ORDER, additive_transversal, embedding_table, factor_prime_power, is_prime
@@ -104,7 +106,7 @@ class FiltrationPiece:
     sub: Subspace               # the submodule generated by the alternating sum
     prime_dim: int              # dimension of the sum of the strictly-larger pieces
     handle: ModuleHandle        # the subquotient as a module over the spin labels only
-    project: Callable[[np.ndarray], np.ndarray]   # ambient vector (in sub) -> subquotient coords
+    project: Callable[[np.ndarray], np.ndarray]   # ambient vector or block of rows (in sub) -> subquotient coords
     C: np.ndarray               # image of the alternating sum
 
     @property
@@ -172,10 +174,35 @@ class LevelModule:
 
     def alternating_sum(self, J: Iterable[int]) -> np.ndarray:
         """Signed sum of Weyl translates of the base coset over W_J."""
-        out = np.zeros(self.dim, dtype=np.int64)
+        return self.signed_sum(J, self.unit())
+
+    # -- Weyl translates: the vectors the paper's bases are made of
+
+    def signed_sum(self, J: Iterable[int], v: np.ndarray, handle: Optional[ModuleHandle] = None) -> np.ndarray:
+        """The signed sum over W_J of the Weyl translates of v."""
+        out = np.zeros_like(v)
         for w in self.datum.subgroup_elements(J):
-            out = (out + self.sign(w) * self.act_weyl(w, self.unit())) % self.ell
+            out = (out + self.sign(w) * self.act_weyl(w, v, handle)) % self.ell
         return out
+
+    def translates(self, w: WeylElement, v: np.ndarray, handle: Optional[ModuleHandle] = None) -> np.ndarray:
+        """The block of rows u.v, one per member u of the unipotent piece
+        attached to w: the collected counterpart of u_sum.  It is built one
+        root subgroup at a time, innermost factor first, each step stacking
+        the block with its images under the nonzero elements of that root
+        subgroup, so the rows come in the order of chevalley.unipotent_words."""
+        handle = handle or self.handle
+        block = np.asarray(v, dtype=np.int64).reshape(1, -1)
+        for ri in reversed(self.datum.phi_minus(w)):
+            block = np.vstack([block] + [handle.images(("r", ri, c), block) for c in self.field.units()])
+        return block
+
+    def y_translates(self, J: Iterable[int], v: np.ndarray,
+                     handle: Optional[ModuleHandle] = None) -> List[Tuple[WeylElement, WeylElement, np.ndarray]]:
+        """(w, w_J w^-1, the Weyl translate of v by w) for each w in Y_J: the
+        translate and the element whose unipotent piece spans its orbit."""
+        wJ = self.datum.longest_element(J)
+        return [(w, wJ * w.inverse(), self.act_weyl(w, v, handle)) for w in self.datum.y_set(J)]
 
     # -- operators, applied to vectors
 
@@ -259,32 +286,28 @@ class LevelModule:
     def parabolic_alternating_sum(self, J: Iterable[int]) -> np.ndarray:
         """Signed W_J-sum over the base coset of the opposite-subset
         parabolic module (the module induced from the complement of J)."""
-        J = frozenset(J)
-        Jp = frozenset(range(self.datum.rank)) - J
-        handle = self.parabolic(Jp)
-        out = np.zeros(handle.dim, dtype=np.int64)
-        base = handle.basis_vector(0)
-        for w in self.datum.subgroup_elements(J):
-            out = (out + self.sign(w) * self.act(weyl_word(self.group, w), base, handle)) % self.ell
-        return out
+        handle = self.parabolic(frozenset(range(self.datum.rank)) - frozenset(J))
+        return self.signed_sum(J, handle.basis_vector(0), handle)
 
-    def parabolic_invariant_vector(self, K: Iterable[int], values: Sequence[int]) -> np.ndarray:
-        """Sum over W_K of unipotent-sum translates of the base coset; the
-        canonical parabolic-invariant vector of the coset module."""
+    def _u_sum_translates(self, ws: Iterable[WeylElement]) -> np.ndarray:
+        """The sum over w in ws of the u_sum of w^-1, over the whole field,
+        applied to the Weyl translate of the base coset by w."""
+        values = self.values()
         out = np.zeros(self.dim, dtype=np.int64)
-        for w in self.datum.subgroup_elements(K):
+        for w in ws:
             out = (out + self.u_sum(w.inverse(), values, self.act_weyl(w, self.unit()))) % self.ell
         return out
 
-    def socle_generator(self, J: Iterable[int], values: Sequence[int]) -> np.ndarray:
+    def parabolic_invariant_vector(self, K: Iterable[int]) -> np.ndarray:
+        """Sum over W_K of unipotent-sum translates of the base coset; the
+        canonical parabolic-invariant vector of the coset module."""
+        return self._u_sum_translates(self.datum.subgroup_elements(K))
+
+    def socle_generator(self, J: Iterable[int]) -> np.ndarray:
         """Sum of unipotent-sum translates over the longest-element coset of
         W_J; the candidate generator of a simple submodule."""
         w0 = self.datum.longest_element(range(self.datum.rank))
-        out = np.zeros(self.dim, dtype=np.int64)
-        for v in self.datum.subgroup_elements(J):
-            w = w0 * v
-            out = (out + self.u_sum(w, values, self.act_weyl(w.inverse(), self.unit()))) % self.ell
-        return out
+        return self._u_sum_translates((w0 * v).inverse() for v in self.datum.subgroup_elements(J))
 
     def unipotent_labels(self) -> List[tuple]:
         """Generator labels for the full upper unipotent subgroup."""
@@ -573,16 +596,11 @@ def suite_subquotient_basis(runner: SuiteRunner, seed: int) -> SuiteReport:
     q_a = lm.field.order
     for J in datum.all_subsets():
         piece = pieces[J]
-        eta = lm.alternating_sum(J)
-        wJ = datum.longest_element(J)
         candidates = []
         predicted = 0
-        for w in datum.y_set(J):
-            tail = wJ * w.inverse()
+        for w, tail, weta in lm.y_translates(J, lm.alternating_sum(J)):
             predicted += q_a ** tail.length
-            weta = lm.act_weyl(w, eta)
-            for u_word in unipotent_words(lm.group, tail):
-                candidates.append(piece.project(lm.act(u_word, weta)))
+            candidates.append(piece.project(lm.translates(tail, weta)))
             for ri in datum.positive_indices:
                 if ri in set(datum.phi_minus(tail)):
                     continue
@@ -592,7 +610,8 @@ def suite_subquotient_basis(runner: SuiteRunner, seed: int) -> SuiteReport:
                     fixed = np.array_equal(piece.project(lm.act([(ri, c)], weta)), piece.project(weta))
                     rep.check(fixed, what="complement-fixes-translate",
                               J=subset_tag(J), w=word_tag(w), root=ri, c=c)
-        rank = Subspace(piece.dim, lm.ell, np.array(candidates)).dim
+        candidates = np.vstack(candidates)
+        rank = Subspace(piece.dim, lm.ell, candidates).dim
         rep.check(rank == len(candidates), what="independence", J=subset_tag(J),
                   rank=rank, count=len(candidates))
         rep.check(len(candidates) == predicted, what="predicted-count", J=subset_tag(J))
@@ -609,25 +628,21 @@ def suite_parabolic_model(runner: SuiteRunner, seed: int) -> SuiteReport:
     )
     lm = runner.base
     datum = lm.datum
-    values = lm.values()
     pieces = lm.filtration()
     q_a = lm.field.order
     for K in datum.all_subsets():
         cosets = lm.parabolic(K).dim
         rep.check(cosets == datum.poincare_sum(K, q_a), what="coset-count", K=subset_tag(K))
-        fK = lm.parabolic_invariant_vector(K, values)
+        fK = lm.parabolic_invariant_vector(K)
         for name, word in lm.parabolic_test_words(K):
             rep.check(np.array_equal(lm.act(word, fK), fK), what="invariance",
                       K=subset_tag(K), generator=name)
         spun = spin(lm.handle, [fK])
         rep.check(spun.dim == cosets, what="generated-dimension",
                   K=subset_tag(K), dim=spun.dim, cosets=cosets)
-        translates = []
-        for w in datum.min_coset_reps(K):
-            wfK = lm.act_weyl(w, fK)
-            for u_word in unipotent_words(lm.group, w.inverse()):
-                translates.append(lm.act(u_word, wfK))
-        rank = Subspace(lm.dim, lm.ell, np.array(translates)).dim
+        translates = np.vstack([lm.translates(w.inverse(), lm.act_weyl(w, fK))
+                                for w in datum.min_coset_reps(K)])
+        rank = Subspace(lm.dim, lm.ell, translates).dim
         rep.check(rank == len(translates) == cosets, what="translate-basis",
                   K=subset_tag(K), rank=rank)
     for J in datum.all_subsets():
@@ -638,16 +653,10 @@ def suite_parabolic_model(runner: SuiteRunner, seed: int) -> SuiteReport:
         piece = pieces[J]
         rep.check(EpJ.dim == piece.dim, what="model-dimension",
                   J=subset_tag(J), model=EpJ.dim, subquotient=piece.dim)
-        wJ = datum.longest_element(J)
-        translates = []
-        predicted = 0
-        for w in datum.y_set(J):
-            tail = wJ * w.inverse()
-            predicted += q_a ** tail.length
-            wD = lm.act(weyl_word(lm.group, w), D, handle)
-            for u_word in unipotent_words(lm.group, tail):
-                translates.append(lm.act(u_word, wD, handle))
-        rank = Subspace(handle.dim, lm.ell, np.array(translates)).dim
+        yD = lm.y_translates(J, D, handle)
+        predicted = sum(q_a ** tail.length for _, tail, _ in yD)
+        translates = np.vstack([lm.translates(tail, wD, handle) for _, tail, wD in yD])
+        rank = Subspace(handle.dim, lm.ell, translates).dim
         rep.check(rank == len(translates) == predicted == EpJ.dim, what="model-basis",
                   J=subset_tag(J), rank=rank, predicted=predicted)
         model_series = composition_series(restrict(handle, EpJ), seed=seed)
@@ -671,10 +680,7 @@ def suite_steinberg(runner: SuiteRunner, seed: int) -> SuiteReport:
         piece = pieces[J]
         wJ = datum.longest_element(J)
         eta = lm.alternating_sum(J)
-        base_vec = lm.u_sum(wJ, values, eta)
-        out = np.zeros(lm.dim, dtype=np.int64)
-        for w in datum.subgroup_elements(J):
-            out = (out + lm.sign(w) * lm.act_weyl(w, base_vec)) % lm.ell
+        out = lm.signed_sum(J, lm.u_sum(wJ, values, eta))
         rep.check(np.array_equal(piece.project(out), piece.C), what="signed-sum-identity",
                   J=subset_tag(J))
     full = frozenset(range(datum.rank))
@@ -702,16 +708,12 @@ def suite_level_steps(runner: SuiteRunner, seed: int) -> SuiteReport:
     mixed_difference_seen = False
     for J in datum.all_subsets():
         piece = pieces[J]
-        eta = lm.alternating_sum(J)
-        wJ = datum.longest_element(J)
-        for w in datum.y_set(J):
-            tail = wJ * w.inverse()
+        for w, tail, weta in lm.y_translates(J, lm.alternating_sum(J)):
             roots = datum.phi_minus(tail)
             t = len(roots)
             if t == 0:
                 rep.vacuous += 1
                 continue
-            weta = lm.act_weyl(w, eta)
             thetas = [lm.theta(tail, d, hi, lo, weta) for d in range(t + 1)]
             if not np.array_equal(piece.project(thetas[0]), piece.project(thetas[t])):
                 mixed_difference_seen = True
@@ -774,16 +776,14 @@ def suite_separation(runner: SuiteRunner, seed: int) -> SuiteReport:
     hi = lm.values()
     for J in datum.all_subsets():
         piece = pieces[J]
-        eta = lm.alternating_sum(J)
-        wJ = datum.longest_element(J)
-        ys = datum.y_set(J)
-        translates = {
-            w.perm: piece.project(lm.theta(wJ * w.inverse(), 0, hi, lo, lm.act_weyl(w, eta)))
-            for w in ys
-        }
-        configs = [("all", list(ys))]
+        ys = lm.y_translates(J, lm.alternating_sum(J))
+        translates = {w.perm: piece.project(lm.theta(tail, 0, hi, lo, weta)) for w, tail, weta in ys}
+        # the pure translates at both levels, in the order they are searched
+        targets = [((word_tag(w), level_name), piece.project(lm.u_sum(tail, vals, weta)))
+                   for w, tail, weta in ys for level_name, vals in (("a", lo), ("b", hi))]
+        configs = [("all", [w for w, _, _ in ys])]
         if len(ys) > 1:
-            configs += [("single:%s" % word_tag(w), [w]) for w in ys]
+            configs += [("single:%s" % word_tag(w), [w]) for w, _, _ in ys]
         for tag, Y in configs:
             xi = np.zeros(piece.dim, dtype=np.int64)
             for w in Y:
@@ -793,15 +793,7 @@ def suite_separation(runner: SuiteRunner, seed: int) -> SuiteReport:
                 rep.note("combination vanished for J=%s (%s)" % (subset_tag(J), tag))
                 continue
             M = spin(piece.handle, [xi])
-            found = None
-            for w in ys:
-                for level_name, vals in (("a", lo), ("b", hi)):
-                    target = piece.project(lm.u_sum(wJ * w.inverse(), vals, lm.act_weyl(w, eta)))
-                    if np.any(target) and M.contains(target):
-                        found = (word_tag(w), level_name)
-                        break
-                if found:
-                    break
+            found = next((where for where, target in targets if np.any(target) and M.contains(target)), None)
             rep.check(found is not None, what="witness-found", J=subset_tag(J), Y=tag)
             if found:
                 rep.witness(J=subset_tag(J), Y=tag, w=found[0], level=found[1])
@@ -820,22 +812,19 @@ def suite_induction(runner: SuiteRunner, seed: int) -> SuiteReport:
     hi = lm.values()
     pairs = []
     for J in datum.all_subsets():
-        ys = {y.perm: y for y in datum.y_set(J)}
-        for w in ys.values():
+        ys = {w.perm: (w, tail, weta) for w, tail, weta in lm.y_translates(J, lm.alternating_sum(J))}
+        for w, tail, weta in ys.values():
             for i in range(datum.rank):
                 sw = datum.simple_reflection(i) * w
                 if sw.length > w.length and sw.perm in ys:
-                    pairs.append((J, w, i))
+                    pairs.append((J, i, ys[sw.perm], (w, tail, weta)))
     if not pairs:
         return rep.skip("no admissible translate pairs exist for this configuration")
-    for J, w, i in pairs:
+    for J, i, (_, sw_tail, sw_eta), (w, tail, weta) in pairs:
         piece = pieces[J]
-        eta = lm.alternating_sum(J)
-        wJ = datum.longest_element(J)
-        sw = datum.simple_reflection(i) * w
-        seed_vec = piece.project(lm.u_sum(wJ * sw.inverse(), lo, lm.act_weyl(sw, eta)))
+        seed_vec = piece.project(lm.u_sum(sw_tail, lo, sw_eta))
         M = spin(piece.handle, [seed_vec])
-        target = piece.project(lm.u_sum(wJ * w.inverse(), hi, lm.act_weyl(w, eta)))
+        target = piece.project(lm.u_sum(tail, hi, weta))
         rep.check(np.any(target) and M.contains(target), what="membership",
                   J=subset_tag(J), w=word_tag(w), s=i + 1)
         rep.witness(J=subset_tag(J), w=word_tag(w), s=i + 1, generated_dim=M.dim)
@@ -860,10 +849,10 @@ def suite_socle(runner: SuiteRunner, seed: int) -> SuiteReport:
         Jp = full - J
         vJ, wJ, wJp = datum.w0_factorization(J)
         sigma_Jp = frozenset(sigma[i] for i in Jp)
-        frak = lm.parabolic_invariant_vector(Jp, values)
+        frak = lm.parabolic_invariant_vector(Jp)
         lead = wJ * vJ.inverse()
         # (a) the closed form of the opposite-subset generator
-        lhs = lm.socle_generator(sigma_Jp, values)
+        lhs = lm.socle_generator(sigma_Jp)
         rhs = lm.u_sum(lead, values, lm.act_weyl(vJ, lm.act_weyl(wJ, frak)))
         rep.check(np.array_equal(lhs, rhs), what="generator-closed-form", J=subset_tag(J))
         # (b) annihilation below the longest subgroup element, and (a') the
@@ -877,33 +866,32 @@ def suite_socle(runner: SuiteRunner, seed: int) -> SuiteReport:
         rep.check(np.array_equal(signed, (lm.sign(wJ) * lhs) % lm.ell),
                   what="signed-collapse", J=subset_tag(J))
         # (c) the generator spans the unique fixed line of its submodule
-        fJ = lm.socle_generator(J, values)
+        fJ = lm.socle_generator(J)
         SJ = spin(lm.handle, [fJ])
         verdict = meataxe_irreducible(restrict(lm.handle, SJ), seed=seed)
         rep.check(verdict.irreducible, what="generated-irreducible", J=subset_tag(J), dim=SJ.dim)
         fixed_in = SJ.intersect(u_fixed)
         rep.check(fixed_in.dim == 1 and u_fixed.contains(fJ), what="unique-fixed-line",
                   J=subset_tag(J), dim=fixed_in.dim)
-        for name, word in lm.parabolic_test_words(J):
-            img = lm.act(word, fJ)
-            pivot = int(np.flatnonzero(fJ)[0])
+        pivot = int(np.flatnonzero(fJ)[0])
+
+        def on_line(img):
+            """Is img a multiple of fJ?"""
             lam = img[pivot] * pow(int(fJ[pivot]), lm.ell - 2, lm.ell) % lm.ell
-            rep.check(np.array_equal(img, lam * fJ % lm.ell), what="line-stabilized",
-                      J=subset_tag(J), generator=name)
+            return np.array_equal(img, lam * fJ % lm.ell)
+
+        for name, word in lm.parabolic_test_words(J):
+            rep.check(on_line(lm.act(word, fJ)), what="line-stabilized", J=subset_tag(J), generator=name)
         for j in sorted(full - J):
             neg = datum.simple_indices[j] + datum.n_pos
-            img = lm.act([(neg, 1)], fJ)
-            pivot = int(np.flatnonzero(fJ)[0])
-            lam = img[pivot] * pow(int(fJ[pivot]), lm.ell - 2, lm.ell) % lm.ell
-            rep.check(not np.array_equal(img, lam * fJ % lm.ell), what="line-moved-outside",
-                      J=subset_tag(J), j=j + 1)
+            rep.check(not on_line(lm.act([(neg, 1)], fJ)), what="line-moved-outside", J=subset_tag(J), j=j + 1)
         # (d) unique minimal submodule of the parabolic model
         phandle = lm.parabolic(Jp)
         D = lm.parabolic_alternating_sum(J)
         EpJ = spin(phandle, [D])
         # socle_simple_check reads the fixed space of the unipotent labels
         sub = restrict(phandle, EpJ, phandle.spin_labels + lm.unipotent_labels())
-        vec = lm.act(weyl_word(lm.group, vJ), D, phandle)
+        vec = lm.act_weyl(vJ, D, phandle)
         cand_amb = lm.sign(wJ) * lm.u_sum(lead, values, vec, handle=phandle) % lm.ell
         rep.check(np.any(cand_amb), what="candidate-nonzero", J=subset_tag(J))
         cand = EpJ.coords(cand_amb)

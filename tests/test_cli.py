@@ -1,5 +1,6 @@
 """Exit codes, JSON shape, and determinism of the command-line front end."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -130,6 +131,52 @@ def test_inspect_output(capsys):
     assert "sigma  1->2  2->1" in out
     assert "YJ[J=1]  size=2" in out
     assert "eta[J=-]  support=1  0:1" in out
+
+
+INSPECT_VECTORS = ["D:J=-", "D:J=1", "D:J=12", "fK:K=-", "fK:K=1", "fK:K=2", "fK:K=12",
+                   "fJ:J=-", "fJ:J=1", "fJ:J=2", "fJ:J=12"]
+
+
+def inspect_text(capsys, kind, q):
+    assert main(["inspect", "--type", kind, "--q", str(q)] + INSPECT_VECTORS) == 0
+    return capsys.readouterr().out
+
+
+def test_inspect_vectors_a2_q2(capsys):
+    # the output of the vectors before they were built from signed_sum and
+    # a shared unipotent-translate loop
+    assert inspect_text(capsys, "A2", 2) == """\
+D[J=-] in dim-1 induced module  support=1  0:1
+D[J=1] in dim-7 induced module  support=2  0:1 2:1
+D[J=12] in dim-21 induced module  support=6  0:1 3:1 6:1 14:1 17:1 20:1
+fK[K=-]  support=1  0:1
+fK[K=1]  support=3  0:1 1:1 3:1
+fK[K=2]  support=3  0:1 2:1 6:1
+fK[K=12]  support=21  %s
+fJ[J=-]  support=8  8:1 12:1 13:1 15:1 16:1 18:1 19:1 20:1
+fJ[J=1]  support=12  4:1 7:1 8:1 9:1 12:1 13:1 14:1 15:1 16:1 18:1 19:1 20:1
+fJ[J=2]  support=12  5:1 8:1 10:1 11:1 12:1 13:1 15:1 16:1 17:1 18:1 19:1 20:1
+fJ[J=12]  support=21  %s
+""" % (" ".join("%d:1" % i for i in range(21)), " ".join("%d:1" % i for i in range(21)))
+
+
+def test_inspect_vectors_b2_q3(capsys):
+    # Sp_4 at odd q, where the signs of the alternating sums are not all 1;
+    # the whole output is pinned by its SHA-256, the short lines verbatim
+    text = inspect_text(capsys, "B2", 3)
+    lines = text.splitlines()
+    assert lines[:6] == [
+        "D[J=-] in dim-1 induced module  support=1  0:1",
+        "D[J=1] in dim-40 induced module  support=2  0:1 4:2",
+        "D[J=12] in dim-160 induced module  support=8  0:1 7:2 15:2 50:1 105:1 118:2 129:2 159:1",
+        "fK[K=-]  support=1  0:1",
+        "fK[K=1]  support=4  0:1 1:1 3:1 7:1",
+        "fK[K=2]  support=4  0:1 2:1 6:1 15:1",
+    ]
+    assert [line.split("  ")[1] for line in lines[6:]] == [
+        "support=160", "support=81", "support=108", "support=108", "support=160"]
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "277dfe178f31221627282c987e5bb2edf6842653dd1b668b6802f44df568f993"
 
 
 def test_module_entry_point_runs():

@@ -553,6 +553,17 @@ def test_restrict_quotient_match_per_vector_reference(l, build):
             assert np.array_equal(project(v), ref_project(v))
 
 
+@pytest.mark.parametrize("l", [2, 3, 5])
+@pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
+def test_quotient_projects_a_block_row_by_row(l, build):
+    # the projection reads the free coordinates of each row, not rows of the block
+    handle = build(l)
+    block = np.random.default_rng(l).integers(0, l, size=(handle.dim + 2, handle.dim))
+    for d in (0, 1, handle.dim - 1):
+        _, project = quotient(handle, submodule_of_dim(handle, d))
+        assert np.array_equal(project(block), np.array([project(v) for v in block]))
+
+
 @pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
 def test_restrict_quotient_reject_non_invariant(build):
     handle = build(3)

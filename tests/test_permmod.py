@@ -11,6 +11,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from chevperm.chevalley import unipotent_words, weyl_word
 from chevperm.gf import make_field
 from chevperm.permmod import (
     FIXED_POINT_TRIALS,
@@ -175,6 +176,53 @@ def test_vector_operators_match_dense_products(kind, q):
                 M = dense_chain(lm.handle, [(ri, top if pos < d else bottom) for pos, ri in enumerate(roots)])
                 for i, e in enumerate(np.eye(lm.dim, dtype=np.int64)):
                     assert np.array_equal(lm.theta(w, d, top, bottom, e), M[:, i])
+
+
+# -- Weyl translates against explicit loops -------------------------------------
+
+
+@pytest.mark.parametrize("kind,q", [("A2", 2), ("A2", 3), ("B2", 3)])
+def test_translates_match_unipotent_words(kind, q):
+    # the word-by-word path is the oracle; B2 q=3 is Sp_4 at odd q
+    lm = ctx(kind, q).base
+    rng = np.random.default_rng(q)
+    for handle in (lm.handle, lm.parabolic(frozenset({0}))):
+        v = rng.integers(0, lm.ell, size=handle.dim)
+        for w in lm.datum.elements:
+            block = lm.translates(w, v, handle)
+            oracle = [lm.act(u, v, handle) for u in unipotent_words(lm.group, w)]
+            # the same rows, in the words' order, summing to the collected operator
+            assert len(block) == q ** w.length
+            assert np.array_equal(block, np.array(oracle))
+            assert np.array_equal(block.sum(axis=0) % lm.ell, lm.u_sum(w, lm.values(), v, handle))
+
+
+@pytest.mark.parametrize("kind,q", [("A2", 2), ("B2", 3)])
+def test_signed_sum_and_y_translates_match_explicit_loops(kind, q):
+    lm = ctx(kind, q).base
+    datum = lm.datum
+    rng = np.random.default_rng(q)
+    for handle in (lm.handle, lm.parabolic(frozenset({1}))):
+        v = rng.integers(0, lm.ell, size=handle.dim)
+        for J in datum.all_subsets():
+            total = np.zeros(handle.dim, dtype=np.int64)
+            for w in datum.subgroup_elements(J):
+                total += (-1) ** w.length * lm.act(weyl_word(lm.group, w), v, handle)
+            assert np.array_equal(lm.signed_sum(J, v, handle), total % lm.ell)
+            wJ = datum.longest_element(J)
+            ys = lm.y_translates(J, v, handle)
+            assert [w for w, _, _ in ys] == datum.y_set(J)
+            for w, tail, wv in ys:
+                assert tail == wJ * w.inverse()
+                assert np.array_equal(wv, lm.act(weyl_word(lm.group, w), v, handle))
+
+
+def test_pieces_project_translate_blocks_row_by_row():
+    lm = ctx("A2", 2).base
+    for J, piece in lm.filtration().items():
+        for _, tail, weta in lm.y_translates(J, lm.alternating_sum(J)):
+            block = lm.translates(tail, weta)
+            assert np.array_equal(piece.project(block), np.array([piece.project(v) for v in block]))
 
 
 def test_embedded_values_and_transversal():
