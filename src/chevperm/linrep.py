@@ -33,18 +33,24 @@ explicit label list, for callers that read other labels of a submodule:
 The irreducibility criterion used: for a singular algebra element A, if
 some proper submodule exists then either a vector of ker A generates a
 proper submodule, or every functional in ker A^T generates a proper
-submodule of the transpose module.  So if every line of both kernels
-generates the module, it is irreducible; the search keeps drawing random
-short algebra words until a kernel small enough to enumerate appears.  The lines
-need not be spun one by one: for c != 0, pi_c : M^j -> M, (x_i) ->
-sum c_i x_i, is a module map onto M, so if the last j kernel rows, stacked
-as one vector of M^j, spin to all of M^j, every line of their span generates
-M.  Those lines are the first (l^j - 1)/(l - 1) in `line_representatives`
-order.  With nu = dim ker A, the l^(j-1) lines led by row nu - j are
-certified by one stacked spin when j^3 <= l^(j-1) (the stack costs about
-j^3 single-line spins), until a stack first falls short; every other line
-is spun on its own.  At l = 2 that needs j >= 12, more rows than a kernel
-within MEATAXE_LINE_BUDGET has, so there every line is spun alone.
+submodule of the transpose module.  So if every line of ker A and one line
+of ker A^T generate, the module is irreducible; the search keeps drawing
+random short algebra words until a kernel small enough to enumerate appears.
+
+The primal side checks every line of ker A, but not one by one: for c != 0,
+pi_c : M^j -> M, (x_i) -> sum c_i x_i, is a module map onto M, so if the
+last j kernel rows, stacked as one vector of M^j, spin to all of M^j, every
+line of their span generates M.  Those lines are the first
+(l^j - 1)/(l - 1) in `line_representatives` order.  With nu = dim ker A,
+the l^(j-1) lines led by row nu - j are certified by one stacked spin when
+j^3 <= l^(j-1) (the stack costs about j^3 single-line spins), until a stack
+first falls short; every other line is spun on its own.  At l = 2 that
+needs j >= 12, more rows than a kernel within MEATAXE_LINE_BUDGET has, so
+there every line is spun alone.
+
+The transpose side needs one vector (Norton's criterion, argued in
+`meataxe_irreducible`): once every line of ker A generates M, either every
+line of ker A^T generates M^T or none does.
 """
 
 from __future__ import annotations
@@ -107,39 +113,53 @@ class Subspace:
     rows and inserts it at its sorted pivot position, so `rows` and `pivots`
     are the canonical RREF after every step.  The rows live in a buffer that
     grows by doubling, capped at n rows, and is trimmed to the basis once
-    the subspace is built.
+    the subspace is built; an intp array of the pivots is kept in step with
+    it, for the gathers of `reduce` and `coords`.  Vectors are reduced mod l
+    once where they enter (the rows given here, the seeds of `spin`), so
+    `_add` takes entries in [0, l): the images of such vectors under the
+    actions stay in [0, l).
     """
 
     def __init__(self, n: int, l: int, rows: Optional[np.ndarray] = None):
         self.n = n
         self.l = l
         self.pivots: Tuple[int, ...] = ()
-        rows = np.zeros((0, n), dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
+        rows = np.zeros((0, n), dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64) % l
         self._buf = np.zeros((min(n, len(rows)), n), dtype=np.int64)
+        self._piv = np.zeros(len(self._buf), dtype=np.intp)
         for v in rows:
             self._add(v)
         self._trim()
 
     def _add(self, v: np.ndarray) -> Optional[np.ndarray]:
-        """Add a vector to the span; returns its new basis row (a copy), or
-        None if the vector was already in the span."""
-        v = self.reduce(v)
+        """Add a vector with entries in [0, l) to the span; returns its new
+        basis row (not a view of the buffer), or None if the vector was
+        already in the span."""
+        k = self.dim
+        if k:
+            v = (v - v[self._piv[:k]] @ self._buf[:k]) % self.l
         nz = v.nonzero()[0]
         if not len(nz):
             return None
         p = int(nz[0])
-        v = (v * pow(int(v[p]), -1, self.l)) % self.l
-        k = self.dim
+        if v[p] != 1:
+            v = (v * pow(int(v[p]), -1, self.l)) % self.l
         R = self._buf[:k]
         R -= np.outer(R[:, p], v)
         R -= (R // self.l) * self.l  # R %= l, but numpy's int64 remainder is slower
         if k == len(self._buf):
-            grown = np.zeros((min(self.n, max(1, 2 * k)), self.n), dtype=np.int64)
+            size = min(self.n, max(1, 2 * k))
+            grown = np.zeros((size, self.n), dtype=np.int64)
             grown[:k] = R
             self._buf = grown
+            grown = np.zeros(size, dtype=np.intp)
+            grown[:k] = self._piv[:k]
+            self._piv = grown
         i = bisect.bisect(self.pivots, p)
         self._buf[i + 1 : k + 1] = self._buf[i:k]
         self._buf[i] = v
+        self._piv[i + 1 : k + 1] = self._piv[i:k]
+        self._piv[i] = p
         self.pivots = self.pivots[:i] + (p,) + self.pivots[i:]
         return v
 
@@ -147,6 +167,7 @@ class Subspace:
         """Release the unused buffer rows once no more vectors will arrive."""
         if len(self._buf) > self.dim:
             self._buf = self.rows.copy()
+            self._piv = self._piv[: self.dim].copy()
         return self
 
     @property
@@ -168,7 +189,7 @@ class Subspace:
     def reduce(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.int64) % self.l
         if self.dim:
-            v = (v - v[..., list(self.pivots)] @ self.rows) % self.l
+            v = (v - v[..., self._piv[: self.dim]] @ self.rows) % self.l
         return v
 
     def contains(self, v) -> bool:
@@ -177,7 +198,7 @@ class Subspace:
 
     def coords(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.int64) % self.l
-        c = v[..., list(self.pivots)]
+        c = v[..., self._piv[: self.dim]]
         assert not np.any((v - c @ self.rows) % self.l), "vector outside the subspace"
         return c
 
@@ -185,8 +206,21 @@ class Subspace:
         return (np.asarray(coords, dtype=np.int64) @ self.rows) % self.l
 
     def sum(self, other: "Subspace") -> "Subspace":
+        """The sum, as the larger operand's RREF extended by the other's rows:
+        a copy of its rows and pivots in a buffer of dim + dim' rows (at most
+        n), then one `_add` per row of the smaller operand."""
         assert (self.n, self.l) == (other.n, other.l)
-        return Subspace(self.n, self.l, np.vstack([self.rows, other.rows]))
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
+        out = Subspace(self.n, self.l)
+        size = min(self.n, big.dim + small.dim)
+        out._buf = np.zeros((size, self.n), dtype=np.int64)
+        out._buf[: big.dim] = big.rows
+        out._piv = np.zeros(size, dtype=np.intp)
+        out._piv[: big.dim] = big._piv[: big.dim]
+        out.pivots = big.pivots
+        for v in small.rows:
+            out._add(v)
+        return out._trim()
 
     def intersect(self, other: "Subspace") -> "Subspace":
         stacked = np.vstack([self.rows, other.rows])
@@ -311,7 +345,7 @@ def spin(handle: ModuleHandle, seeds: Iterable[np.ndarray]) -> Subspace:
     on which each label acts row by row (`images`); all seeds have one
     shape, and the result is a subspace of GF(l)^(m d).
     """
-    blocks = [np.asarray(s, dtype=np.int64).reshape(-1, handle.dim) for s in seeds]
+    blocks = [np.asarray(s, dtype=np.int64).reshape(-1, handle.dim) % handle.l for s in seeds]
     m = len(blocks[0]) if blocks else 1
     if m == 1:
         act = handle.apply  # the same map as below; on one vector a scatter beats a 2-D gather
@@ -476,15 +510,16 @@ def meataxe_irreducible(handle: ModuleHandle, seed: int = 0, budget: int = 200) 
     """Certified irreducibility test.
 
     Draws random short algebra elements until one has a small nonzero
-    kernel, then checks that every line of the kernel and of the transpose
-    kernel generates the module (`_first_proper_spin`: stacked spins where
-    they pay, single-line spins elsewhere).  The spin of the first line that
-    does not, in `line_representatives` order, decides: on the primal side
-    it is itself a witness submodule; on the transpose side its perp is (and
-    is checked to be) invariant.  If both sides only produce the full space
-    the module is irreducible and the verdict carries the certifying data.
-    A final fallback checks every line of the whole space the same way when
-    that is affordable.
+    kernel, then checks that every line of the kernel generates the module
+    (`_first_proper_spin`: stacked spins where they pay, single-line spins
+    elsewhere); the spin of the first line that does not, in
+    `line_representatives` order, is a witness submodule.  Once every line
+    of ker A generates, one spin of the last row of ker A^T in the transpose
+    module settles the transpose side (Norton's criterion, argued below): if
+    it falls short, its perp is (and is checked to be) an invariant witness.
+    If both sides only produce the full space the module is irreducible and
+    the verdict carries the certifying data.  A final fallback checks every
+    line of the whole space, as on the primal side, when that is affordable.
     """
     d = handle.dim
     if d == 0:
@@ -509,8 +544,14 @@ def meataxe_irreducible(handle: ModuleHandle, seed: int = 0, budget: int = 200) 
             tr = handle.transpose()
         kerT = nullspace(A.T, handle.l)
         assert len(kerT) == nu
-        S = _first_proper_spin(tr, kerT)
-        if S is not None:
+        # Norton's criterion: every line of ker A generates M, so a proper
+        # submodule N != 0 meets ker A in 0 and A is bijective on N; then
+        # w^T (A n') = 0 for w in ker A^T, so ker A^T lies in N^perp, a proper
+        # submodule of M^T.  Either every line of ker A^T generates M^T or
+        # none does, and the first line in `line_representatives` order,
+        # the last kernel row, decides.
+        S = spin(tr, [kerT[-1]])
+        if S.dim < d:
             witness = S.perp()
             for lbl in handle.spin_labels:
                 assert witness.contains(handle.images(lbl, witness.rows))

@@ -778,9 +778,12 @@ def suite_separation(runner: SuiteRunner, seed: int) -> SuiteReport:
         piece = pieces[J]
         ys = lm.y_translates(J, lm.alternating_sum(J))
         translates = {w.perm: piece.project(lm.theta(tail, 0, hi, lo, weta)) for w, tail, weta in ys}
-        # the pure translates at both levels, in the order they are searched
-        targets = [((word_tag(w), level_name), piece.project(lm.u_sum(tail, vals, weta)))
-                   for w, tail, weta in ys for level_name, vals in (("a", lo), ("b", hi))]
+        # the pure translates at both levels, in the order they are searched;
+        # theta at split 0 is u_sum at level a, so the level-a translate is
+        # the one just projected
+        targets = [target for w, tail, weta in ys for target in (
+            ((word_tag(w), "a"), translates[w.perm]),
+            ((word_tag(w), "b"), piece.project(lm.u_sum(tail, hi, weta))))]
         configs = [("all", [w for w, _, _ in ys])]
         if len(ys) > 1:
             configs += [("single:%s" % word_tag(w), [w]) for w, _, _ in ys]

@@ -1,6 +1,7 @@
 """Exact linear algebra and module machinery, checked against small
 hand-computable oracles and a brute-forced submodule lattice."""
 
+import collections
 import itertools
 
 import numpy as np
@@ -26,6 +27,7 @@ from chevperm.linrep import (
     socle_simple_check,
     spin,
 )
+from chevperm.permmod import LevelModule
 
 
 # -- row echelon / nullspace --------------------------------------------------
@@ -178,6 +180,60 @@ def test_dimension_formula(rows_a, rows_b):
     A = Subspace(4, 3, np.array(rows_a))
     B = Subspace(4, 3, np.array(rows_b))
     assert A.sum(B).dim + A.intersect(B).dim == A.dim + B.dim
+
+
+@st.composite
+def subspace_rows(draw, l, n):
+    """Rows mod l spanning a zero, full, random or rank-deficient subspace
+    of GF(l)^n, shifted by multiples of l: Subspace reduces them on entry."""
+    kind = draw(st.sampled_from(["zero", "full", "random", "deficient"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(0, n + 2))
+    if kind == "zero":
+        M = np.zeros((m, n), dtype=np.int64)
+    elif kind == "full":
+        M = np.vstack([rng.permutation(np.eye(n, dtype=np.int64)), rng.integers(0, l, size=(m, n))])
+    elif kind == "deficient":
+        r = draw(st.integers(0, max(0, n - 1)))
+        M = (rng.integers(0, l, size=(m, r)) @ rng.integers(0, l, size=(r, n))) % l
+    else:
+        M = rng.integers(0, l, size=(m, n))
+    return M + l * rng.integers(-2, 3, size=M.shape)
+
+
+@st.composite
+def subspace_triples(draw):
+    l = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 8))
+    return l, n, [draw(subspace_rows(l, n)) for _ in range(3)]
+
+
+def assert_same_rref(S, ref):
+    assert (S.n, S.l) == (ref.n, ref.l)
+    assert S.pivots == ref.pivots and np.array_equal(S.rows, ref.rows)
+    assert len(S._buf) == len(S._piv) == S.dim  # trimmed
+    assert S._piv.tolist() == list(S.pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspace_triples())
+def test_sum_matches_the_stacked_rref(case):
+    l, n, (MA, MB, MC) = case
+    A, B, C = (Subspace(n, l, M) for M in (MA, MB, MC))
+    for S, M in ((A, MA), (B, MB), (C, MC)):
+        assert_same_rref(S, Subspace(n, l, M % l))
+    # either operand larger, zero or full: the order of the operands and of
+    # the rows does not change the canonical RREF
+    AB = Subspace(n, l, np.vstack([A.rows, B.rows]))
+    assert_same_rref(A.sum(B), AB)
+    assert_same_rref(B.sum(A), AB)
+    # a sum summed again, on either side
+    ABC = Subspace(n, l, np.vstack([MA, MB, MC]))
+    assert_same_rref(A.sum(B).sum(C), ABC)
+    assert_same_rref(C.sum(B.sum(A)), ABC)
+    # the operands are left as they were
+    assert_same_rref(A, Subspace(n, l, MA % l))
+    assert_same_rref(B, Subspace(n, l, MB % l))
 
 
 def test_line_representatives_count():
@@ -910,3 +966,97 @@ def test_block_spin_matches_direct_sum(l, build):
             assert S.pivots == ref.pivots and np.array_equal(S.rows, ref.rows)
         blocks = rng.integers(0, l, size=(2, m, handle.dim))
         assert spin(handle, list(blocks)) == spin(big, [b.ravel() for b in blocks])
+
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+@pytest.mark.parametrize("build", HANDLES, ids=HANDLE_IDS)
+def test_spin_reduces_its_seeds_on_entry(l, build):
+    # _add takes entries in [0, l); spin reduces its seeds, of either shape
+    handle = build(l)
+    rng = np.random.default_rng(l)
+    for shape in ((handle.dim,), (2, handle.dim)):
+        seed = rng.integers(0, l, size=shape)
+        shifted = seed + l * rng.integers(-3, 4, size=shape)
+        S, ref = spin(handle, [shifted]), spin(handle, [seed])
+        assert S.pivots == ref.pivots and np.array_equal(S.rows, ref.rows)
+
+
+# -- the transpose side: one spin (Norton) against every line ------------------
+
+
+def every_line_meataxe(handle, seed=0, budget=200):
+    """Reference: the MeatAxe with every line of ker A and of ker A^T spun
+    one at a time, drawing the same elements in the same order."""
+    d = handle.dim
+    if d == 1:
+        return linrep.Verdict(True, certificate={"method": "dimension-1"})
+    rng = np.random.default_rng(seed)
+    for attempt in range(budget):
+        A, spec = _random_algebra_element(handle, rng, linrep.MEATAXE_MAX_WORD)
+        ker = nullspace(A, handle.l)
+        nu = len(ker)
+        n_lines = (handle.l**nu - 1) // (handle.l - 1)
+        if nu in (0, d) or n_lines > linrep.MEATAXE_LINE_BUDGET:
+            continue
+        S = first_proper_spin_per_line(handle, ker)
+        if S is not None:
+            return linrep.Verdict(False, witness=S, certificate={"method": "kernel-spin", "element": spec})
+        S = first_proper_spin_per_line(handle.transpose(), nullspace(A.T, handle.l))
+        if S is not None:
+            return linrep.Verdict(False, witness=S.perp(),
+                                  certificate={"method": "transpose-kernel", "element": spec})
+        return linrep.Verdict(True, certificate={"method": "singular-element", "element": spec,
+                                                 "nullity": nu, "lines": n_lines, "attempt": attempt})
+    n_lines = (handle.l**d - 1) // (handle.l - 1)
+    assert n_lines <= linrep.MEATAXE_LINE_BUDGET
+    S = first_proper_spin_per_line(handle, np.eye(d, dtype=np.int64))
+    if S is not None:
+        return linrep.Verdict(False, witness=S, certificate={"method": "exhaustive-lines"})
+    return linrep.Verdict(True, certificate={"method": "exhaustive-lines", "lines": n_lines})
+
+
+def norton_modules(l):
+    """The brute-forced lattice modules, the field extension, and the flag
+    module of A2 q=2 and q=3 with every piece of its filtration."""
+    yield "flag", flag_module(l)
+    yield "uniserial", uniserial_module(l)
+    yield "dual-sum", dual_sum_module(l)
+    yield "field", field_module(l, 2)
+    for q in (2, 3):
+        lm = LevelModule("A2", q, l)
+        yield "A2-%d" % q, lm.handle
+        for J, piece in lm.filtration().items():
+            yield "A2-%d-piece-%s" % (q, "".join(str(i + 1) for i in sorted(J))), piece.handle
+
+
+def assert_same_verdict(got, ref):
+    assert got.irreducible == ref.irreducible
+    assert got.certificate == ref.certificate
+    assert (got.witness is None) == (ref.witness is None)
+    if ref.witness is not None:
+        assert got.witness.pivots == ref.witness.pivots
+        assert np.array_equal(got.witness.rows, ref.witness.rows)
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+def test_norton_transpose_spin_matches_every_line(l):
+    methods = collections.Counter()
+    for name, handle in norton_modules(l):
+        for seed in range(6):
+            got = meataxe_irreducible(handle, seed=seed)
+            assert_same_verdict(got, every_line_meataxe(handle, seed=seed))
+            methods[got.certificate["method"]] += 1
+    assert methods["kernel-spin"] and methods["singular-element"] and methods["exhaustive-lines"]
+    # the transpose side decides some of these at l = 2 and 3
+    assert methods["transpose-kernel"] or l == 5, methods
+
+
+def test_norton_decides_a_reducible_piece_on_the_transpose_side():
+    # A2 q=2 at l = 3, the top piece: with seed 0, every line of ker A
+    # generates, and the one transposed spin finds the submodule
+    handle = LevelModule("A2", 2, 3).filtration()[frozenset({0, 1})].handle
+    got = meataxe_irreducible(handle, seed=0)
+    assert got.certificate["method"] == "transpose-kernel" and not got.irreducible
+    assert 0 < got.witness.dim < handle.dim
+    assert_same_verdict(got, every_line_meataxe(handle, seed=0))

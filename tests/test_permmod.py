@@ -380,6 +380,20 @@ def test_separation_suite():
     assert levels <= {"a", "b"} and levels
 
 
+def test_theta_at_split_zero_is_the_level_a_unipotent_sum():
+    # separation reads its level-a targets from the theta translates
+    c = ctx("A2", 2, b=2)
+    lm = c.ext
+    lo, hi = c.sub_values(), lm.values()
+    seen = 0
+    for J in lm.datum.all_subsets():
+        for w, tail, weta in lm.y_translates(J, lm.alternating_sum(J)):
+            for v in (weta, lm.unit(), lm.handle.basis_vector(lm.dim - 1)):
+                assert np.array_equal(lm.theta(tail, 0, hi, lo, v), lm.u_sum(tail, lo, v))
+            seen += 1
+    assert seen == 6
+
+
 def test_induction_suite_and_skip():
     rep = suite_induction(ctx("A2", 2, b=2), 0)
     assert rep.ok and rep.failed == 0, rep.failures
