@@ -450,13 +450,24 @@ def _match_root_element(group: MatrixGroup, root_index: int, M: np.ndarray) -> O
     return None
 
 
+def _sweep_cases(cases: list, cap: int, samples: int, rng) -> Tuple[list, str]:
+    """All the cases with mode "exhaustive", or `samples` of them drawn
+    when there are more than both `cap` and `samples`."""
+    if len(cases) <= max(cap, samples):
+        return cases, "exhaustive"
+    idx = rng.choice(len(cases), size=samples, replace=False)
+    return [cases[int(k)] for k in idx], "sampled"
+
+
 def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 1000, seed: int = 0):
     """Exact sweeps of the basic structure of the group: root-subgroup
     homomorphisms, torus normalization with the right character, Weyl
     conjugation between root subgroups, unique factored form of the
     unipotent radical and its w-split, and commutator relations with
     structure constants solved from the data.  Sweeps whose index set
-    exceeds `cap` are sampled (`samples` cases) with a seeded generator.
+    exceeds `cap` are sampled (`samples` cases) with a seeded generator;
+    the torus and Weyl sweeps stay exhaustive when they have no more than
+    `samples` cases.
 
     Returns {fact: {"checked", "vacuous", "failures", "mode", "notes"}}.
     """
@@ -496,39 +507,28 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
     # (b) torus normalizes each root subgroup, scaling by the root character
     e = entry()
     torus = group.torus_elements()
-    total = len(torus) * len(datum.roots) * (F.order - 1)
-    mode = "exhaustive"
-    cases = [
+    cases, e["mode"] = _sweep_cases([
         (t, ri, c)
         for t in torus
         for ri in range(len(datum.roots))
         for c in F.units()
-    ]
-    if total > cap:
-        mode = "sampled"
-        idx = rng.choice(len(cases), size=samples, replace=False)
-        cases = [cases[int(k)] for k in idx]
+    ], cap, samples, rng)
     for t, ri, c in cases:
         e["checked"] += 1
         lhs = group.mul(t, group.root_element(ri, c), group.inv(t))
         want = group.root_element(ri, F.mul(group.root_character(ri, t), c))
         if not np.array_equal(lhs, want):
             e["failures"].append(("torus", ri, c))
-    e["mode"] = mode
     report["torus-action"] = e
 
     # (c) Weyl conjugation maps the root subgroup of alpha onto that of w(alpha)
     e = entry()
-    cases = [
+    cases, e["mode"] = _sweep_cases([
         (w, ri, c)
         for w in datum.elements
         for ri in range(len(datum.roots))
         for c in F.units()
-    ]
-    if len(cases) > cap:
-        e["mode"] = "sampled"
-        idx = rng.choice(len(cases), size=samples, replace=False)
-        cases = [cases[int(k)] for k in idx]
+    ], cap, samples, rng)
     for w, ri, c in cases:
         e["checked"] += 1
         wd = group.weyl_rep(w)

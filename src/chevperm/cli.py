@@ -70,9 +70,8 @@ def _summary_lines(reports):
 
 
 def cmd_run(args):
-    b = 2 * args.a if args.b is None else args.b
     try:
-        runner = SuiteRunner(args.type, args.q, a=args.a, b=b, char=args.char,
+        runner = SuiteRunner(args.type, args.q, a=args.a, b=args.b, char=args.char,
                              budget=args.budget, seed=args.seed, samples=args.samples)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -93,7 +92,7 @@ def cmd_run(args):
     payload = {
         "schema": "1",
         "config": {
-            "type": args.type, "q": args.q, "a": args.a, "b": b, "char": runner.char,
+            "type": args.type, "q": args.q, "a": args.a, "b": runner.b, "char": runner.char,
             "seed": args.seed, "budget": args.budget, "samples": args.samples,
             "suites": requested,
         },

@@ -139,9 +139,6 @@ class Field:
     def neg(self, a: int) -> int:
         return int(self.tables()[2][a])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         return int(self.tables()[1][a, b])
 

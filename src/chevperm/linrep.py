@@ -9,16 +9,15 @@ ModuleHandle bundles an ambient dimension with invertible labelled actions
 used for submodule closure.  An action is read only through `apply` (one
 vector), `images` (a block of rows, rows A^T) and `pullback` (rows A); on a
 permutation each is an index gather.  `transpose` gives the transpose
-module.  On top of that: spinning, fixed spaces,
-restriction and quotient, an irreducibility test in the random-singular-
-element style with certified verdicts, recursive composition series, and a
-socle check that enumerates the fixed lines of a p-group action.
+module.  On top of that: spinning, fixed spaces of permutation labels (orbit
+sums), restriction and quotient, an irreducibility test in the random-
+singular-element style with certified verdicts, recursive composition
+series, and a socle check that enumerates the lines of a p-group fixed space.
 
 Restriction and quotient work on whole matrices, exact mod l.  Each checks
 one identity for every label in the input handle's `actions`, spin or not,
 but builds and stores an action only for the spin labels, the only ones that
-spinning, the MeatAxe and composition series read; `restrict` also takes an
-explicit label list, for callers that read other labels of a submodule:
+spinning, the MeatAxe and composition series read:
 
   restrict  S (k x n, RREF rows) invariant: with img = S A^T (the images of
             the rows) and C = img[:, pivots], assert C S == img on the free
@@ -202,9 +201,6 @@ class Subspace:
         assert not np.any((v - c @ self.rows) % self.l), "vector outside the subspace"
         return c
 
-    def lift(self, coords: np.ndarray) -> np.ndarray:
-        return (np.asarray(coords, dtype=np.int64) @ self.rows) % self.l
-
     def sum(self, other: "Subspace") -> "Subspace":
         """The sum, as the larger operand's RREF extended by the other's rows:
         a copy of its rows and pivots in a buffer of dim + dim' rows (at most
@@ -232,9 +228,6 @@ class Subspace:
 
     def __eq__(self, other) -> bool:
         return self.dim == other.dim and np.array_equal(self.rows, other.rows)
-
-    def __contains__(self, v) -> bool:
-        return self.contains(v)
 
     def __repr__(self) -> str:
         return "Subspace(dim=%d of %d, mod %d)" % (self.dim, self.n, self.l)
@@ -371,34 +364,36 @@ def spin(handle: ModuleHandle, seeds: Iterable[np.ndarray]) -> Subspace:
     return S._trim()
 
 
-def fixed_space(handle: ModuleHandle, labels: Optional[Sequence[Hashable]] = None) -> Subspace:
-    """Common kernel of (action - 1) over the given labels (default: spin set).
+def fixed_space(handle: ModuleHandle, labels: Sequence[Hashable]) -> Subspace:
+    """The fixed space of the group that the labels, each a permutation,
+    generate: the span of its orbit indicators.  Minima propagate along the
+    labels' index arrays until stable; then root is constant on each label's
+    cycles, hence on orbits, and root[x] <= x is the orbit's smallest point.
+    Disjoint indicators led by their smallest points are already the RREF."""
+    actions = [handle.actions[label] for label in labels]
+    assert all(kind == "perm" for kind, _, _ in actions), "fixed_space needs permutation labels"
+    points = np.arange(handle.dim)
+    root, before = points.copy(), None
+    while not np.array_equal(root, before):
+        before = root.copy()
+        for _, fwd, _ in actions:
+            np.minimum(root, root[fwd], out=root)
+    smallest = points[root == points]
+    return Subspace(handle.dim, handle.l, (root == smallest[:, None]).astype(np.int64))
 
-    Fixing the generators fixes the generated group, so this is the full
-    fixed space of that group.
-    """
-    labels = handle.spin_labels if labels is None else list(labels)
-    if not labels:
-        return Subspace(handle.dim, handle.l, np.eye(handle.dim, dtype=np.int64))
-    eye = np.eye(handle.dim, dtype=np.int64)
-    stacked = np.vstack([(handle.pullback(lbl, eye) - eye) % handle.l for lbl in labels])
-    return Subspace(handle.dim, handle.l, nullspace(stacked, handle.l))
 
-
-def restrict(handle: ModuleHandle, sub: Subspace,
-             labels: Optional[Sequence[Hashable]] = None) -> ModuleHandle:
+def restrict(handle: ModuleHandle, sub: Subspace) -> ModuleHandle:
     """The module structure on an invariant subspace, in its basis coords.
 
     For every label of the handle, the images S A^T of the basis rows S have
     coordinates C = (S A^T)[:, pivots], and C S == S A^T is asserted on the
     free columns; on the pivot columns S is the identity, so there it holds
     by construction.  That costs k^2 (n - k) per label, not k^2 n.  The
-    restricted action C^T is built only for `labels`, by default the spin
-    labels, in that order.  The full space returns the handle itself.
+    restricted action C^T is built only for the spin labels, in their
+    order.  The full space returns the handle itself.
     """
     if sub.dim == handle.dim:
         return handle
-    labels = list(dict.fromkeys(handle.spin_labels if labels is None else labels))
     pivots, free = list(sub.pivots), sub.free
     R = sub.rows[:, free]
     coords = {}
@@ -406,10 +401,10 @@ def restrict(handle: ModuleHandle, sub: Subspace,
         img = handle.images(label, sub.rows)
         C = img[:, pivots]
         assert np.array_equal((C @ R) % handle.l, img[:, free]), "vector outside the subspace"
-        if label in labels:
+        if label in handle.spin_labels:
             coords[label] = C
     out = ModuleHandle(sub.dim, handle.l, handle.spin_labels)
-    for label in labels:
+    for label in handle.spin_labels:
         out.add_matrix(label, coords.pop(label).T)  # pop: hold one matrix twice at most
     return out
 
@@ -549,7 +544,12 @@ def meataxe_irreducible(handle: ModuleHandle, seed: int = 0, budget: int = 200) 
         # w^T (A n') = 0 for w in ker A^T, so ker A^T lies in N^perp, a proper
         # submodule of M^T.  Either every line of ker A^T generates M^T or
         # none does, and the first line in `line_representatives` order,
-        # the last kernel row, decides.
+        # the last kernel row, decides.  Nor can the row change the
+        # witness: ker A^T != 0 lies in the perp of every proper N, hence
+        # in R^perp for R the sum of them all, so R is proper: the unique
+        # maximal submodule.  By the perp correspondence R^perp is simple
+        # in M^T, so every nonzero vector of ker A^T spins to R^perp and
+        # the witness is R whichever row is spun.
         S = spin(tr, [kerT[-1]])
         if S.dim < d:
             witness = S.perp()
@@ -594,22 +594,21 @@ def composition_series(handle: ModuleHandle, seed: int = 0) -> List[int]:
 def socle_simple_check(
     handle: ModuleHandle,
     candidate: np.ndarray,
-    u_labels: Sequence[Hashable],
+    fixed: Subspace,
     seed: int = 0,
 ) -> Dict[str, object]:
     """Does the candidate vector generate the unique minimal submodule?
 
-    Valid when the labels in `u_labels` generate a p-group and l = p: every
-    nonzero submodule then meets the fixed space of that group in a line,
-    so spinning each fixed line sweeps all minimal submodules.  The caller
-    is responsible for the defining-characteristic requirement.
+    Valid when `fixed` is the fixed space of a p-group acting on the module
+    and l = p: every nonzero submodule then meets that fixed space in a
+    nonzero vector, so spinning each fixed line sweeps all minimal
+    submodules.  The caller is responsible for both requirements.
     """
     assert np.any(np.asarray(candidate) % handle.l), "zero socle candidate"
     C = spin(handle, [candidate])
-    F = fixed_space(handle, u_labels)
     lines = 0
     all_contain = True
-    for v in line_representatives(F.rows, handle.l):
+    for v in line_representatives(fixed.rows, handle.l):
         lines += 1
         S = spin(handle, [v])
         if not S.contains(C.rows):
@@ -617,8 +616,8 @@ def socle_simple_check(
             break
     verdict = meataxe_irreducible(restrict(handle, C), seed=seed)
     return {
-        "candidate_fixed": F.contains(candidate),
-        "fixed_dim": F.dim,
+        "candidate_fixed": fixed.contains(candidate),
+        "fixed_dim": fixed.dim,
         "socle_dim": C.dim,
         "lines_checked": lines,
         "all_contain": all_contain,

@@ -1,12 +1,12 @@
 """Permutation modules on flag varieties and their verification suites.
 
 A SuiteRunner is one configuration: a group type, a prime power q, a field
-level a (the module lives over GF(q^a)), optionally a second level b (a
-multiple of a) used by the two-level operator suites, a coefficient
-characteristic, and the coset budget, seed and sample count of a run.  It
-checks every value once, when it is built, and builds the LevelModule at
-each level on first use.  A LevelModule materialises, on top of the coset
-enumeration:
+level a (the module lives over GF(q^a)), a second level b (a multiple of
+a, 2a by default, b = a for none) used by the two-level operator suites, a
+coefficient characteristic, and the coset budget, seed and sample count of
+a run.  It checks every value once, when it is built, and builds the
+LevelModule at each level on first use.  A LevelModule materialises, on top
+of the coset enumeration:
 
   * the coset permutation module with labelled root-element actions,
   * the Weyl translates the paper's bases are made of, on any handle:
@@ -17,6 +17,7 @@ enumeration:
   * parabolic coset modules k[G/P_K] and the corresponding alternating
     sums; a coset of P_K is a block of cosets of B, the fibre of
     G/B -> G/P_K, so these modules are built from the Borel permutations,
+  * the U-fixed space of each k[G/P_K], spanned by the U-orbit sums,
   * unipotent subgroup sums applied to vectors, at one field level or
     mixed across two levels, plus coset-transversal sums between levels;
     each is a chain of root-subgroup sums, each of those a sum of coset
@@ -136,7 +137,7 @@ class LevelModule:
         self.handle = self._build_handle()
         self._parabolic_handles: Dict[FrozenSet[int], ModuleHandle] = {frozenset(): self.handle}
         self._filtration: Optional[Dict[FrozenSet[int], FiltrationPiece]] = None
-        self._fixed_space: Optional[Subspace] = None
+        self._fixed_spaces: Dict[FrozenSet[int], Subspace] = {}
 
     def _build_handle(self) -> ModuleHandle:
         handle = ModuleHandle(self.dim, self.ell, [])
@@ -311,16 +312,15 @@ class LevelModule:
 
     def unipotent_labels(self) -> List[tuple]:
         """Generator labels for the full upper unipotent subgroup."""
-        out = []
-        for ri in self.datum.positive_indices:
-            for c in self.field.fp_basis():
-                out.append(("r", ri, c))
-        return out
+        return [("r", ri, c) for ri in self.datum.positive_indices for c in self.field.fp_basis()]
 
-    def unipotent_fixed_space(self) -> Subspace:
-        if self._fixed_space is None:
-            self._fixed_space = fixed_space(self.handle, self.unipotent_labels())
-        return self._fixed_space
+    def unipotent_fixed_space(self, K: Iterable[int] = ()) -> Subspace:
+        """The vectors of k[G/P_K] fixed by the upper unipotent subgroup U:
+        the sums over U-orbits, which on G/B are the Bruhat cells."""
+        K = frozenset(K)
+        if K not in self._fixed_spaces:
+            self._fixed_spaces[K] = fixed_space(self.parabolic(K), self.unipotent_labels())
+        return self._fixed_spaces[K]
 
     def parabolic_test_words(self, K: Iterable[int]) -> List[Tuple[str, list]]:
         """Labelled generator words of the standard parabolic attached to K:
@@ -892,13 +892,15 @@ def suite_socle(runner: SuiteRunner, seed: int) -> SuiteReport:
         phandle = lm.parabolic(Jp)
         D = lm.parabolic_alternating_sum(J)
         EpJ = spin(phandle, [D])
-        # socle_simple_check reads the fixed space of the unipotent labels
-        sub = restrict(phandle, EpJ, phandle.spin_labels + lm.unipotent_labels())
+        sub = restrict(phandle, EpJ)
         vec = lm.act_weyl(vJ, D, phandle)
         cand_amb = lm.sign(wJ) * lm.u_sum(lead, values, vec, handle=phandle) % lm.ell
         rep.check(np.any(cand_amb), what="candidate-nonzero", J=subset_tag(J))
         cand = EpJ.coords(cand_amb)
-        socle_res = socle_simple_check(sub, cand, lm.unipotent_labels(), seed=seed)
+        # the U-fixed vectors of EpJ, in its coordinates
+        fixed = EpJ.intersect(lm.unipotent_fixed_space(Jp))
+        fixed = Subspace(EpJ.dim, lm.ell, EpJ.coords(fixed.rows))
+        socle_res = socle_simple_check(sub, cand, fixed, seed=seed)
         rep.check(bool(socle_res["ok"]) and bool(socle_res["candidate_fixed"]),
                   what="simple-socle", J=subset_tag(J),
                   socle_dim=int(socle_res["socle_dim"]), lines=int(socle_res["lines_checked"]))
@@ -1004,7 +1006,7 @@ class SuiteRunner:
     The eight arguments are the whole configuration: the group type, the
     base field order q (a prime power), the field level a >= 1 of the
     module, the second level b of the two-level suites (a multiple of a, at
-    least a; None for none), the coefficient characteristic (a prime; the
+    least a; None for 2a, and b = a for none), the coefficient characteristic (a prime; the
     field characteristic by default), the coset budget (>= 1), the run seed
     (>= 0) and the sample count of the sampled structure sweeps (>= 1).  A
     bad value raises ValueError here.  Construction builds no module, and
@@ -1018,7 +1020,8 @@ class SuiteRunner:
         p, e = factor_prime_power(q)
         if a < 1:
             raise ValueError("level a must be positive")
-        if b is not None and (b < a or b % a):
+        b = 2 * a if b is None else b
+        if b < a or b % a:
             raise ValueError("level b must be a multiple of a, at least a")
         char = p if char is None else char
         if not is_prime(char):
@@ -1036,7 +1039,7 @@ class SuiteRunner:
 
     @property
     def has_ext(self) -> bool:
-        return self.b is not None and self.b != self.a
+        return self.b != self.a
 
     @cached_property
     def base(self) -> LevelModule:

@@ -477,6 +477,20 @@ def test_structure_facts_sampled_gf16():
     assert sampled and total >= 1000
 
 
+def test_structure_facts_more_samples_than_cases():
+    # the torus and Weyl sweeps of A1 over GF(4) exceed a cap of 5 but have
+    # fewer cases than the samples asked for, so they stay exhaustive
+    group = matrix_group("A1", 4)
+    report = check_structure_facts(group, cap=5, samples=1000)
+    n_cases = len(group.torus_elements()) * 2 * 3
+    for fact, n in (("torus-action", n_cases), ("weyl-conjugation", 2 * 2 * 3)):
+        assert report[fact]["mode"] == "exhaustive" and report[fact]["checked"] == n, fact
+        assert report[fact]["failures"] == []
+    sampled = check_structure_facts(group, cap=5, samples=6)
+    assert sampled["torus-action"]["mode"] == sampled["weyl-conjugation"]["mode"] == "sampled"
+    assert sampled["torus-action"]["checked"] == sampled["weyl-conjugation"]["checked"] == 6
+
+
 def test_structure_facts_sampled_w_split():
     # |U| = 16^4 > the default cap of 20 000, so both the factored form over
     # w0 and every w-split U = U_w x U'_w are sampled

@@ -141,7 +141,7 @@ def test_subspace_membership_and_coords():
     v = (2 * S.rows[0] + S.rows[1]) % 3
     assert S.contains(v)
     assert S.coords(v).tolist() == [2, 1]
-    assert np.array_equal(S.lift(S.coords(v)), v)
+    assert np.array_equal(S.coords(v) @ S.rows % 3, v)
     assert not S.contains([0, 0, 0, 1])
 
 
@@ -302,11 +302,12 @@ def test_spin_oracles_for_cyclic_shift():
 
 
 def test_fixed_space_of_cyclic_shift():
-    # the socle check calls fixed_space on restricted (dense) handles too
+    # one orbit, so one orbit sum; a matrix label is refused
     for l in (2, 3, 5):
-        for h in (cyclic_shift_module(l), mat_cyclic_shift_module(l)):
-            F = fixed_space(h)
-            assert F.dim == 1 and F.rows.tolist() == [[1, 1, 1]]
+        F = fixed_space(cyclic_shift_module(l), ["c"])
+        assert F.dim == 1 and F.rows.tolist() == [[1, 1, 1]]
+        with pytest.raises(AssertionError, match="permutation labels"):
+            fixed_space(mat_cyclic_shift_module(l), ["c"])
 
 
 def test_fixed_space_no_labels_is_everything():
@@ -490,7 +491,7 @@ def test_composition_series_seed_stable():
 def test_socle_check_unique_minimal():
     # GF(3)[C_3] is uniserial: the constants line is the whole socle
     h = cyclic_shift_module(3)
-    res = socle_simple_check(h, np.array([1, 1, 1]), ["c"])
+    res = socle_simple_check(h, np.array([1, 1, 1]), fixed_space(h, ["c"]))
     assert res["ok"] and res["socle_dim"] == 1
     assert res["fixed_dim"] == 1 and res["lines_checked"] == 1
     assert res["candidate_fixed"]
@@ -501,7 +502,7 @@ def test_socle_check_detects_split_socle():
     # single vector generates the socle
     _, _, handle = borel_perm_module("A1", 2, 2)
     u_labels = [lbl for lbl in handle.spin_labels if lbl[1] == 0]  # one root subgroup
-    res = socle_simple_check(handle, np.array([1, 1, 1]), u_labels)
+    res = socle_simple_check(handle, np.array([1, 1, 1]), fixed_space(handle, u_labels))
     assert not res["ok"]
     assert not res["all_contain"]
 
@@ -509,7 +510,7 @@ def test_socle_check_detects_split_socle():
 def test_socle_check_rejects_zero_candidate():
     h = cyclic_shift_module(3)
     with pytest.raises(AssertionError):
-        socle_simple_check(h, np.zeros(3, dtype=np.int64), ["c"])
+        socle_simple_check(h, np.zeros(3, dtype=np.int64), fixed_space(h, ["c"]))
 
 
 # -- restrict / quotient against the per-vector reference ---------------------
@@ -572,10 +573,15 @@ def submodule_of_dim(handle, d):
     return S
 
 
-def mat_uniserial_module(l):
-    """A restricted handle: every action is a dense matrix."""
+def uniserial_hyperplane(l):
+    """The uniserial module and its submodule of codimension one."""
     h = uniserial_module(l)
-    sub = restrict(h, submodule_of_dim(h, h.dim - 1), labels=list(h.actions))
+    return h, submodule_of_dim(h, h.dim - 1)
+
+
+def mat_uniserial_module(l):
+    """A restricted handle: every action, spin or not, is a dense matrix."""
+    sub = loop_restrict(*uniserial_hyperplane(l))
     assert all(kind == "mat" for kind, _, _ in sub.actions.values())
     return sub
 
@@ -599,9 +605,10 @@ def test_restrict_quotient_match_per_vector_reference(l, build):
     vectors = rng.integers(0, l, size=(6, n))
     for d in (0, 1, n - 1, n):
         S = submodule_of_dim(handle, d)
-        assert_same_handle(restrict(handle, S, labels=list(handle.actions)), loop_restrict(handle, S))
-        # a proper quotient stores the spin labels only; the zero subspace
-        # returns the handle itself
+        # a proper restriction or quotient stores the spin labels only; the
+        # full space and the zero subspace return the handle itself
+        assert_same_handle(restrict(handle, S), loop_restrict(handle, S),
+                           None if d == n else handle.spin_labels)
         quot, project = quotient(handle, S)
         ref_quot, ref_project = loop_quotient(handle, S)
         assert_same_handle(quot, ref_quot, None if d == 0 else handle.spin_labels)
@@ -647,15 +654,12 @@ def test_restrict_quotient_check_non_spin_labels():
 
 @pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
 def test_restrict_quotient_store_only_the_asked_labels(build):
-    # the checks reach every label, but by default only the spin labels are
-    # built, and restrict builds an explicit list in its own order
+    # the checks reach every label, but only the spin labels are built
     handle = build(3)
     assert handle.spin_labels == ["c"] and list(handle.actions) == ["c", "c2"]
     S = submodule_of_dim(handle, 2)
-    ref_sub = loop_restrict(handle, S)
-    assert_same_handle(restrict(handle, S), ref_sub, ["c"])
+    assert_same_handle(restrict(handle, S), loop_restrict(handle, S), ["c"])
     assert_same_handle(quotient(handle, S)[0], loop_quotient(handle, S)[0], ["c"])
-    assert_same_handle(restrict(handle, S, labels=["c2", "c"]), ref_sub, ["c2", "c"])
 
 
 # -- action reads against the dense-matrix reference ---------------------------
@@ -680,9 +684,8 @@ def dense_algebra_element(handle, rng, max_word):
     return A, spec
 
 
-def dense_fixed_space(handle, labels=None):
+def dense_fixed_space(handle, labels):
     """Reference: the kernel of the stacked dense (A - 1) over the labels."""
-    labels = handle.spin_labels if labels is None else list(labels)
     if not labels:
         return Subspace(handle.dim, handle.l, np.eye(handle.dim, dtype=np.int64))
     eye = np.eye(handle.dim, dtype=np.int64)
@@ -696,10 +699,15 @@ def flag_module(l):
     return borel_perm_module("A1", 2, l)[2]
 
 
+def flag_augmentation(l):
+    """The flag module and its augmentation submodule."""
+    h = flag_module(l)
+    return h, spin(h, [np.array([1, l - 1, 0])])
+
+
 def mat_flag_module(l):
     """Its augmentation submodule, every action a dense matrix."""
-    h = flag_module(l)
-    sub = restrict(h, spin(h, [np.array([1, l - 1, 0])]))
+    sub = restrict(*flag_augmentation(l))
     assert sub.dim == 2 and all(kind == "mat" for kind, _, _ in sub.actions.values())
     return sub
 
@@ -741,9 +749,20 @@ def test_transpose_acts_as_the_transposed_matrix(l, build):
 @pytest.mark.parametrize("l", [2, 3, 5])
 @pytest.mark.parametrize("build", HANDLES, ids=HANDLE_IDS)
 def test_fixed_space_matches_dense_stack(l, build):
+    # a matrix handle here is a restriction: its fixed space is the ambient
+    # orbit sums met with the subspace, read in the subspace's coordinates
     handle = build(l)
-    for labels in (None, list(handle.actions), list(handle.actions)[-1:]):
-        assert fixed_space(handle, labels) == dense_fixed_space(handle, labels)
+    ambient = {mat_uniserial_module: uniserial_hyperplane, mat_flag_module: flag_augmentation}.get(build)
+    for labels in (handle.spin_labels, list(handle.actions), list(handle.actions)[-1:]):
+        ref = dense_fixed_space(handle, labels)
+        if ambient is None:
+            assert fixed_space(handle, labels) == ref
+            continue
+        amb, S = ambient(l)
+        met = S.intersect(fixed_space(amb, labels))
+        assert Subspace(S.dim, l, S.coords(met.rows)) == ref
+        with pytest.raises(AssertionError, match="permutation labels"):
+            fixed_space(handle, labels)
 
 
 # -- line certification: stacked spins against one spin per line --------------
@@ -1060,3 +1079,26 @@ def test_norton_decides_a_reducible_piece_on_the_transpose_side():
     assert got.certificate["method"] == "transpose-kernel" and not got.irreducible
     assert 0 < got.witness.dim < handle.dim
     assert_same_verdict(got, every_line_meataxe(handle, seed=0))
+
+
+def test_norton_witness_does_not_depend_on_the_row_spun():
+    # A2 q=2 at l = 3, the top piece, seed 3: every line of ker A generates,
+    # so ker A^T lies in R^perp for R the unique maximal submodule, and every
+    # nonzero vector of it spins to R^perp
+    handle = LevelModule("A2", 2, 3).filtration()[frozenset({0, 1})].handle
+    got = meataxe_irreducible(handle, seed=3)
+    assert got.certificate["method"] == "transpose-kernel"
+    rng = np.random.default_rng(3)
+    while True:  # redraw the deciding element
+        A, spec = _random_algebra_element(handle, rng, linrep.MEATAXE_MAX_WORD)
+        nu = len(nullspace(A, 3))
+        if 0 < nu < handle.dim and (3**nu - 1) // 2 <= linrep.MEATAXE_LINE_BUDGET:
+            break
+    assert spec == got.certificate["element"]
+    kerT = nullspace(A.T, 3)
+    assert len(kerT) == 4
+    combo = np.random.default_rng(0).integers(1, 3, size=len(kerT)) @ kerT % 3
+    tr = handle.transpose()
+    for w in list(kerT) + [combo]:
+        assert spin(tr, [w]).perp() == got.witness
+    assert meataxe_irreducible(quotient(handle, got.witness)[0]).irreducible

@@ -13,6 +13,7 @@ import pytest
 
 from chevperm.chevalley import unipotent_words, weyl_word
 from chevperm.gf import make_field
+from chevperm.linrep import Subspace, spin
 from chevperm.permmod import (
     FIXED_POINT_TRIALS,
     SUITES,
@@ -39,7 +40,7 @@ from chevperm.permmod import (
 )
 from chevperm.rootsys import root_datum
 
-from test_linrep import dense_matrix
+from test_linrep import dense_fixed_space, dense_matrix, loop_restrict
 
 
 @lru_cache(maxsize=None)
@@ -223,6 +224,40 @@ def test_pieces_project_translate_blocks_row_by_row():
         for _, tail, weta in lm.y_translates(J, lm.alternating_sum(J)):
             block = lm.translates(tail, weta)
             assert np.array_equal(piece.project(block), np.array([piece.project(v) for v in block]))
+
+
+# -- U-fixed spaces: orbit sums ----------------------------------------------
+
+
+@pytest.mark.parametrize("kind,q", [("A2", 2), ("A2", 3), ("B2", 2), ("B2", 3), ("A3", 2)])
+def test_unipotent_fixed_space_is_the_bruhat_cells(kind, q):
+    # the U-orbits on G/B are the Bruhat cells; on G/P_K there is one per
+    # coset of W_K
+    lm = ctx(kind, q).base
+    cells = {}
+    for x, w in enumerate(lm.flags.bruhat_labels()):
+        cells.setdefault(w.perm, []).append(x)
+    indicators = np.zeros((len(cells), lm.dim), dtype=np.int64)
+    for row, members in zip(indicators, cells.values()):
+        row[members] = 1
+    assert lm.unipotent_fixed_space() == Subspace(lm.dim, lm.ell, indicators)
+    for K in lm.datum.all_subsets():
+        assert lm.unipotent_fixed_space(K).dim == len(lm.datum.min_coset_reps(K))
+
+
+@pytest.mark.parametrize("kind,q", [("A2", 3), ("B2", 2)])
+def test_socle_fixed_space_matches_the_restricted_dense_stack(kind, q):
+    # the fixed space suite_socle hands to socle_simple_check, the ambient
+    # orbit sums met with EpJ in its coordinates, against the kernel of the
+    # restricted module's stacked (A - 1)
+    lm = ctx(kind, q).base
+    full = frozenset(range(lm.datum.rank))
+    for J in lm.datum.all_subsets():
+        phandle = lm.parabolic(full - J)
+        EpJ = spin(phandle, [lm.parabolic_alternating_sum(J)])
+        met = EpJ.intersect(lm.unipotent_fixed_space(full - J))
+        ref = dense_fixed_space(loop_restrict(phandle, EpJ), lm.unipotent_labels())
+        assert Subspace(EpJ.dim, lm.ell, EpJ.coords(met.rows)) == ref
 
 
 def test_embedded_values_and_transversal():
@@ -423,9 +458,11 @@ def test_runner_applicability():
     assert not ok and "defining" in reason
     assert cross.applicable("composition")[0]
 
-    no_ext = SuiteRunner("A1", 2)
+    no_ext = SuiteRunner("A1", 2, b=1)
     ok, reason = no_ext.applicable("level-steps")
     assert not ok and "extension" in reason
+    default = SuiteRunner("A1", 2)
+    assert default.b == 2 and default.has_ext and default.applicable("level-steps")[0]
 
     big = SuiteRunner("A2", 4, a=2, b=6)
     ok, reason = big.applicable("separation")
