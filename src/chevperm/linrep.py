@@ -39,13 +39,15 @@ random short algebra words until a kernel small enough to enumerate appears.
 The primal side checks every line of ker A, but not one by one: for c != 0,
 pi_c : M^j -> M, (x_i) -> sum c_i x_i, is a module map onto M, so if the
 last j kernel rows, stacked as one vector of M^j, spin to all of M^j, every
-line of their span generates M.  Those lines are the first
-(l^j - 1)/(l - 1) in `line_representatives` order.  With nu = dim ker A,
-the l^(j-1) lines led by row nu - j are certified by one stacked spin when
-j^3 <= l^(j-1) (the stack costs about j^3 single-line spins), until a stack
-first falls short; every other line is spun on its own.  At l = 2 that
-needs j >= 12, more rows than a kernel within MEATAXE_LINE_BUDGET has, so
-there every line is spun alone.
+line of their span generates M.  Those lines are groups 1..j in
+`line_representatives` order, group g holding the l^(g-1) lines led by row
+nu - g (nu = dim ker A).  Projecting a stack onto its first g blocks is a
+module map too, so the pivots of one stacked spin say which leading groups
+it certifies, and a stack that falls short still certifies the groups it
+fills.  With groups 1..c certified, the stack of min(nu, 2c) rows is spun
+when a cost model (`_stack_cost`) puts it below the lines it would newly
+certify, each spun alone; otherwise group c + 1 is spun line by line.
+After a stack falls short every remaining line is spun on its own.
 
 The transpose side needs one vector (Norton's criterion, argued in
 `meataxe_irreducible`): once every line of ker A generates M, either every
@@ -241,7 +243,9 @@ def line_representatives(basis: np.ndarray, l: int):
     That order groups the lines by the row of their leading 1, last row
     first: group j (j = 1..k) holds the l^(j-1) lines led by row k - j.  So
     the first (l^j - 1)/(l - 1) lines are exactly the lines of the span of
-    the last j rows, the prefix property `_first_proper_spin` relies on.
+    the last j rows, and a stack of those rows, group 1 first, certifies
+    groups in the same order as its leading blocks fill: the prefix
+    property `_first_proper_spin` relies on.
     """
     basis = np.asarray(basis, dtype=np.int64)
     for i in reversed(range(len(basis))):
@@ -457,20 +461,64 @@ class Verdict:
 
 
 def _random_algebra_element(handle: ModuleHandle, rng, max_word: int) -> Tuple[np.ndarray, list]:
+    """A random sum of up to three words in the spin labels, each with a
+    nonzero coefficient; returns the matrix and its (coefficient, labels)
+    spec.  A word of permutation labels is a permutation matrix: its index
+    arrays are composed and the coefficient is scattered into A, with no
+    dense product; any other word is built as rows pulled back through each
+    label in turn from the identity."""
     gens = handle.spin_labels
     nterms = int(rng.integers(1, 4))
     A = np.zeros((handle.dim, handle.dim), dtype=np.int64)
+    points = np.arange(handle.dim)
     spec = []
     for _ in range(nterms):
         coeff = int(rng.integers(1, handle.l))
         length = int(rng.integers(1, max_word + 1))
         picks = [gens[int(k)] for k in rng.integers(len(gens), size=length)]
-        term = np.eye(handle.dim, dtype=np.int64)
-        for lbl in picks:
-            term = handle.pullback(lbl, term)
-        A = (A + coeff * term) % handle.l
+        actions = [handle.actions[lbl] for lbl in picks]
+        if all(kind == "perm" for kind, _, _ in actions):
+            # pulling I[:, idx] back through fwd gives I[:, idx[fwd]]
+            idx = points
+            for _, fwd, _ in actions:
+                idx = idx[fwd]
+            A[idx, points] = (A[idx, points] + coeff) % handle.l
+        else:
+            term = np.eye(handle.dim, dtype=np.int64)
+            for lbl in picks:
+                term = handle.pullback(lbl, term)
+            A = (A + coeff * term) % handle.l
         spec.append((coeff, [str(lbl) for lbl in picks]))
     return A, spec
+
+
+# One `Subspace._add` costs about a + b k n (k basis rows, n columns), so a
+# spin in M^j = GF(l)^(j d), j d vectors of j d columns against d of d, costs
+# about j (j^2 d^2 + C) / (d^2 + C) single-line spins, C = 2 a / b.  Measured
+# on 2 cores, CPython 3.11.7, numpy 2.4.6, with MeatAxe kernels of A2 q=3,
+# q=4, B2 q=2, q=3 and A3 q=2 at b = 1, l = 2 and 3: 127 timed stacks that
+# fill M^j (d = 10..105, j = 2..10), against lines that generate M, fit
+# C = 2.1e3 to 2.6e3 when each is weighted by its time (6.4e3 unweighted in
+# log ratio, where the many small stacks dominate).  Replaying the 632
+# kernels of the ladder and benchmark runs, `_first_proper_spin` took 11.4 s
+# in all at C = 2.5e3, 11.6 s at 4e3, 15.0 s at 6.4e3, 15.7 s at 1e4 and
+# 11.9 s at 1.7e4.
+STACK_OVERHEAD = 2.5e3
+
+
+def _stack_cost(j: int, d: int) -> float:
+    """The cost of one spin of j stacked rows in dimension d, in single-line
+    spins (see STACK_OVERHEAD)."""
+    return j * (j * j * d * d + STACK_OVERHEAD) / (d * d + STACK_OVERHEAD)
+
+
+def _filled_blocks(T: Subspace, d: int) -> int:
+    """The number g of leading d-column blocks whose columns are all pivots of
+    T's RREF.  The rank of an RREF on a prefix of its columns is its number
+    of pivots there, so g is the largest g for which T projects onto all of
+    M^g."""
+    pivots = np.array(T.pivots)
+    return int(np.count_nonzero(pivots == np.arange(len(pivots)))) // d
 
 
 def _first_proper_spin(handle: ModuleHandle, basis: np.ndarray) -> Optional[Subspace]:
@@ -478,26 +526,38 @@ def _first_proper_spin(handle: ModuleHandle, basis: np.ndarray) -> Optional[Subs
     order, that generates a proper subspace; None when every line generates
     the module.
 
-    If the last j basis rows, stacked as one vector of M^j, spin to all of
-    M^j, every line of their span generates M (the module docstring says
-    why); by the prefix property those lines are groups 1..j.  Group j >= 2
-    is certified by one stacked spin when j^3 <= l^(j-1): the stack lives
-    in dimension j d, so it costs about j^3 single-line spins against the
-    group's l^(j-1).  Once a stack falls short no later one is tried: stack
-    j is the image of stack j + 1 under dropping its first row, so it
-    cannot fill either.  Every other group is spun line by line.
+    Group g holds the l^(g-1) lines led by row k - g.  A stack of the last j
+    rows, group 1 first (seed `basis[k-j:][::-1]`), certifies the groups
+    1..g that its closure T in M^j fills on the first g blocks: projecting
+    onto those blocks is a module map, whose image, the closure of the stack
+    of groups 1..g, is all of M^g exactly when the first g d columns of T's
+    RREF are pivots, and then every line of those groups generates M (the
+    module docstring says why).  So one stacked spin certifies several
+    groups, and a stack that falls short still certifies the groups it
+    fills.
+
+    With groups 1..c certified (c = 0 at first), the stack of j = min(k, 2c)
+    rows is spun when `_stack_cost(j, d)` is below the (l^j - l^c)/(l - 1)
+    lines of groups c+1..j; otherwise group c+1 is spun line by line.  Once
+    a stack falls short at g < j no later stack is tried: the first g+1
+    blocks of any later stack have the same closure as this one's, which
+    does not fill M^(g+1), so it reads at most g too.  The remaining groups
+    are then spun line by line.
     """
-    l, k = handle.l, len(basis)
-    stacking = True
-    for j in range(1, k + 1):
-        if stacking and j > 1 and j**3 <= l ** (j - 1):
-            if spin(handle, [basis[k - j :]]).dim == j * handle.dim:
-                continue
-            stacking = False
-        for v in _lines_led_by(basis, l, k - j):
+    l, k, d = handle.l, len(basis), handle.dim
+    c, stacking = 0, True
+    while c < k:
+        j = min(k, 2 * c)
+        if stacking and j > c and _stack_cost(j, d) < (l**j - l**c) // (l - 1):
+            g = _filled_blocks(spin(handle, [basis[k - j :][::-1]]), d)
+            stacking = g == j
+            c = max(c, g)
+            continue
+        for v in _lines_led_by(basis, l, k - c - 1):
             S = spin(handle, [v])
-            if S.dim < handle.dim:
+            if S.dim < d:
                 return S
+        c += 1
     return None
 
 

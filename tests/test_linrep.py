@@ -729,6 +729,22 @@ def test_random_algebra_element_matches_dense_words(l, build):
     assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
 
+@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("kind", ["A2", "B2"])
+def test_permutation_words_match_dense_words_on_borel_modules(kind, l):
+    # every label is a permutation, so every word is built by composing index
+    # arrays and scattering its coefficient
+    handle = borel_perm_module(kind, 2, l)[2]
+    assert all(action[0] == "perm" for action in handle.actions.values())
+    for seed in range(6):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            A, spec = _random_algebra_element(handle, rng, 8)
+            ref_A, ref_spec = dense_algebra_element(handle, ref_rng, 8)
+            assert np.array_equal(A, ref_A) and spec == ref_spec
+        assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+
+
 @pytest.mark.parametrize("l", [2, 3, 5])
 @pytest.mark.parametrize("build", HANDLES, ids=HANDLE_IDS)
 def test_transpose_acts_as_the_transposed_matrix(l, build):
@@ -882,17 +898,27 @@ def stacks(monkeypatch):
     return seen
 
 
-# (l, d): every l > 2 stacks at least once on d kernel rows (j^3 <= l^(j-1)
-# first holds at j = 6, 4, 2 for l = 3, 5, 11)
-@pytest.mark.parametrize("l,d", [(2, 4), (3, 6), (5, 4), (11, 3)])
+# (l, d) -> the stacks of one basis: with c groups certified the stack of 2c
+# rows (all d, if fewer) is spun when it costs fewer single-line spins (at
+# d <= 6, a little over one per row) than the lines of groups c+1..2c; at
+# l = 2 that fails for 2 rows against group 2's 2 lines, so groups 1 and 2
+# are spun alone, and at l > 2 every stack is spun
+STACKS_PER_BASIS = {
+    (2, 4): [(4, 16)],
+    (3, 6): [(2, 12), (4, 24), (6, 36)],
+    (5, 4): [(2, 8), (4, 16)],
+    (11, 3): [(2, 6), (3, 9)],
+}
+
+
+@pytest.mark.parametrize("l,d", list(STACKS_PER_BASIS))
 def test_first_proper_spin_absolutely_irreducible(l, d, stacks):
     h = matrix_module(l, transvections(l, d))
     rng = np.random.default_rng(l)
     for basis in (np.eye(d, dtype=np.int64), full_rank_basis(rng, l, d, d)):
         assert assert_same_first_proper_spin(h, basis) is None
     # End = GF(l), so independent rows stack to all of M^j
-    assert all(dim == rows * d for rows, dim in stacks)
-    assert (len(stacks) > 0) == (l > 2)
+    assert stacks == STACKS_PER_BASIS[l, d] * 2
 
 
 def dual_sum_module(l):
@@ -916,9 +942,11 @@ def test_first_proper_spin_reducible(l, stacks):
     assert spin(h, [basis[2]]).dim == 6
     S = assert_same_first_proper_spin(h, basis)
     assert S == Subspace(6, l, np.eye(3, 6, dtype=np.int64))
-    # at l = 11 the stack of the last two rows fills M^2 and the stack of all
-    # three falls short (its V* part is 0 + V*^2)
-    assert stacks == ([(2, 12), (3, 15)] if l == 11 else [])
+    # the stack of all three falls short (its V* part is 0 + V*^2) but fills
+    # its first two blocks, certifying groups 1 and 2; at l > 2 the stack of
+    # the last two rows is spun first and fills M^2, at l = 2 (2 lines
+    # against a 2-row stack) group 2 is spun line by line
+    assert stacks == ([(3, 15)] if l == 2 else [(2, 12), (3, 15)])
     rng = np.random.default_rng(l)
     for _ in range(4):
         assert_same_first_proper_spin(h, full_rank_basis(rng, l, 3, 6))
@@ -931,8 +959,8 @@ def test_first_proper_spin_field_extension(l, stacks):
     for basis in (np.eye(2, dtype=np.int64), full_rank_basis(rng, l, 2, 2)):
         assert assert_same_first_proper_spin(h, basis) is None
     # a stack (x, y) spins to GF(l^2) (x, y), half of M^2, yet every line
-    # generates
-    assert stacks == ([(2, 2)] * 2 if l == 11 else [])
+    # generates; at l = 2 no stack is spun (2 rows cost more than 1 line)
+    assert stacks == ([(2, 2)] * 2 if l > 2 else [])
 
 
 def test_first_proper_spin_stops_stacking_after_a_short_stack(stacks):
@@ -943,18 +971,92 @@ def test_first_proper_spin_stops_stacking_after_a_short_stack(stacks):
     assert stacks == [(2, 3)]
 
 
-def test_meataxe_runs_no_stacked_spin_at_l2(stacks):
+def readout_cases(name):
+    """(handle, basis) pairs for the pivot readout of stacks."""
+    rng = np.random.default_rng(0)
+    if name == "dual-sum":
+        h = dual_sum_module(11)
+        yield h, np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]])
+        # rows (e2, f3), (e1, f2), (e1, f1): the stack of all three has
+        # dim 6 + 9 = 15 >= 2 d, yet only its first block fills
+        yield h, np.array([[0, 1, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0], [1, 0, 0, 1, 0, 0]])
+        for k in (4, 6):
+            yield h, full_rank_basis(rng, 11, k, 6)
+    elif name == "field":
+        h = field_module(11, 3)
+        yield h, np.eye(3, dtype=np.int64)
+        yield h, full_rank_basis(rng, 11, 3, 3)
+    else:  # the top filtration piece of A2 q=2 at l = 3, which is reducible
+        h = LevelModule("A2", 2, 3).filtration()[frozenset({0, 1})].handle
+        for k in (3, 5):
+            yield h, full_rank_basis(rng, 3, k, h.dim)
+        # led by a row of a proper submodule, so the last block cannot fill
+        sub = meataxe_irreducible(h, seed=0).witness
+        while True:
+            basis = np.vstack([sub.rows[:1], rng.integers(0, 3, size=(3, h.dim))])
+            if Subspace(h.dim, 3, basis).dim == 4:
+                yield h, basis
+                break
+
+
+@pytest.mark.parametrize("name", ["dual-sum", "field", "A2-2-top"])
+def test_stack_pivots_read_the_filled_groups(name):
+    # for every j, the groups read off the pivots of the stack of the last j
+    # rows (group 1 first) are the largest g <= j for which the stack of the
+    # last g rows spins to all of M^g
+    reads = set()
+    for h, basis in readout_cases(name):
+        d, k = h.dim, len(basis)
+        fills = [spin(h, [basis[k - g :]]).dim == g * d for g in range(1, k + 1)]
+        for j in range(1, k + 1):
+            g = linrep._filled_blocks(spin(h, [basis[k - j :][::-1]]), d)
+            assert g == max([0] + [i for i in range(1, j + 1) if fills[i - 1]])
+            reads.add((g, j))
+    # some stack falls short, and some of those still fill a block
+    assert any(g < j for g, j in reads) and any(0 < g < j for g, j in reads)
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+def test_a_short_stack_certifies_the_groups_it_fills(l, monkeypatch):
+    # V + V* with rows (e1 + e2, 0), (e3, f3), (e2, f2), (e1, f1): every line
+    # of the last three rows generates; the stack of all four falls short
+    # (four V parts in V) but fills its first three blocks, so group 3 is
+    # certified by it, not spun line by line, and the first line of group 4,
+    # (e1 + e2, 0), spins to V
+    h = dual_sum_module(l)
+    basis = np.array([[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 1], [0, 1, 0, 0, 1, 0], [1, 0, 0, 1, 0, 0]])
+    spins = []
+
+    def recording_spin(handle, seeds):
+        S = spin(handle, seeds)
+        spins.append((np.asarray(seeds[0]).size // handle.dim, S.dim))
+        return S
+
+    monkeypatch.setattr(linrep, "spin", recording_spin)
+    S = assert_same_first_proper_spin(h, basis)
+    assert S == Subspace(6, l, np.eye(3, 6, dtype=np.int64))
+    # at l = 2 group 2 is spun line by line (2 lines against a 2-row stack)
+    head = [(1, 6)] * 2 if l == 2 else [(2, 12)]
+    assert spins == [(1, 6)] + head + [(4, 18), (1, 3)]
+
+
+def test_meataxe_stacks_four_rows_at_l2(stacks):
     # GF(2^10) under a primitive element, with no element drawn (budget 0):
-    # the fallback checks all 1023 lines, one spin each, since j^3 <= 2^(j-1)
-    # needs j >= 12
+    # the fallback spins groups 1 and 2 line by line (a 2-row stack costs
+    # more than group 2's 2 lines), then the stack of 4 rows, which spins to
+    # GF(2^10) (x_1, .., x_4) and certifies group 1 only; every later line is
+    # spun alone
     verdict = meataxe_irreducible(field_module(2, 10), budget=0)
     assert verdict.irreducible and verdict.certificate == {"method": "exhaustive-lines", "lines": 1023}
+    assert stacks == [(4, 10)]
+    # seed 2 meets a nullity-4 kernel of the 8-dim Steinberg factor, whose
+    # 4-row stack fills M^4
     for seed in range(3):
         assert composition_series(borel_perm_module("A2", 2, 2)[2], seed=seed) == [1, 3, 3, 3, 3, 8]
-    assert stacks == []
+    assert stacks == [(4, 10), (4, 32)]
     # the same fallback at l = 11 stacks from j = 2 on
     assert meataxe_irreducible(field_module(11, 2), budget=0).irreducible
-    assert stacks == [(2, 2)]
+    assert stacks == [(4, 10), (4, 32), (2, 2)]
 
 
 def direct_sum(handle, m):
