@@ -17,12 +17,18 @@ tables are built from the base-p digit matrix of the elements and the
 companion matrix of the modulus: sums are digit sums mod p, the product
 with b applies sum(b_i X^i) to the digits, and inverses are read off the
 product table.
+
+Polynomials over GF(p) are int64 coefficient arrays, ascending by degree.
+Division by a monic polynomial, gcd and modular powers make up the
+distinct-degree factorization `irreducible_factors`, which the modulus
+search uses as its irreducibility test and linrep's MeatAxe uses to factor
+minimal polynomials.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -34,6 +40,10 @@ __all__ = [
     "factor_prime_power",
     "embedding_table",
     "additive_transversal",
+    "poly_divmod",
+    "poly_gcd",
+    "poly_powmod",
+    "irreducible_factors",
 ]
 
 MAX_ORDER = 256
@@ -67,37 +77,86 @@ def factor_prime_power(q: int) -> Tuple[int, int]:
     raise ValueError("not a prime power: %r" % (q,))
 
 
-# -- polynomial helpers; coefficient lists ascending by degree, entries mod p
+# -- polynomials over GF(p): int64 coefficient arrays, ascending by degree,
+# entries in [0, p) and no trailing zeros, so the zero polynomial is empty
 
 
-def _poly_trim(c: List[int]) -> List[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _trim(f: np.ndarray) -> np.ndarray:
+    n = len(f)
+    while n and not f[n - 1]:
+        n -= 1
+    return f[:n]
 
 
-def _poly_mod(a: List[int], m: List[int], p: int) -> List[int]:
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        shift = len(a) - 1 - dm
-        factor = (a[-1] * inv_lead) % p
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * mi) % p
-        _poly_trim(a)
-    return a
+def _monic(f: np.ndarray, p: int) -> np.ndarray:
+    return f if f[-1] == 1 else f * pow(int(f[-1]), -1, p) % p
 
 
-def _irreducible(m: List[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
-    deg = len(m) - 1
-    for d in range(1, deg // 2 + 1):
-        for code in range(p**d):
-            cand = _digits(code, p, d) + [1]
-            if not _poly_mod(m, cand, p):
-                return False
-    return True
+def poly_divmod(f: np.ndarray, g: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Quotient and remainder of f by a monic g."""
+    r = np.array(f, dtype=np.int64)
+    dg = len(g) - 1
+    q = np.zeros(max(len(r) - dg, 0), dtype=np.int64)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = c = r[i + dg] % p
+        if c:
+            r[i : i + dg + 1] -= c * g  # reduced mod p once, below
+    return q, _trim(r[:dg] % p)
+
+
+def poly_gcd(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """The monic gcd of two polynomials, not both zero."""
+    f, g = _trim(np.asarray(f, dtype=np.int64) % p), _trim(np.asarray(g, dtype=np.int64) % p)
+    while len(g):
+        g = _monic(g, p)
+        f, g = g, poly_divmod(f, g, p)[1]
+    return _monic(f, p)
+
+
+def poly_powmod(f: np.ndarray, e: int, m: np.ndarray, p: int) -> np.ndarray:
+    """f^e mod a monic m of degree >= 1, for e >= 1, by square and multiply
+    from the leading bit of e."""
+
+    def mulmod(a, b):
+        return poly_divmod(np.convolve(a, b), m, p)[1] if len(a) and len(b) else a[:0]
+
+    out = f = poly_divmod(f, m, p)[1]
+    for bit in bin(e)[3:]:
+        out = mulmod(out, out)
+        if bit == "1":
+            out = mulmod(out, f)
+    return out
+
+
+def irreducible_factors(f: np.ndarray, p: int) -> Iterator[np.ndarray]:
+    """Monic irreducible factors of a monic f over GF(p), in ascending degree,
+    by distinct-degree factorization with no equal-degree split.
+
+    With every factor of degree < d stripped from f, g = gcd(f, x^(p^d) - x)
+    is the product of the distinct irreducible factors of degree d; it is
+    yielded when that is one factor (deg g = d), and then stripped with all
+    its powers.  Once deg f < 2(d + 1), what is left has no factor of degree
+    <= d, so it is 1 or irreducible, and is yielded if irreducible.  So the
+    factors yielded are exactly those whose degree no other distinct factor
+    shares.
+    """
+    f = _trim(np.asarray(f, dtype=np.int64) % p)
+    h, d = np.array([0, 1], dtype=np.int64), 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        # x^(p^d) mod f; powmod reduces h, held mod an earlier multiple of f
+        h = poly_powmod(h, p, f, p)
+        hx = np.zeros(max(len(h), 2), dtype=np.int64)
+        hx[: len(h)] = h
+        hx[1] -= 1
+        g = poly_gcd(f, hx, p)  # with x^(p^d) - x
+        if len(g) == d + 1:
+            yield g
+        while len(g) > 1:
+            f = poly_divmod(f, g, p)[0]
+            g = poly_gcd(f, g, p)
+    if len(f) > 1:
+        yield f
 
 
 def _digits(v: int, p: int, k: int) -> List[int]:
@@ -124,11 +183,13 @@ class Field:
 
     def _find_modulus(self) -> Tuple[int, ...]:
         # smallest non-leading coefficient word, degree k-1 digit most
-        # significant = smallest integer code (for k = 1 that is x itself)
+        # significant = smallest integer code (for k = 1 that is x itself),
+        # of an irreducible polynomial: one whose first factor yielded by
+        # irreducible_factors is itself
         for code in range(self.order):
-            cand = _digits(code, self.p, self.k) + [1]
-            if _irreducible(cand, self.p):
-                return tuple(reversed(cand))  # store descending by degree
+            cand = np.array(_digits(code, self.p, self.k) + [1], dtype=np.int64)
+            if len(next(irreducible_factors(cand, self.p), ())) == self.k + 1:
+                return tuple(int(c) for c in reversed(cand))  # store descending by degree
         raise AssertionError("no irreducible polynomial found")
 
     # -- element arithmetic on integer encodings, read from the tables

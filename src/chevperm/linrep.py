@@ -10,9 +10,9 @@ used for submodule closure.  An action is read only through `apply` (one
 vector), `images` (a block of rows, rows A^T) and `pullback` (rows A); on a
 permutation each is an index gather.  `transpose` gives the transpose
 module.  On top of that: spinning, fixed spaces of permutation labels (orbit
-sums), restriction and quotient, an irreducibility test in the random-
-singular-element style with certified verdicts, recursive composition
-series, and a socle check that enumerates the lines of a p-group fixed space.
+sums), restriction and quotient, an irreducibility test with certified
+verdicts, recursive composition series, and a socle check that enumerates
+the lines of a p-group fixed space.
 
 Restriction and quotient work on whole matrices, exact mod l.  Each checks
 one identity for every label in the input handle's `actions`, spin or not,
@@ -29,29 +29,12 @@ spinning, the MeatAxe and composition series read:
             construction.  Together that is equivariance on every ambient
             basis vector.  The quotient action is Q.
 
-The irreducibility criterion used: for a singular algebra element A, if
-some proper submodule exists then either a vector of ker A generates a
-proper submodule, or every functional in ker A^T generates a proper
-submodule of the transpose module.  So if every line of ker A and one line
-of ker A^T generate, the module is irreducible; the search keeps drawing
-random short algebra words until a kernel small enough to enumerate appears.
-
-The primal side checks every line of ker A, but not one by one: for c != 0,
-pi_c : M^j -> M, (x_i) -> sum c_i x_i, is a module map onto M, so if the
-last j kernel rows, stacked as one vector of M^j, spin to all of M^j, every
-line of their span generates M.  Those lines are groups 1..j in
-`line_representatives` order, group g holding the l^(g-1) lines led by row
-nu - g (nu = dim ker A).  Projecting a stack onto its first g blocks is a
-module map too, so the pivots of one stacked spin say which leading groups
-it certifies, and a stack that falls short still certifies the groups it
-fills.  With groups 1..c certified, the stack of min(nu, 2c) rows is spun
-when a cost model (`_stack_cost`) puts it below the lines it would newly
-certify, each spun alone; otherwise group c + 1 is spun line by line.
-After a stack falls short every remaining line is spun on its own.
-
-The transpose side needs one vector (Norton's criterion, argued in
-`meataxe_irreducible`): once every line of ker A generates M, either every
-line of ker A^T generates M^T or none does.
+The irreducibility test is the Holt-Rees MeatAxe: a random algebra element
+A, an irreducible factor p of the minimal polynomial of a vector under A
+with dim ker p(A) = deg p (a good factor), one spin of a vector of
+ker p(A) and one of ker p(A)^T in the transpose module decide, and a
+proper spin gives a witness submodule.  `meataxe_irreducible` argues why;
+`gf.irreducible_factors` supplies the factors.
 """
 
 from __future__ import annotations
@@ -63,6 +46,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .gf import irreducible_factors
 
 __all__ = [
     "MeatAxeBudgetError",
@@ -84,9 +69,8 @@ class MeatAxeBudgetError(RuntimeError):
 
 
 # the MeatAxe draws algebra elements as sums of words of at most this many
-# labels, and enumerates a kernel's lines only when it has at most this many
+# labels
 MEATAXE_MAX_WORD = 8
-MEATAXE_LINE_BUDGET = 2000
 
 
 def nullspace(M: np.ndarray, l: int) -> np.ndarray:
@@ -238,25 +222,13 @@ class Subspace:
 def line_representatives(basis: np.ndarray, l: int):
     """One representative per 1-dimensional subspace of the row span: the
     combinations c @ basis whose first nonzero coefficient is 1, in
-    lexicographic order of c.
-
-    That order groups the lines by the row of their leading 1, last row
-    first: group j (j = 1..k) holds the l^(j-1) lines led by row k - j.  So
-    the first (l^j - 1)/(l - 1) lines are exactly the lines of the span of
-    the last j rows, and a stack of those rows, group 1 first, certifies
-    groups in the same order as its leading blocks fill: the prefix
-    property `_first_proper_spin` relies on.
-    """
+    lexicographic order of c.  So the lines led by the last row come first,
+    and the first (l^j - 1)/(l - 1) lines are those of the span of the last
+    j rows."""
     basis = np.asarray(basis, dtype=np.int64)
     for i in reversed(range(len(basis))):
-        yield from _lines_led_by(basis, l, i)
-
-
-def _lines_led_by(basis: np.ndarray, l: int, i: int):
-    """The lines whose leading 1 sits on row i, later coefficients in
-    lexicographic order."""
-    for tail in itertools.product(range(l), repeat=len(basis) - 1 - i):
-        yield (basis[i] + np.array(tail, dtype=np.int64) @ basis[i + 1 :]) % l
+        for tail in itertools.product(range(l), repeat=len(basis) - 1 - i):
+            yield (basis[i] + np.array(tail, dtype=np.int64) @ basis[i + 1 :]) % l
 
 
 class ModuleHandle:
@@ -334,33 +306,18 @@ class ModuleHandle:
 
 
 def spin(handle: ModuleHandle, seeds: Iterable[np.ndarray]) -> Subspace:
-    """Smallest subspace containing the seeds and closed under the spin
-    labels (hence under the group they generate).  Deterministic.
-
-    A seed is a vector of M = GF(l)^d or an (m x d) block, read as one
-    vector of M^m = GF(l)^(m d), row i in coordinates i d .. i d + d - 1,
-    on which each label acts row by row (`images`); all seeds have one
-    shape, and the result is a subspace of GF(l)^(m d).
-    """
-    blocks = [np.asarray(s, dtype=np.int64).reshape(-1, handle.dim) % handle.l for s in seeds]
-    m = len(blocks[0]) if blocks else 1
-    if m == 1:
-        act = handle.apply  # the same map as below; on one vector a scatter beats a 2-D gather
-    else:
-
-        def act(label, v):
-            return handle.images(label, v.reshape(m, handle.dim)).ravel()
-
-    S = Subspace(m * handle.dim, handle.l)
+    """Smallest subspace containing the seed vectors and closed under the
+    spin labels (hence under the group they generate).  Deterministic."""
+    S = Subspace(handle.dim, handle.l)
     queue = collections.deque()
-    for b in blocks:
-        added = S._add(b.ravel())
+    for s in seeds:
+        added = S._add(np.asarray(s, dtype=np.int64) % handle.l)
         if added is not None:
             queue.append(added)
     while queue:
         v = queue.popleft()
         for label in handle.spin_labels:
-            added = S._add(act(label, v))
+            added = S._add(handle.apply(label, v))
             if added is not None:
                 queue.append(added)
             if S.dim == S.n:
@@ -492,148 +449,95 @@ def _random_algebra_element(handle: ModuleHandle, rng, max_word: int) -> Tuple[n
     return A, spec
 
 
-# One `Subspace._add` costs about a + b k n (k basis rows, n columns), so a
-# spin in M^j = GF(l)^(j d), j d vectors of j d columns against d of d, costs
-# about j (j^2 d^2 + C) / (d^2 + C) single-line spins, C = 2 a / b.  Measured
-# on 2 cores, CPython 3.11.7, numpy 2.4.6, with MeatAxe kernels of A2 q=3,
-# q=4, B2 q=2, q=3 and A3 q=2 at b = 1, l = 2 and 3: 127 timed stacks that
-# fill M^j (d = 10..105, j = 2..10), against lines that generate M, fit
-# C = 2.1e3 to 2.6e3 when each is weighted by its time (6.4e3 unweighted in
-# log ratio, where the many small stacks dominate).  Replaying the 632
-# kernels of the ladder and benchmark runs, `_first_proper_spin` took 11.4 s
-# in all at C = 2.5e3, 11.6 s at 4e3, 15.0 s at 6.4e3, 15.7 s at 1e4 and
-# 11.9 s at 1.7e4.
-STACK_OVERHEAD = 2.5e3
+def _min_poly(A: np.ndarray, v: np.ndarray, l: int) -> np.ndarray:
+    """The minimal polynomial of v under A: the monic f of least degree with
+    f(A) v = 0, ascending by degree.  The Krylov rows [A^i v | e_i] go into
+    one Subspace of GF(l)^(2d+1); the first whose reduction vanishes on the
+    left block, so that its pivot lies on the right, holds there the
+    coefficients of f, up to a scalar."""
+    d = len(A)
+    S = Subspace(2 * d + 1, l)
+    x = np.asarray(v, dtype=np.int64) % l
+    for i in range(d + 1):
+        row = np.zeros(2 * d + 1, dtype=np.int64)
+        row[:d], row[d + i] = x, 1
+        added = S._add(row)
+        if S.pivots[-1] >= d:
+            f = added[d : d + i + 1]
+            return f * pow(int(f[-1]), -1, l) % l
+        x = A @ x % l
+    raise AssertionError("no annihilating polynomial of degree <= dim")
 
 
-def _stack_cost(j: int, d: int) -> float:
-    """The cost of one spin of j stacked rows in dimension d, in single-line
-    spins (see STACK_OVERHEAD)."""
-    return j * (j * j * d * d + STACK_OVERHEAD) / (d * d + STACK_OVERHEAD)
-
-
-def _filled_blocks(T: Subspace, d: int) -> int:
-    """The number g of leading d-column blocks whose columns are all pivots of
-    T's RREF.  The rank of an RREF on a prefix of its columns is its number
-    of pivots there, so g is the largest g for which T projects onto all of
-    M^g."""
-    pivots = np.array(T.pivots)
-    return int(np.count_nonzero(pivots == np.arange(len(pivots)))) // d
-
-
-def _first_proper_spin(handle: ModuleHandle, basis: np.ndarray) -> Optional[Subspace]:
-    """The spin of the first line of the row span, in `line_representatives`
-    order, that generates a proper subspace; None when every line generates
-    the module.
-
-    Group g holds the l^(g-1) lines led by row k - g.  A stack of the last j
-    rows, group 1 first (seed `basis[k-j:][::-1]`), certifies the groups
-    1..g that its closure T in M^j fills on the first g blocks: projecting
-    onto those blocks is a module map, whose image, the closure of the stack
-    of groups 1..g, is all of M^g exactly when the first g d columns of T's
-    RREF are pivots, and then every line of those groups generates M (the
-    module docstring says why).  So one stacked spin certifies several
-    groups, and a stack that falls short still certifies the groups it
-    fills.
-
-    With groups 1..c certified (c = 0 at first), the stack of j = min(k, 2c)
-    rows is spun when `_stack_cost(j, d)` is below the (l^j - l^c)/(l - 1)
-    lines of groups c+1..j; otherwise group c+1 is spun line by line.  Once
-    a stack falls short at g < j no later stack is tried: the first g+1
-    blocks of any later stack have the same closure as this one's, which
-    does not fill M^(g+1), so it reads at most g too.  The remaining groups
-    are then spun line by line.
-    """
-    l, k, d = handle.l, len(basis), handle.dim
-    c, stacking = 0, True
-    while c < k:
-        j = min(k, 2 * c)
-        if stacking and j > c and _stack_cost(j, d) < (l**j - l**c) // (l - 1):
-            g = _filled_blocks(spin(handle, [basis[k - j :][::-1]]), d)
-            stacking = g == j
-            c = max(c, g)
-            continue
-        for v in _lines_led_by(basis, l, k - c - 1):
-            S = spin(handle, [v])
-            if S.dim < d:
-                return S
-        c += 1
-    return None
+def _poly_at(A: np.ndarray, f: np.ndarray, l: int) -> np.ndarray:
+    """f(A) mod l for a monic f of degree >= 1, by Horner's rule."""
+    eye = np.eye(len(A), dtype=np.int64)
+    B = (A + f[-2] * eye) % l
+    for c in f[-3::-1]:
+        B = (B @ A + c * eye) % l
+    return B
 
 
 def meataxe_irreducible(handle: ModuleHandle, seed: int = 0, budget: int = 200) -> Verdict:
-    """Certified irreducibility test.
+    """Certified irreducibility test (Holt and Rees, "Testing modules for
+    irreducibility", J. Austral. Math. Soc. 57, 1994).
 
-    Draws random short algebra elements until one has a small nonzero
-    kernel, then checks that every line of the kernel generates the module
-    (`_first_proper_spin`: stacked spins where they pay, single-line spins
-    elsewhere); the spin of the first line that does not, in
-    `line_representatives` order, is a witness submodule.  Once every line
-    of ker A generates, one spin of the last row of ker A^T in the transpose
-    module settles the transpose side (Norton's criterion, argued below): if
-    it falls short, its perp is (and is checked to be) an invariant witness.
-    If both sides only produce the full space the module is irreducible and
-    the verdict carries the certifying data.  A final fallback checks every
-    line of the whole space, as on the primal side, when that is affordable.
+    Each attempt draws a random algebra element A and factors m, the minimal
+    polynomial of the first basis vector under A (`gf.irreducible_factors`).
+    For each irreducible factor p, in ascending degree, with B = p(A): the
+    last row of ker B is spun, and a proper spin is a witness (method
+    `kernel-spin`).  Otherwise, if dim ker B = deg p, p is good: the last row
+    of ker B^T is spun in the transpose module, and if that spin is proper
+    its perp is (and is checked to be) an invariant witness
+    (`transpose-kernel`); if not, the module is irreducible
+    (`singular-element`).  A factor that is not good sends the attempt on to
+    the next factor, and the last factor to the next attempt.  Every verdict
+    from an attempt carries the element and the factor.
+
+    Why one vector on each side decides.  Let p be good.  A acts on ker B
+    as x on GF(l)[x]/(p), and ker B is one-dimensional over that field, so
+    every nonzero A-invariant subspace of ker B is all of it.  A proper
+    submodule N that meets ker B therefore contains it, and the kernel spin,
+    inside N, is proper.  If the kernel spin is the module, no proper N
+    meets ker B, so B, which maps each N into itself, is bijective on it;
+    then w^T n = w^T B n' = 0 for w in ker B^T and n = B n' in N, so ker B^T
+    lies in N^perp, a proper submodule of the transpose module when N != 0.
+    So the spin of one nonzero vector of ker B^T is proper if and only if
+    the module is reducible (Norton's criterion).  Nor can the row spun
+    change the witness: ker B^T != 0 lies in the perp of every proper N,
+    hence in R^perp for R the sum of them all, so R is proper, the unique
+    maximal submodule; R^perp is simple in the transpose module, so every
+    nonzero vector of ker B^T spins to R^perp and the witness is R.
     """
-    d = handle.dim
+    d, l = handle.dim, handle.l
     if d == 0:
         raise ValueError("cannot test the zero module")
     if d == 1:
         return Verdict(True, certificate={"method": "dimension-1"})
     rng = np.random.default_rng(seed)
     tr = None
-    for attempt in range(budget):
+    for _ in range(budget):
         A, spec = _random_algebra_element(handle, rng, MEATAXE_MAX_WORD)
-        ker = nullspace(A, handle.l)
-        nu = len(ker)
-        if nu == 0 or nu == d:
-            continue
-        n_lines = (handle.l**nu - 1) // (handle.l - 1)
-        if n_lines > MEATAXE_LINE_BUDGET:
-            continue
-        S = _first_proper_spin(handle, ker)
-        if S is not None:
-            return Verdict(False, witness=S, certificate={"method": "kernel-spin", "element": spec})
-        if tr is None:
-            tr = handle.transpose()
-        kerT = nullspace(A.T, handle.l)
-        assert len(kerT) == nu
-        # Norton's criterion: every line of ker A generates M, so a proper
-        # submodule N != 0 meets ker A in 0 and A is bijective on N; then
-        # w^T (A n') = 0 for w in ker A^T, so ker A^T lies in N^perp, a proper
-        # submodule of M^T.  Either every line of ker A^T generates M^T or
-        # none does, and the first line in `line_representatives` order,
-        # the last kernel row, decides.  Nor can the row change the
-        # witness: ker A^T != 0 lies in the perp of every proper N, hence
-        # in R^perp for R the sum of them all, so R is proper: the unique
-        # maximal submodule.  By the perp correspondence R^perp is simple
-        # in M^T, so every nonzero vector of ker A^T spins to R^perp and
-        # the witness is R whichever row is spun.
-        S = spin(tr, [kerT[-1]])
-        if S.dim < d:
-            witness = S.perp()
-            for lbl in handle.spin_labels:
-                assert witness.contains(handle.images(lbl, witness.rows))
-            assert 0 < witness.dim < d
-            return Verdict(False, witness=witness, certificate={"method": "transpose-kernel", "element": spec})
-        return Verdict(
-            True,
-            certificate={
-                "method": "singular-element",
-                "element": spec,
-                "nullity": nu,
-                "lines": n_lines,
-                "attempt": attempt,
-            },
-        )
-    n_lines = (handle.l**d - 1) // (handle.l - 1)
-    if n_lines <= MEATAXE_LINE_BUDGET:
-        S = _first_proper_spin(handle, np.eye(d, dtype=np.int64))
-        if S is not None:
-            return Verdict(False, witness=S, certificate={"method": "exhaustive-lines"})
-        return Verdict(True, certificate={"method": "exhaustive-lines", "lines": n_lines})
-    raise MeatAxeBudgetError("no usable singular element in %d attempts" % budget)
+        for p in irreducible_factors(_min_poly(A, handle.basis_vector(0), l), l):
+            certificate = {"element": spec, "factor": p.tolist()}
+            B = _poly_at(A, p, l)
+            ker = nullspace(B, l)
+            S = spin(handle, [ker[-1]])
+            if S.dim < d:
+                return Verdict(False, witness=S, certificate={"method": "kernel-spin", **certificate})
+            if len(ker) != len(p) - 1:
+                continue
+            if tr is None:
+                tr = handle.transpose()
+            S = spin(tr, [nullspace(B.T, l)[-1]])
+            if S.dim < d:
+                witness = S.perp()
+                for lbl in handle.spin_labels:
+                    assert witness.contains(handle.images(lbl, witness.rows))
+                assert 0 < witness.dim < d
+                return Verdict(False, witness=witness, certificate={"method": "transpose-kernel", **certificate})
+            return Verdict(True, certificate={"method": "singular-element", **certificate})
+    raise MeatAxeBudgetError("no element with a good factor in %d attempts" % budget)
 
 
 def composition_series(handle: ModuleHandle, seed: int = 0) -> List[int]:

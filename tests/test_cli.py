@@ -33,6 +33,15 @@ def test_run_all_on_smallest_config(tmp_path):
     assert "seconds" not in payload["suites"]["steinberg"]
 
 
+def test_large_coefficient_prime_gets_a_verdict(tmp_path):
+    # at l = 101 a random algebra element is almost never singular; the
+    # MeatAxe needs only a good factor of a minimal polynomial
+    rc, out = run_to_file(tmp_path, "l101.json",
+                          ["--type", "A2", "--q", "2", "--b", "1", "--char", "101", "--suites", "all"])
+    assert rc == 0
+    assert json.loads(out.read_text())["summary"]["ok"] is True
+
+
 def test_explicit_inapplicable_suite_is_refused(tmp_path, capsys):
     rc = main(["run", "--type", "A1", "--q", "2", "--char", "7", "--suites", "socle"])
     assert rc == 2

@@ -1,15 +1,20 @@
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from chevperm.gf import (
     MAX_ORDER,
-    _poly_mod,
     additive_transversal,
     embedding_table,
     factor_prime_power,
+    irreducible_factors,
     is_prime,
     make_field,
+    poly_divmod,
+    poly_gcd,
+    poly_powmod,
 )
 
 # every field the package can build, (p, k) for p^k <= 256
@@ -20,11 +25,42 @@ PRIME_POWERS = sorted(
 
 
 # -- reference arithmetic: digit vectors and polynomial products mod the
-# modulus (_poly_mod is the modulus search's own routine), no tables
+# modulus, no tables; coefficient lists ascending by degree
 
 
 def _digits(v, p, k):
     return [v // p**i % p for i in range(k)]
+
+
+def _poly_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_mod(a, m, p):
+    a = list(a)
+    dm = len(m) - 1
+    inv_lead = pow(m[-1], p - 2, p)
+    while len(a) - 1 >= dm and a:
+        shift = len(a) - 1 - dm
+        factor = (a[-1] * inv_lead) % p
+        for i, mi in enumerate(m):
+            a[shift + i] = (a[shift + i] - factor * mi) % p
+        _poly_trim(a)
+    return a
+
+
+def _monic_polys(p, deg):
+    """Every monic polynomial of a degree, by the integer code of its
+    non-leading coefficients."""
+    for code in range(p**deg):
+        yield _digits(code, p, deg) + [1]
+
+
+def _irreducible(m, p):
+    """Trial division by every monic polynomial of degree 1..deg/2."""
+    return all(_poly_mod(m, c, p) for d in range(1, (len(m) - 1) // 2 + 1) for c in _monic_polys(p, d))
 
 
 def _undigits(c, p):
@@ -37,6 +73,11 @@ def _poly_mul(a, b, p):
         for j, bj in enumerate(b):
             out[i + j] = (out[i + j] + ai * bj) % p
     return out
+
+
+def _poly_add(a, b, p):
+    n = max(len(a), len(b))
+    return [(x + y) % p for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
 
 
 def _ref_mul(F, a, b):
@@ -52,6 +93,44 @@ def test_modulus_is_smallest_irreducible():
     assert make_field(3, 2).modulus == (1, 0, 1)
     assert make_field(2, 1).modulus == (1, 0)  # x, the smallest of degree 1
     assert make_field(7, 1).modulus == (1, 0)
+
+
+def test_every_modulus_is_the_smallest_irreducible_by_trial_division():
+    for p, k in PRIME_POWERS:
+        ref = next(m for m in _monic_polys(p, k) if _irreducible(m, p))
+        assert make_field(p, k).modulus == tuple(reversed(ref)), (p, k)
+
+
+@pytest.mark.parametrize("p,max_deg", [(2, 6), (3, 6), (5, 4)])
+def test_irreducible_factors_match_trial_division(p, max_deg):
+    # every monic f: the factors yielded, in order, are the distinct
+    # irreducible factors whose degree no other distinct factor shares
+    irreducibles = [m for d in range(1, max_deg + 1) for m in _monic_polys(p, d) if _irreducible(m, p)]
+    for deg in range(1, max_deg + 1):
+        for f in _monic_polys(p, deg):
+            factors = [m for m in irreducibles if len(m) <= len(f) and not _poly_mod(f, m, p)]
+            degrees = Counter(len(m) for m in factors)
+            got = [g.tolist() for g in irreducible_factors(np.array(f), p)]
+            assert got == [m for m in factors if degrees[len(m)] == 1], f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_poly_divmod_gcd_powmod(p):
+    rng = np.random.default_rng(p)
+    for _ in range(40):
+        f = rng.integers(0, p, size=int(rng.integers(1, 10)))
+        g = np.append(rng.integers(0, p, size=int(rng.integers(1, 5))), 1)
+        q, r = poly_divmod(f, g, p)
+        assert r.tolist() == _poly_trim(_poly_mod(f.tolist(), g.tolist(), p))
+        qg = _poly_mul(q.tolist(), g.tolist(), p) if len(q) else []
+        assert _poly_trim(_poly_add(qg, r.tolist(), p)) == _poly_trim(f.tolist())
+        h = poly_gcd(f, g, p)
+        assert h[-1] == 1 and not len(poly_divmod(f, h, p)[1]) and not len(poly_divmod(g, h, p)[1])
+        e = int(rng.integers(1, 20))
+        power = [1]
+        for _ in range(e):
+            power = _poly_mod(_poly_mul(power, f.tolist() or [0], p), g.tolist(), p)
+        assert poly_powmod(f, e, g, p).tolist() == _poly_trim(_poly_mod(power, g.tolist(), p))
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)])
