@@ -10,9 +10,12 @@ used for submodule closure.  An action is read only through `apply` (one
 vector), `images` (a block of rows, rows A^T) and `pullback` (rows A); on a
 permutation each is an index gather.  `transpose` gives the transpose
 module.  On top of that: spinning, fixed spaces of permutation labels (orbit
-sums), restriction and quotient, an irreducibility test with certified
-verdicts, recursive composition series, and a socle check that enumerates
-the lines of a p-group fixed space.
+sums), one fixed vector in the submodule that a vector generates under an
+l-group of permutation labels (a walk x <- (u - 1).x that ends because the
+augmentation ideal of that group algebra is nilpotent; `fixed_vector`
+argues it), restriction and quotient, an irreducibility test with
+certified verdicts, recursive composition series, and a socle check that
+enumerates the lines of a p-group fixed space.
 
 Restriction and quotient work on whole matrices, exact mod l.  Each checks
 one identity for every label in the input handle's `actions`, spin or not,
@@ -55,6 +58,7 @@ __all__ = [
     "ModuleHandle",
     "spin",
     "fixed_space",
+    "fixed_vector",
     "restrict",
     "quotient",
     "meataxe_irreducible",
@@ -343,6 +347,35 @@ def fixed_space(handle: ModuleHandle, labels: Sequence[Hashable]) -> Subspace:
     return Subspace(handle.dim, handle.l, (root == smallest[:, None]).astype(np.int64))
 
 
+def fixed_vector(handle: ModuleHandle, labels: Sequence[Hashable], v: np.ndarray) -> Optional[np.ndarray]:
+    """A vector of kU.v fixed by every label, U the group that the labels,
+    each a permutation, generate; None if the walk does not stop.
+
+    The walk sets x <- (u - 1).x for the first label u that moves x, until
+    no label moves x, starting from x = v; so x = (u_t - 1)...(u_1 - 1).v
+    lies in kU.v, and it is nonzero whenever v is.  Each factor u - 1 lies
+    in the augmentation ideal I of kU, so x_t lies in I^t.W, W = kU.v.  When
+    U is an l-group, I is the radical of kU (the trivial module is its only
+    simple module), so by Nakayama the chain W > I.W > I^2.W > ... falls
+    strictly until it reaches 0, and I^t.W = 0 for t >= dim W.  A moved x_t
+    gives x_{t+1} != 0, so the walk stops within dim W - 1 <= dim - 1
+    steps, with no elimination.  When U is not an l-group it may cycle: it
+    gives up, and returns None, after dim + 1 steps.  A zero v returns zero.
+    """
+    actions = [handle.actions[label] for label in labels]
+    assert all(kind == "perm" for kind, _, _ in actions), "fixed_vector needs permutation labels"
+    x = np.asarray(v, dtype=np.int64) % handle.l
+    for _ in range(handle.dim + 1):
+        for _, _, inv in actions:
+            ux = x[inv]
+            if not np.array_equal(ux, x):
+                x = (ux - x) % handle.l
+                break
+        else:
+            return x
+    return None
+
+
 def restrict(handle: ModuleHandle, sub: Subspace) -> ModuleHandle:
     """The module structure on an invariant subspace, in its basis coords.
 
@@ -565,8 +598,9 @@ def socle_simple_check(
 
     Valid when `fixed` is the fixed space of a p-group acting on the module
     and l = p: every nonzero submodule then meets that fixed space in a
-    nonzero vector, so spinning each fixed line sweeps all minimal
-    submodules.  The caller is responsible for both requirements.
+    nonzero vector (`fixed_vector` finds one from any generator), so
+    spinning each fixed line sweeps all minimal submodules.  The caller is
+    responsible for both requirements.
     """
     assert np.any(np.asarray(candidate) % handle.l), "zero socle candidate"
     C = spin(handle, [candidate])

@@ -57,6 +57,7 @@ from .linrep import (
     Subspace,
     composition_series,
     fixed_space,
+    fixed_vector,
     meataxe_irreducible,
     quotient,
     restrict,
@@ -947,14 +948,14 @@ def suite_fixed_points(runner: SuiteRunner, seed: int) -> SuiteReport:
     )
     lm = runner.base
     rng = np.random.default_rng(seed)
-    fixed = lm.unipotent_fixed_space()
+    fixed, labels = lm.unipotent_fixed_space(), lm.unipotent_labels()
     for k in range(FIXED_POINT_TRIALS):
         v = rng.integers(0, lm.ell, size=lm.dim)
         while not np.any(v):
             v = rng.integers(0, lm.ell, size=lm.dim)
-        S = spin(lm.handle, [v % lm.ell])
-        # S meets the fixed space iff dim(S + F) < dim S + dim F
-        rep.check(S.sum(fixed).dim < S.dim + fixed.dim, what="fixed-vector-exists", trial=k)
+        # x = (u_t - 1)...(u_1 - 1).v lies in kG.v: a witness that kG.v meets F
+        x = fixed_vector(lm.handle, labels, v)
+        rep.check(x is not None and bool(np.any(x)) and fixed.contains(x), what="fixed-vector-exists", trial=k)
     rep.witness(trials=FIXED_POINT_TRIALS, ambient_fixed_dim=fixed.dim)
     return rep
 

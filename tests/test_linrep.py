@@ -21,6 +21,7 @@ from chevperm.linrep import (
     _random_algebra_element,
     composition_series,
     fixed_space,
+    fixed_vector,
     line_representatives,
     meataxe_irreducible,
     nullspace,
@@ -310,6 +311,19 @@ def test_fixed_space_of_cyclic_shift():
         assert F.dim == 1 and F.rows.tolist() == [[1, 1, 1]]
         with pytest.raises(AssertionError, match="permutation labels"):
             fixed_space(mat_cyclic_shift_module(l), ["c"])
+        with pytest.raises(AssertionError, match="permutation labels"):
+            fixed_vector(mat_cyclic_shift_module(l), ["c"], np.array([1, 0, 0]))
+
+
+def test_fixed_vector_walk_on_cyclic_shift():
+    # at l = 3 the shift generates an l-group: e0 -> e1 - e0 -> e0 + e2 - 2 e1
+    # = e0 + e1 + e2 (mod 3), which the shift fixes.  At l = 2 it does not:
+    # the walk from e0 cycles through the three weight-2 vectors and gives up
+    e0 = np.array([1, 0, 0])
+    assert fixed_vector(cyclic_shift_module(3), ["c"], e0).tolist() == [1, 1, 1]
+    assert fixed_vector(cyclic_shift_module(2), ["c"], e0) is None
+    assert fixed_vector(cyclic_shift_module(2), ["c"], np.array([1, 1, 1])).tolist() == [1, 1, 1]
+    assert fixed_vector(cyclic_shift_module(5), ["c"], np.zeros(3, dtype=np.int64)).tolist() == [0, 0, 0]
 
 
 def test_fixed_space_no_labels_is_everything():

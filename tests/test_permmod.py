@@ -13,7 +13,7 @@ import pytest
 
 from chevperm.chevalley import unipotent_words, weyl_word
 from chevperm.gf import make_field
-from chevperm.linrep import Subspace, spin
+from chevperm.linrep import Subspace, fixed_vector, spin
 from chevperm.permmod import (
     FIXED_POINT_TRIALS,
     SUITES,
@@ -258,6 +258,36 @@ def test_socle_fixed_space_matches_the_restricted_dense_stack(kind, q):
         met = EpJ.intersect(lm.unipotent_fixed_space(full - J))
         ref = dense_fixed_space(loop_restrict(phandle, EpJ), lm.unipotent_labels())
         assert Subspace(EpJ.dim, lm.ell, EpJ.coords(met.rows)) == ref
+
+
+@pytest.mark.parametrize("kind,q", [("A1", 2), ("A1", 3), ("A1", 4), ("A2", 2), ("A2", 3), ("B2", 2)])
+def test_fixed_vector_lies_in_the_spin_and_the_fixed_space(kind, q):
+    # l = p: the walk's witness is a U-fixed vector of kG.v, checked against
+    # the spin of v, which also still decides the old way that kG.v meets F
+    lm = ctx(kind, q).base
+    labels, F = lm.unipotent_labels(), lm.unipotent_fixed_space()
+    rng = np.random.default_rng(18)
+    for _ in range(30):
+        v = rng.integers(0, lm.ell, size=lm.dim)
+        if not np.any(v):
+            v[rng.integers(lm.dim)] = 1
+        x = fixed_vector(lm.handle, labels, v)
+        assert x is not None and np.any(x)
+        assert all(np.array_equal(lm.handle.apply(u, x), x) for u in labels)
+        S = spin(lm.handle, [v])
+        assert F.contains(x) and S.contains(x)
+        assert S.sum(F).dim < S.dim + F.dim
+
+
+def test_fixed_vector_gives_up_when_u_is_no_l_group():
+    # A1 q=2 at l=3: U has order 2 and swaps e_1 and e_2, so the walk from
+    # e_1 reaches e_2 - e_1, on which u - 1 acts as -2 = 1, stays there and
+    # gives up; U fixes e_0
+    lm = ctx("A1", 2, char=3).base
+    labels = lm.unipotent_labels()
+    e0, e1 = lm.handle.basis_vector(0), lm.handle.basis_vector(1)
+    assert fixed_vector(lm.handle, labels, e1) is None
+    assert np.array_equal(fixed_vector(lm.handle, labels, e0), e0)
 
 
 def test_embedded_values_and_transversal():
