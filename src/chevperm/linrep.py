@@ -100,7 +100,9 @@ class Subspace:
     `_add` is the one elimination routine: it reduces a vector against the
     basis, scales it to a leading 1, clears its pivot column from the other
     rows and inserts it at its sorted pivot position, so `rows` and `pivots`
-    are the canonical RREF after every step.  The rows live in a buffer that
+    are the canonical RREF after every step.  The reduction is skipped for a
+    vector that is zero on every pivot and the clearing for a column that is
+    zero already, so rows that are an RREF already go in without products.  The rows live in a buffer that
     grows by doubling, capped at n rows, and is trimmed to the basis once
     the subspace is built; an intp array of the pivots is kept in step with
     it, for the gathers of `reduce` and `coords`.  Vectors are reduced mod l
@@ -125,8 +127,9 @@ class Subspace:
         basis row (not a view of the buffer), or None if the vector was
         already in the span."""
         k = self.dim
-        if k:
-            v = (v - v[self._piv[:k]] @ self._buf[:k]) % self.l
+        c = v[self._piv[:k]]
+        if c.any():
+            v = (v - c @ self._buf[:k]) % self.l
         nz = v.nonzero()[0]
         if not len(nz):
             return None
@@ -134,8 +137,9 @@ class Subspace:
         if v[p] != 1:
             v = (v * pow(int(v[p]), -1, self.l)) % self.l
         R = self._buf[:k]
-        R -= np.outer(R[:, p], v)
-        R -= (R // self.l) * self.l  # R %= l, but numpy's int64 remainder is slower
+        if R[:, p].any():
+            R -= np.outer(R[:, p], v)
+            R -= (R // self.l) * self.l  # R %= l, but numpy's int64 remainder is slower
         if k == len(self._buf):
             size = min(self.n, max(1, 2 * k))
             grown = np.zeros((size, self.n), dtype=np.int64)
@@ -191,22 +195,27 @@ class Subspace:
         assert not np.any((v - c @ self.rows) % self.l), "vector outside the subspace"
         return c
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        """The sum, as the larger operand's RREF extended by the other's rows:
-        a copy of its rows and pivots in a buffer of dim + dim' rows (at most
-        n), then one `_add` per row of the smaller operand."""
-        assert (self.n, self.l) == (other.n, other.l)
-        big, small = (self, other) if self.dim >= other.dim else (other, self)
+    def extend(self, rows: np.ndarray) -> "Subspace":
+        """The span of this subspace and the given rows, as a new Subspace:
+        a copy of the RREF rows and pivots in a buffer of dim + len(rows)
+        rows (at most n), then one `_add` per row, reduced mod l."""
+        rows = np.asarray(rows, dtype=np.int64) % self.l
         out = Subspace(self.n, self.l)
-        size = min(self.n, big.dim + small.dim)
+        size = min(self.n, self.dim + len(rows))
         out._buf = np.zeros((size, self.n), dtype=np.int64)
-        out._buf[: big.dim] = big.rows
+        out._buf[: self.dim] = self.rows
         out._piv = np.zeros(size, dtype=np.intp)
-        out._piv[: big.dim] = big._piv[: big.dim]
-        out.pivots = big.pivots
-        for v in small.rows:
+        out._piv[: self.dim] = self._piv[: self.dim]
+        out.pivots = self.pivots
+        for v in rows:
             out._add(v)
         return out._trim()
+
+    def sum(self, other: "Subspace") -> "Subspace":
+        """The sum, as the larger operand's RREF extended by the other's rows."""
+        assert (self.n, self.l) == (other.n, other.l)
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
+        return big.extend(small.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         stacked = np.vstack([self.rows, other.rows])

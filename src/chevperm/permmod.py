@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -110,10 +110,19 @@ class FiltrationPiece:
     handle: ModuleHandle        # the subquotient as a module over the spin labels only
     project: Callable[[np.ndarray], np.ndarray]   # ambient vector or block of rows (in sub) -> subquotient coords
     C: np.ndarray               # image of the alternating sum
+    _series: Optional[List[int]] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.handle.dim
+
+    def composition_series(self, seed: int) -> List[int]:
+        """The subquotient's sorted composition factor dimensions, computed
+        once, with the seed of the first caller: by Jordan-Holder the
+        multiset does not depend on the seed."""
+        if self._series is None:
+            self._series = composition_series(self.handle, seed=seed)
+        return self._series
 
 
 class LevelModule:
@@ -346,32 +355,72 @@ class LevelModule:
     # -- the submodule lattice of the alternating sums
 
     def filtration(self) -> Dict[FrozenSet[int], FiltrationPiece]:
+        """The submodules M_J = kG.eta_J, eta_J the alternating sum over
+        W_J, and the subquotients M_J / M_{>J}, M_{>J} the sum of the M_K
+        for K > J.  No M_J is spun: it is spanned from the paper's basis.
+
+        The subsets are walked largest first.  For each i not in J,
+        eta_{J+i} is asserted to equal the signed sum of the translates
+        x.eta_J over the minimal coset representatives x of W_J lying in
+        W_{J+i} (W_{J+i} is the disjoint union of the cosets x W_J, with
+        lengths adding).  So M_{J+i} = kG.eta_{J+i} lies in kG.eta_J, and
+        so does M_{>J}, the sum of the M_{J+i}: every larger K lies in some
+        J + i.  M_J is M_{>J} extended by the rows of
+        `translates(tail, w.eta_J)` for each entry of `y_translates(J,
+        eta_J)`, group translates of eta_J, so M_J lies in kG.eta_J.  It is
+        asserted to hold eta_J, and `restrict` asserts it invariant under
+        every label of the module, so M_J contains kG.eta_J: M_J = kG.eta_J.
+        Should the translates not span an invariant subspace, that assertion
+        fails; it never yields a smaller subspace.  The RREF is canonical,
+        so M_J is the Subspace that spinning eta_J gives.
+
+        The pieces are then built in the order of `all_subsets`, smallest J
+        first: the restrict checks of the largest submodules, the costliest
+        in memory, run before the top piece's dense actions are held.
+        """
         if self._filtration is not None:
             return self._filtration
         subsets = self.datum.all_subsets()
-        generated = {J: spin(self.handle, [self.alternating_sum(J)]) for J in subsets}
+        etas: Dict[FrozenSet[int], np.ndarray] = {}
+        generated: Dict[FrozenSet[int], Subspace] = {}
+        above: Dict[FrozenSet[int], Subspace] = {}
+        for J in reversed(subsets):
+            eta = etas[J] = self.alternating_sum(J)
+            above[J] = Subspace(self.dim, self.ell)
+            for i in range(self.datum.rank):
+                if i in J:
+                    continue
+                K = J | {i}
+                W_K = {w.perm for w in self.datum.subgroup_elements(K)}
+                image = np.zeros_like(eta)
+                for x in self.datum.min_coset_reps(J):
+                    if x.perm in W_K:
+                        image = (image + self.sign(x) * self.act_weyl(x, eta)) % self.ell
+                assert np.array_equal(image, etas[K]), "eta_K is not the signed coset sum of eta_J"
+                # the first larger submodule is taken as it is, not copied
+                above[J] = above[J].sum(generated[K]) if above[J].dim else generated[K]
+            rows = [self.translates(tail, weta) for _, tail, weta in self.y_translates(J, eta)]
+            generated[J] = above[J].extend(np.vstack(rows))
+            assert generated[J].contains(eta), "eta_J outside its translate span"
         pieces: Dict[FrozenSet[int], FiltrationPiece] = {}
         for J in subsets:
-            # the sum over every K > J is the sum over the minimal ones,
-            # J + {i}: each larger K lies in some J + {i}, and coords asserts
-            # generated[K] <= generated[J + {i}] when J + {i} is processed
-            rows = [generated[J | {i}].rows for i in range(self.datum.rank) if i not in J]
-            above = Subspace(self.dim, self.ell, np.vstack(rows) if rows else None)
-            sub = generated[J]
-            # coords asserts that above lies in sub.  restrict checks every
-            # generated submodule under every label of the module, so above,
-            # a sum of them, is invariant too; the quotient checks only the
-            # spin labels the restricted handle carries.  That handle is
-            # dropped before the next one is built.
-            inner = Subspace(sub.dim, self.ell, sub.coords(above.rows))
+            sub, larger = generated[J], above.pop(J)
+            # restrict checks sub under every label of the module; larger, a
+            # sum of submodules so checked, is invariant too, and the
+            # quotient checks only the spin labels the restricted handle
+            # carries.  That handle is dropped before the next one is built.
+            # a subspace's pivots are among those of any space holding it,
+            # so larger's coordinates in sub are an RREF already, and `_add`
+            # takes them in without products
+            inner = Subspace(sub.dim, self.ell, sub.coords(larger.rows))
             e_handle, qproj = quotient(restrict(self.handle, sub), inner)
 
             def project(v, _sub=sub, _qproj=qproj):
                 return _qproj(_sub.coords(v))
 
-            C = project(self.alternating_sum(J))
+            C = project(etas[J])
             assert np.any(C), "alternating-sum image vanished in the subquotient"
-            pieces[J] = FiltrationPiece(J, sub, above.dim, e_handle, project, C)
+            pieces[J] = FiltrationPiece(J, sub, larger.dim, e_handle, project, C)
         self._filtration = pieces
         return pieces
 
@@ -661,7 +710,7 @@ def suite_parabolic_model(runner: SuiteRunner, seed: int) -> SuiteReport:
         rep.check(rank == len(translates) == predicted == EpJ.dim, what="model-basis",
                   J=subset_tag(J), rank=rank, predicted=predicted)
         model_series = composition_series(restrict(handle, EpJ), seed=seed)
-        piece_series = composition_series(piece.handle, seed=seed)
+        piece_series = piece.composition_series(seed)
         rep.check(model_series == piece_series, what="factor-multiset",
                   J=subset_tag(J), model=model_series, subquotient=piece_series)
         rep.witness(J=subset_tag(J), dim=EpJ.dim, factors=piece_series)
@@ -932,7 +981,7 @@ def suite_composition(runner: SuiteRunner, seed: int) -> SuiteReport:
     merged: List[int] = []
     for J in lm.datum.all_subsets():
         piece = lm.filtration()[J]
-        sub_series = composition_series(piece.handle, seed=seed)
+        sub_series = piece.composition_series(seed)
         merged.extend(sub_series)
         rep.check(sum(sub_series) == piece.dim, what="piece-factors-sum", J=subset_tag(J))
         rep.witness(module="piece:%s" % subset_tag(J), factors=sub_series, count=len(sub_series))

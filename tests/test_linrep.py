@@ -225,6 +225,8 @@ def test_sum_matches_the_stacked_rref(case):
     A, B, C = (Subspace(n, l, M) for M in (MA, MB, MC))
     for S, M in ((A, MA), (B, MB), (C, MC)):
         assert_same_rref(S, Subspace(n, l, M % l))
+        # RREF rows, in either order, need no reduction and clear nothing
+        assert_same_rref(Subspace(n, l, S.rows[::-1]), S)
     # either operand larger, zero or full: the order of the operands and of
     # the rows does not change the canonical RREF
     AB = Subspace(n, l, np.vstack([A.rows, B.rows]))
@@ -234,6 +236,10 @@ def test_sum_matches_the_stacked_rref(case):
     ABC = Subspace(n, l, np.vstack([MA, MB, MC]))
     assert_same_rref(A.sum(B).sum(C), ABC)
     assert_same_rref(C.sum(B.sum(A)), ABC)
+    # extend takes rows as given, shifted by multiples of l, or none at all
+    assert_same_rref(A.extend(MB), AB)
+    assert_same_rref(A.extend(np.vstack([MB, MC])), ABC)
+    assert_same_rref(A.extend(np.zeros((0, n), dtype=np.int64)), A)
     # the operands are left as they were
     assert_same_rref(A, Subspace(n, l, MA % l))
     assert_same_rref(B, Subspace(n, l, MB % l))

@@ -13,7 +13,8 @@ import pytest
 
 from chevperm.chevalley import unipotent_words, weyl_word
 from chevperm.gf import make_field
-from chevperm.linrep import Subspace, fixed_vector, spin
+from chevperm.linrep import Subspace, fixed_vector, quotient, restrict, spin
+from chevperm import permmod
 from chevperm.permmod import (
     FIXED_POINT_TRIALS,
     SUITES,
@@ -114,6 +115,79 @@ def test_filtration_dims_survive_coefficient_change():
     # subquotient dimensions must match the defining-characteristic ones
     pieces = ctx("A2", 2, char=5).base.filtration()
     assert sorted(p.dim for p in pieces.values()) == [1, 6, 6, 8]
+
+
+# -- the filtration is spanned, not spun: spinning is its oracle ---------------
+
+
+def spin_filtration(lm):
+    """The filtration as spinning builds it, {J: (M_J, dim M_{>J}, C)}:
+    M_J = spin(eta_J), M_{>J} the span of the M_{J+i}, and C the image of
+    eta_J in M_J / M_{>J}."""
+    subsets = lm.datum.all_subsets()
+    spun = {J: spin(lm.handle, [lm.alternating_sum(J)]) for J in subsets}
+    out = {}
+    for J in subsets:
+        rows = [spun[J | {i}].rows for i in range(lm.datum.rank) if i not in J]
+        above = Subspace(lm.dim, lm.ell, np.vstack(rows) if rows else None)
+        sub = spun[J]
+        _, qproj = quotient(restrict(lm.handle, sub), Subspace(sub.dim, lm.ell, sub.coords(above.rows)))
+        out[J] = (sub, above.dim, qproj(sub.coords(lm.alternating_sum(J))))
+    return out
+
+
+@pytest.mark.parametrize("kind,q,b,char,level", [
+    ("A1", 2, None, None, "base"), ("A1", 3, None, None, "base"),
+    ("A1", 4, None, None, "base"), ("A1", 5, None, None, "base"),
+    ("A2", 2, None, None, "base"), ("A2", 3, None, None, "base"),
+    ("B2", 2, None, None, "base"),
+    ("A2", 2, None, 3, "base"), ("B2", 2, None, 3, "base"),  # cross characteristic
+    ("A1", 2, 3, None, "ext"), ("A2", 2, None, None, "ext"),  # A1 over GF(8), A2 over GF(4)
+])
+def test_filtration_equals_the_spin_built_one(kind, q, b, char, level):
+    lm = getattr(ctx(kind, q, b=b, char=char), level)
+    pieces = lm.filtration()
+    oracle = spin_filtration(lm)
+    assert list(pieces) == lm.datum.all_subsets()
+    for J, (sub, prime_dim, C) in oracle.items():
+        assert pieces[J].sub == sub, subset_tag(J)
+        assert pieces[J].prime_dim == prime_dim and np.array_equal(pieces[J].C, C), subset_tag(J)
+
+
+def test_filtration_refuses_a_translate_span_missing_a_row(monkeypatch):
+    # dropping one non-first row of one block leaves a proper subspace that
+    # still holds eta_J; it is not invariant, so restrict must refuse it
+    real = LevelModule.translates
+    dropped = []
+
+    def translates(self, w, v, handle=None):
+        block = real(self, w, v, handle)
+        if not dropped and len(block) > 1:
+            dropped.append(block[1])
+            return np.delete(block, 1, axis=0)
+        return block
+
+    monkeypatch.setattr(LevelModule, "translates", translates)
+    lm = LevelModule("A2", 2, 2)
+    with pytest.raises(AssertionError, match="vector outside the subspace") as err:
+        lm.filtration()
+    assert dropped and err.traceback[-1].name == "restrict"
+
+
+def test_filtration_checks_the_coset_sum_identity(monkeypatch):
+    # one term of the signed coset sum counted twice, so scaled by 2; the
+    # coset enumeration reads the representatives too, so build it first
+    lm = LevelModule("A2", 3, 3)
+    real = type(lm.datum).min_coset_reps
+
+    def min_coset_reps(self, J):
+        reps = real(self, J)
+        return reps + [x for x in reps if x.length][:1]
+
+    monkeypatch.setattr(type(lm.datum), "min_coset_reps", min_coset_reps)
+    with pytest.raises(AssertionError, match="signed coset sum") as err:
+        lm.filtration()
+    assert err.traceback[-1].name == "filtration"
 
 
 def test_operator_levels_interpolate():
@@ -421,6 +495,23 @@ def test_composition_suite():
     assert rep5.ok, rep5.failures
     full5 = [w for w in rep5.witnesses if w["module"] == "full"][0]
     assert full5["factors"] == [1, 2]
+
+
+def test_piece_composition_series_is_computed_once(monkeypatch):
+    # composition and parabolic-model both read each piece's series; the
+    # multiset does not depend on the seed, so the first caller's is kept
+    runner = SuiteRunner("A2", 2)
+    real = permmod.composition_series
+    calls = []
+    monkeypatch.setattr(permmod, "composition_series", lambda h, seed=0: calls.append(h) or real(h, seed=seed))
+    assert suite_composition(runner, 3).ok
+    pieces = runner.base.filtration()
+    assert len(calls) == 1 + len(pieces)
+    assert suite_parabolic_model(runner, 5).ok
+    assert len(calls) == 1 + 2 * len(pieces)
+    assert not any(h is piece.handle for h in calls[1 + len(pieces):] for piece in pieces.values())
+    for piece in pieces.values():
+        assert piece.composition_series(9) == real(piece.handle, seed=9)
 
 
 def test_fixed_points_suite():
