@@ -6,8 +6,8 @@ incremental routine, `Subspace._add`, keeps that canonical RREF as vectors
 arrive; spinning and kernels (`nullspace`) are built on it.  A
 ModuleHandle bundles an ambient dimension with invertible labelled actions
 (permutations of a basis, or dense matrices) plus the sublist of labels
-used for submodule closure.  An action is read only through `apply` (one
-vector), `images` (a block of rows, rows A^T) and `pullback` (rows A); on a
+used for submodule closure.  An action is read only through `images` (one
+vector, or each row of a block: x A^T) and `pullback` (rows A); on a
 permutation each is an index gather.  `transpose` gives the transpose
 module.  On top of that: spinning, fixed spaces of permutation labels (orbit
 sums), one fixed vector in the submodule that a vector generates under an
@@ -18,19 +18,12 @@ certified verdicts, recursive composition series, and a socle check that
 enumerates the lines of a p-group fixed space.
 
 Restriction and quotient work on whole matrices, exact mod l.  Each checks
-one identity for every label in the input handle's `actions`, spin or not,
-but builds and stores an action only for the spin labels, the only ones that
-spinning, the MeatAxe and composition series read:
-
-  restrict  S (k x n, RREF rows) invariant: with img = S A^T (the images of
-            the rows) and C = img[:, pivots], assert C S == img on the free
-            (non-pivot) columns; on the pivot columns S is the identity, so
-            there it holds by construction.  The restricted action is C^T.
-  quotient  P ((n-k) x n) the projection onto the free coordinates: with
-            Q = (P A)[:, free], assert P A == Q P on the pivot columns; on
-            the free columns P is the identity, so there it holds by
-            construction.  Together that is equivariance on every ambient
-            basis vector.  The quotient action is Q.
+one identity for every label in the input handle's `actions`, spin or not
+(`restrict` that the images of S's rows lie in S, `quotient` that the
+projection is equivariant, each on the columns where it does not hold by
+construction), but builds and stores an action only for the spin labels,
+the only ones that spinning, the MeatAxe and composition series read.
+`restrict` also builds a subquotient S / N in the same pass.
 
 The irreducibility test is the Holt-Rees MeatAxe: a random algebra element
 A, an irreducible factor p of the minimal polynomial of a vector under A
@@ -60,6 +53,7 @@ __all__ = [
     "fixed_space",
     "fixed_vector",
     "restrict",
+    "subquotient_coords",
     "quotient",
     "meataxe_irreducible",
     "composition_series",
@@ -190,10 +184,7 @@ class Subspace:
         return not np.any(self.reduce(v))
 
     def coords(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.int64) % self.l
-        c = v[..., self._piv[: self.dim]]
-        assert not np.any((v - c @ self.rows) % self.l), "vector outside the subspace"
-        return c
+        return subquotient_coords(self)(v)
 
     def extend(self, rows: np.ndarray) -> "Subspace":
         """The span of this subspace and the given rows, as a new Subspace:
@@ -270,20 +261,12 @@ class ModuleHandle:
         assert M.shape == (self.dim, self.dim)
         self.actions[label] = ("mat", M, None)
 
-    def apply(self, label: Hashable, v: np.ndarray) -> np.ndarray:
-        kind, fwd, _ = self.actions[label]
-        if kind == "perm":
-            out = np.empty_like(v)
-            out[fwd] = v
-            return out
-        return (fwd @ v) % self.l
-
-    def images(self, label: Hashable, rows: np.ndarray) -> np.ndarray:
-        """The images of the row vectors of a block under one action: rows A^T."""
+    def images(self, label: Hashable, x: np.ndarray) -> np.ndarray:
+        """x A^T: the image of a vector, or of each row of a block."""
         kind, fwd, inv = self.actions[label]
         if kind == "perm":
-            return rows[:, inv]
-        return (rows @ fwd.T) % self.l
+            return x[inv] if x.ndim == 1 else x[:, inv]  # x[..., inv] is slower on one vector
+        return (x @ fwd.T) % self.l
 
     def pullback(self, label: Hashable, rows: np.ndarray) -> np.ndarray:
         """The row vectors of a block, read as functionals, composed with one
@@ -292,12 +275,6 @@ class ModuleHandle:
         if kind == "perm":
             return rows[:, fwd]
         return (rows @ fwd) % self.l
-
-    def apply_word(self, word: Sequence[Hashable], v: np.ndarray) -> np.ndarray:
-        """Apply a product of labelled actions, rightmost factor first."""
-        for label in reversed(word):
-            v = self.apply(label, v)
-        return v
 
     def transpose(self) -> "ModuleHandle":
         """The transpose module: each spin label acts by A^T.  A permutation
@@ -330,7 +307,7 @@ def spin(handle: ModuleHandle, seeds: Iterable[np.ndarray]) -> Subspace:
     while queue:
         v = queue.popleft()
         for label in handle.spin_labels:
-            added = S._add(handle.apply(label, v))
+            added = S._add(handle.images(label, v))
             if added is not None:
                 queue.append(added)
             if S.dim == S.n:
@@ -385,28 +362,59 @@ def fixed_vector(handle: ModuleHandle, labels: Sequence[Hashable], v: np.ndarray
     return None
 
 
-def restrict(handle: ModuleHandle, sub: Subspace) -> ModuleHandle:
-    """The module structure on an invariant subspace, in its basis coords.
+def subquotient_coords(sub: Subspace, modulo: Optional[Subspace] = None) -> Callable[[np.ndarray], np.ndarray]:
+    """x in S = sub (asserted), or each row of a block -> the coordinates of
+    x + N in S / N, N = modulo (zero by default), in the basis of `restrict`."""
+    classes = _classes(sub, modulo)
 
-    For every label of the handle, the images S A^T of the basis rows S have
-    coordinates C = (S A^T)[:, pivots], and C S == S A^T is asserted on the
-    free columns; on the pivot columns S is the identity, so there it holds
-    by construction.  That costs k^2 (n - k) per label, not k^2 n.  The
-    restricted action C^T is built only for the spin labels, in their
-    order.  The full space returns the handle itself.
+    def project(x: np.ndarray) -> np.ndarray:
+        assert sub.contains(x), "vector outside the subspace"
+        return classes(np.asarray(x, dtype=np.int64) % sub.l)
+
+    return project
+
+
+def _classes(sub: Subspace, N: Optional[Subspace]) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> x[cols] - x[N's pivots] N[:, cols] for x in S = sub and N in S
+    (x[pivots] for N = 0), cols the pivots of S that N lacks: x less the
+    vector of N that agrees with it on N's pivots is the combination, with
+    its entries on cols, of the rows of S with pivots cols."""
+    if N is None or not N.dim:
+        return lambda x: x[..., sub._piv[: sub.dim]]
+    gone = set(N.pivots)
+    cols = np.array([p for p in sub.pivots if p not in gone], dtype=np.intp)
+    N_cols, npiv = N.rows[:, cols], N._piv[: N.dim]
+    return lambda x: (x[..., cols] - x[..., npiv] @ N_cols) % sub.l
+
+
+def restrict(handle: ModuleHandle, sub: Subspace, modulo: Optional[Subspace] = None) -> ModuleHandle:
+    """The module structure on an invariant subspace S = sub, in its basis
+    coords, or with modulo = N, an invariant subspace of S, on S / N in the
+    basis of the classes of the rows of S whose pivots N lacks.
+
+    For every label the images img of those rows, with C = img[:, pivots],
+    are asserted to satisfy C S == img on the free columns (on the pivot
+    columns S is the identity), and N's rows are checked the same way.  N's
+    invariance is a precondition; given it, S is invariant.  That costs
+    k' k (n - k) per label, k' = k - dim N.  The action, the images'
+    classes' coordinates transposed, is built only for the spin labels, in
+    their order.  The full space with N = 0 returns the handle itself.
     """
-    if sub.dim == handle.dim:
+    gone = set() if modulo is None else set(modulo.pivots)
+    if sub.dim == handle.dim and not gone:
         return handle
-    pivots, free = list(sub.pivots), sub.free
-    R = sub.rows[:, free]
-    coords = {}
+    l, pivots, free = handle.l, list(sub.pivots), sub.free
+    R, rows = sub.rows[:, free], sub.rows
+    if gone:
+        assert np.array_equal(modulo.rows[:, pivots] @ R % l, modulo.rows[:, free]), "vector outside the subspace"
+        rows = rows[[p not in gone for p in pivots]]
+    classes, coords = _classes(sub, modulo), {}
     for label in handle.actions:
-        img = handle.images(label, sub.rows)
-        C = img[:, pivots]
-        assert np.array_equal((C @ R) % handle.l, img[:, free]), "vector outside the subspace"
+        img = handle.images(label, rows)
+        assert np.array_equal(img[:, pivots] @ R % l, img[:, free]), "vector outside the subspace"
         if label in handle.spin_labels:
-            coords[label] = C
-    out = ModuleHandle(sub.dim, handle.l, handle.spin_labels)
+            coords[label] = classes(img)
+    out = ModuleHandle(len(rows), l, handle.spin_labels)
     for label in handle.spin_labels:
         out.add_matrix(label, coords.pop(label).T)  # pop: hold one matrix twice at most
     return out

@@ -59,10 +59,10 @@ from .linrep import (
     fixed_space,
     fixed_vector,
     meataxe_irreducible,
-    quotient,
     restrict,
     socle_simple_check,
     spin,
+    subquotient_coords,
 )
 from .report import SuiteReport
 from .rootsys import RootDatum, WeylElement, check_reflection_transfer, check_stability_separation, root_datum
@@ -133,8 +133,8 @@ class LevelModule:
     representatives, torus elements, subgroup sums) is expressed through
     them.  Operators act on vectors: a subgroup sum applied to v is a chain
     of root sums, each a sum of permutation gathers of v.  The actions
-    permute along axis 0, so passing the identity matrix as v returns the
-    operator as a matrix.
+    read each row of a block as a vector, so passing the identity matrix as
+    v returns the operator's transpose.
     """
 
     def __init__(self, kind: str, order: int, ell: int, budget: int = 200_000):
@@ -162,12 +162,13 @@ class LevelModule:
 
     # -- words and vectors
 
-    @staticmethod
-    def labels(word: Sequence[Tuple[int, int]]) -> List[tuple]:
-        return [("r", ri, c) for ri, c in word if c != 0]
-
     def act(self, word: Sequence[Tuple[int, int]], v: np.ndarray, handle: Optional[ModuleHandle] = None) -> np.ndarray:
-        return (handle or self.handle).apply_word(self.labels(word), v)
+        """The word's root elements x_ri(c) applied to v, rightmost first."""
+        handle = handle or self.handle
+        for ri, c in reversed(word):
+            if c:
+                v = handle.images(("r", ri, c), v)
+        return v
 
     def act_weyl(self, w: WeylElement, v: np.ndarray, handle: Optional[ModuleHandle] = None) -> np.ndarray:
         return self.act(weyl_word(self.group, w), v, handle)
@@ -224,7 +225,7 @@ class LevelModule:
         handle = handle or self.handle
         out = np.zeros_like(v)
         for c in values:
-            out += v if c == 0 else handle.apply(("r", root_index, c), v)
+            out += v if c == 0 else handle.images(("r", root_index, c), v)
         return out % self.ell
 
     def root_chain(self, roots: Sequence[int], values: Sequence[int], v: np.ndarray,
@@ -368,15 +369,18 @@ class LevelModule:
         J + i.  M_J is M_{>J} extended by the rows of
         `translates(tail, w.eta_J)` for each entry of `y_translates(J,
         eta_J)`, group translates of eta_J, so M_J lies in kG.eta_J.  It is
-        asserted to hold eta_J, and `restrict` asserts it invariant under
-        every label of the module, so M_J contains kG.eta_J: M_J = kG.eta_J.
-        Should the translates not span an invariant subspace, that assertion
-        fails; it never yields a smaller subspace.  The RREF is canonical,
-        so M_J is the Subspace that spinning eta_J gives.
+        asserted to hold eta_J; if M_J is invariant under every label of the
+        module, it contains kG.eta_J too: M_J = kG.eta_J.  The RREF is
+        canonical, so M_J is the Subspace that spinning eta_J gives.
 
-        The pieces are then built in the order of `all_subsets`, smallest J
-        first: the restrict checks of the largest submodules, the costliest
-        in memory, run before the top piece's dense actions are held.
+        Each piece is one `restrict(handle, M_J, M_{>J})`, smallest J
+        first, so the checks of the largest submodules, the costliest in
+        memory, run before the top piece's dense actions are held.  It takes
+        M_{>J}'s invariance as given, and M_J's follows by downward
+        induction: the top piece has M_{>J} = 0, and once each M_K, K > J,
+        is invariant, so is their sum.  The filtration returns only once
+        every call has passed.  Should the translates not span an invariant
+        subspace, one fails; it never yields a smaller subspace.
         """
         if self._filtration is not None:
             return self._filtration
@@ -405,22 +409,10 @@ class LevelModule:
         pieces: Dict[FrozenSet[int], FiltrationPiece] = {}
         for J in subsets:
             sub, larger = generated[J], above.pop(J)
-            # restrict checks sub under every label of the module; larger, a
-            # sum of submodules so checked, is invariant too, and the
-            # quotient checks only the spin labels the restricted handle
-            # carries.  That handle is dropped before the next one is built.
-            # a subspace's pivots are among those of any space holding it,
-            # so larger's coordinates in sub are an RREF already, and `_add`
-            # takes them in without products
-            inner = Subspace(sub.dim, self.ell, sub.coords(larger.rows))
-            e_handle, qproj = quotient(restrict(self.handle, sub), inner)
-
-            def project(v, _sub=sub, _qproj=qproj):
-                return _qproj(_sub.coords(v))
-
+            project = subquotient_coords(sub, larger)
             C = project(etas[J])
             assert np.any(C), "alternating-sum image vanished in the subquotient"
-            pieces[J] = FiltrationPiece(J, sub, larger.dim, e_handle, project, C)
+            pieces[J] = FiltrationPiece(J, sub, larger.dim, restrict(self.handle, sub, larger), project, C)
         self._filtration = pieces
         return pieces
 
@@ -605,8 +597,7 @@ def suite_filtration(runner: SuiteRunner, seed: int) -> SuiteReport:
     for J in subsets:
         for K in subsets:
             if J < K:
-                merged = generated[J].sum(generated[K])
-                rep.check(merged.dim == generated[J].dim and generated[K].dim < generated[J].dim,
+                rep.check(generated[J].contains(generated[K].rows) and generated[K].dim < generated[J].dim,
                           what="strict-inclusion", small=subset_tag(K), large=subset_tag(J))
     total = 0
     nonzero = 0
@@ -628,7 +619,7 @@ def suite_filtration(runner: SuiteRunner, seed: int) -> SuiteReport:
     # label of the module must fix
     base = empty_piece.project(lm.unit())
     identity_like = all(
-        np.array_equal(empty_piece.project(lm.handle.apply(lbl, lm.unit())), base)
+        np.array_equal(empty_piece.project(lm.handle.images(lbl, lm.unit())), base)
         for lbl in lm.handle.actions
     )
     rep.check(identity_like and empty_piece.dim == 1, what="bottom-piece-trivial")

@@ -29,6 +29,7 @@ from chevperm.linrep import (
     restrict,
     socle_simple_check,
     spin,
+    subquotient_coords,
 )
 from chevperm.permmod import LevelModule
 
@@ -284,20 +285,11 @@ def mat_cyclic_shift_module(l, n=3):
 def test_perm_action_matches_matrix():
     h = cyclic_shift_module(5)
     v = np.array([1, 2, 3])
-    shifted = h.apply("c", v)
+    shifted = h.images("c", v)
     assert shifted.tolist() == [3, 1, 2]
     assert np.array_equal((dense_matrix(h, "c") @ v) % 5, shifted)
     # the transpose of a permutation is its inverse
-    assert np.array_equal(h.transpose().apply("c", shifted), v)
-
-
-def test_apply_word_and_operator_agree():
-    h = cyclic_shift_module(3)
-    h.add_matrix("m", np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
-    v = np.array([1, 0, 2])
-    word = ["c", "m", "c"]
-    product = (dense_matrix(h, "c") @ dense_matrix(h, "m") @ dense_matrix(h, "c")) % 3
-    assert np.array_equal(h.apply_word(word, v), (product @ v) % 3)
+    assert np.array_equal(h.transpose().images("c", shifted), v)
 
 
 def test_spin_oracles_for_cyclic_shift():
@@ -372,7 +364,7 @@ def brute_force_invariant_subspaces(handle):
     invariant = []
     for S in seen.values():
         if all(
-            S.contains(handle.apply(lbl, row))
+            S.contains(handle.images(lbl, row))
             for lbl in handle.spin_labels
             for row in S.rows
         ):
@@ -449,7 +441,7 @@ def test_meataxe_on_flag_module():
     W = verdict.witness
     for lbl in handle.spin_labels:
         for row in W.rows:
-            assert W.contains(handle.apply(lbl, row))
+            assert W.contains(handle.images(lbl, row))
 
 
 def test_meataxe_irreducible_plane():
@@ -547,7 +539,7 @@ def loop_restrict(handle, sub):
         return handle
     out = ModuleHandle(sub.dim, handle.l, handle.spin_labels)
     for label in handle.actions:
-        cols = [sub.coords(handle.apply(label, row)) for row in sub.rows]
+        cols = [sub.coords(handle.images(label, row)) for row in sub.rows]
         out.add_matrix(label, np.array(cols, dtype=np.int64).T if cols else np.zeros((0, 0), np.int64))
     return out
 
@@ -565,13 +557,13 @@ def loop_quotient(handle, sub):
     for label in handle.actions:
         cols = []
         for j in keep:
-            cols.append(project(handle.apply(label, handle.basis_vector(j))))
+            cols.append(project(handle.images(label, handle.basis_vector(j))))
         M = np.array(cols, dtype=np.int64).T if cols else np.zeros((0, 0), np.int64)
         out.add_matrix(label, M)
     for label in handle.actions:
         M = dense_matrix(out, label)
         for j in range(handle.dim):
-            lhs = project(handle.apply(label, handle.basis_vector(j)))
+            lhs = project(handle.images(label, handle.basis_vector(j)))
             rhs = (M @ project(handle.basis_vector(j))) % handle.l
             assert np.array_equal(lhs, rhs), "projection is not equivariant"
     return out, project
@@ -592,7 +584,7 @@ def submodule_of_dim(handle, d):
     span of (c - 1)^(n-d) applied to the first basis vector."""
     v = handle.basis_vector(0)
     for _ in range(handle.dim - d):
-        v = (handle.apply("c", v) - v) % handle.l
+        v = (handle.images("c", v) - v) % handle.l
     S = spin(handle, [v]) if d else Subspace(handle.dim, handle.l)
     assert S.dim == d
     return S
@@ -687,6 +679,41 @@ def test_restrict_quotient_store_only_the_asked_labels(build):
     assert_same_handle(quotient(handle, S)[0], loop_quotient(handle, S)[0], ["c"])
 
 
+@pytest.mark.parametrize("l", [2, 3, 5])
+@pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
+def test_restrict_modulo_matches_the_two_stage_oracle(l, build):
+    # restrict(h, S, modulo=N) against the restriction to S, then the
+    # quotient by N's coordinates, for every pair N in S of submodules, N = 0
+    # and S the whole space included
+    handle = build(l)
+    subs = [submodule_of_dim(handle, d) for d in range(handle.dim + 1)]
+    rng = np.random.default_rng(l)
+    for S in subs:
+        block = rng.integers(0, l, size=(3, S.dim)) @ S.rows % l
+        for N in subs[: S.dim + 1]:
+            ref, ref_project = quotient(restrict(handle, S), Subspace(S.dim, l, S.coords(N.rows)))
+            got = restrict(handle, S, modulo=N)
+            assert got.dim == ref.dim == S.dim - N.dim
+            for label in handle.spin_labels:
+                assert np.array_equal(dense_matrix(got, label), dense_matrix(ref, label)), (S.dim, N.dim)
+            assert np.array_equal(subquotient_coords(S, N)(block), ref_project(S.coords(block)))
+
+
+@pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
+def test_restrict_modulo_rejects_a_moved_space_or_a_modulus_outside_it(build):
+    handle = build(3)
+    N = submodule_of_dim(handle, 1)
+    # N plus e0 is no submodule: the only 2-dimensional one is another space
+    S = N.extend(handle.basis_vector(0)[None, :])
+    assert S.dim == 2 and S != submodule_of_dim(handle, 2)
+    with pytest.raises(AssertionError, match="vector outside the subspace") as err:
+        restrict(handle, S, modulo=N)
+    assert err.traceback[-1].name == "restrict"
+    with pytest.raises(AssertionError, match="vector outside the subspace") as err:
+        restrict(handle, N, modulo=submodule_of_dim(handle, 2))
+    assert err.traceback[-1].name == "restrict"
+
+
 # -- action reads against the dense-matrix reference ---------------------------
 
 
@@ -772,6 +799,20 @@ def test_permutation_words_match_dense_words_on_borel_modules(kind, l):
 
 @pytest.mark.parametrize("l", [2, 3, 5])
 @pytest.mark.parametrize("build", HANDLES, ids=HANDLE_IDS)
+def test_images_read_a_vector_or_each_row_of_a_block(l, build):
+    # images is x A^T, for one vector A x, and pullback is x A
+    handle = build(l)
+    block = np.random.default_rng(l).integers(0, l, size=(4, handle.dim))
+    for label in handle.actions:
+        M = dense_matrix(handle, label)
+        assert np.array_equal(handle.images(label, block), block @ M.T % l)
+        assert np.array_equal(handle.pullback(label, block), block @ M % l)
+        for v in block:
+            assert np.array_equal(handle.images(label, v), M @ v % l)
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+@pytest.mark.parametrize("build", HANDLES, ids=HANDLE_IDS)
 def test_transpose_acts_as_the_transposed_matrix(l, build):
     handle = build(l)
     tr = handle.transpose()
@@ -784,7 +825,7 @@ def test_transpose_acts_as_the_transposed_matrix(l, build):
         assert np.array_equal(dense_matrix(tr, label), MT)
         for i in range(handle.dim):
             e = handle.basis_vector(i)
-            assert np.array_equal(tr.apply(label, e), MT @ e % l)
+            assert np.array_equal(tr.images(label, e), MT @ e % l)
 
 
 @pytest.mark.parametrize("l", [2, 3, 5])

@@ -121,9 +121,10 @@ def test_filtration_dims_survive_coefficient_change():
 
 
 def spin_filtration(lm):
-    """The filtration as spinning builds it, {J: (M_J, dim M_{>J}, C)}:
-    M_J = spin(eta_J), M_{>J} the span of the M_{J+i}, and C the image of
-    eta_J in M_J / M_{>J}."""
+    """The filtration as spinning builds it, {J: (M_J, dim M_{>J}, C, E_J,
+    project)}: M_J = spin(eta_J), M_{>J} the span of the M_{J+i}, E_J the
+    two-stage subquotient, the restriction to M_J then the quotient by
+    M_{>J}'s coordinates, project its projection and C the image of eta_J."""
     subsets = lm.datum.all_subsets()
     spun = {J: spin(lm.handle, [lm.alternating_sum(J)]) for J in subsets}
     out = {}
@@ -131,8 +132,12 @@ def spin_filtration(lm):
         rows = [spun[J | {i}].rows for i in range(lm.datum.rank) if i not in J]
         above = Subspace(lm.dim, lm.ell, np.vstack(rows) if rows else None)
         sub = spun[J]
-        _, qproj = quotient(restrict(lm.handle, sub), Subspace(sub.dim, lm.ell, sub.coords(above.rows)))
-        out[J] = (sub, above.dim, qproj(sub.coords(lm.alternating_sum(J))))
+        E, qproj = quotient(restrict(lm.handle, sub), Subspace(sub.dim, lm.ell, sub.coords(above.rows)))
+
+        def project(v, sub=sub, qproj=qproj):
+            return qproj(sub.coords(v))
+
+        out[J] = (sub, above.dim, project(lm.alternating_sum(J)), E, project)
     return out
 
 
@@ -140,18 +145,27 @@ def spin_filtration(lm):
     ("A1", 2, None, None, "base"), ("A1", 3, None, None, "base"),
     ("A1", 4, None, None, "base"), ("A1", 5, None, None, "base"),
     ("A2", 2, None, None, "base"), ("A2", 3, None, None, "base"),
-    ("B2", 2, None, None, "base"),
+    ("B2", 2, None, None, "base"), ("B2", 3, None, None, "base"), ("A3", 2, None, None, "base"),
     ("A2", 2, None, 3, "base"), ("B2", 2, None, 3, "base"),  # cross characteristic
     ("A1", 2, 3, None, "ext"), ("A2", 2, None, None, "ext"),  # A1 over GF(8), A2 over GF(4)
 ])
 def test_filtration_equals_the_spin_built_one(kind, q, b, char, level):
+    # the pieces are built in one pass each: their spaces, actions and
+    # projections equal the spin-built, two-stage ones
     lm = getattr(ctx(kind, q, b=b, char=char), level)
     pieces = lm.filtration()
     oracle = spin_filtration(lm)
     assert list(pieces) == lm.datum.all_subsets()
-    for J, (sub, prime_dim, C) in oracle.items():
-        assert pieces[J].sub == sub, subset_tag(J)
-        assert pieces[J].prime_dim == prime_dim and np.array_equal(pieces[J].C, C), subset_tag(J)
+    for J, (sub, prime_dim, C, E, project) in oracle.items():
+        piece, tag = pieces[J], subset_tag(J)
+        assert piece.sub == sub, tag
+        assert piece.prime_dim == prime_dim and np.array_equal(piece.C, C), tag
+        assert piece.dim == E.dim, tag
+        for label in lm.handle.spin_labels:
+            assert np.array_equal(dense_matrix(piece.handle, label), dense_matrix(E, label)), (tag, label)
+        for _, tail, weta in lm.y_translates(J, lm.alternating_sum(J)):
+            block = lm.translates(tail, weta)
+            assert np.array_equal(piece.project(block), project(block)), tag
 
 
 def test_filtration_refuses_a_translate_span_missing_a_row(monkeypatch):
@@ -194,7 +208,8 @@ def test_operator_levels_interpolate():
     c = ctx("A1", 3, b=2)
     lm = c.ext
     assert lm.dim == 10
-    # the operators act along axis 0, so the identity comes back as the matrix
+    # the operators read each row as a vector, so the identity comes back as
+    # the transposed matrix
     I = np.eye(lm.dim, dtype=np.int64)
     s = lm.datum.simple_reflection(0)
     lo, hi = c.sub_values(), lm.values()
@@ -206,6 +221,26 @@ def test_operator_levels_interpolate():
     # a full-field sum has every column summing to the field order = 0 mod 3
     M = lm.root_sum(lm.datum.simple_indices[0], hi, I)
     assert (M.sum(axis=0) % lm.ell == 0).all()
+
+
+@pytest.mark.parametrize("kind,q", [("A2", 2), ("B2", 3)])
+def test_act_applies_the_word_rightmost_first(kind, q):
+    # the dense product, leftmost factor outermost, applied to v; on the
+    # Borel module and on the top piece, whose actions are dense matrices;
+    # a letter with c = 0 is the identity
+    lm = ctx(kind, q).base
+    top = lm.filtration()[frozenset(range(lm.datum.rank))].handle
+    letters = [(ri, c) for _, ri, c in lm.handle.spin_labels] + [(0, 0)]
+    rng = np.random.default_rng(q)
+    for handle in (lm.handle, top):
+        v = rng.integers(0, lm.ell, size=handle.dim)
+        for _ in range(5):
+            word = [letters[i] for i in rng.integers(len(letters), size=4)]
+            product = np.eye(handle.dim, dtype=np.int64)
+            for ri, c in word:
+                if c:
+                    product = product @ dense_matrix(handle, ("r", ri, c)) % lm.ell
+            assert np.array_equal(lm.act(word, v, handle), product @ v % lm.ell)
 
 
 def dense_root_sum(handle, ri, values):
@@ -347,7 +382,7 @@ def test_fixed_vector_lies_in_the_spin_and_the_fixed_space(kind, q):
             v[rng.integers(lm.dim)] = 1
         x = fixed_vector(lm.handle, labels, v)
         assert x is not None and np.any(x)
-        assert all(np.array_equal(lm.handle.apply(u, x), x) for u in labels)
+        assert all(np.array_equal(lm.handle.images(u, x), x) for u in labels)
         S = spin(lm.handle, [v])
         assert F.contains(x) and S.contains(x)
         assert S.sum(F).dim < S.dim + F.dim
