@@ -399,7 +399,8 @@ class FlagIndex:
         return len(self.reps)
 
     def index_of(self, M: np.ndarray) -> int:
-        return self._index[self.group.borel_canonical(M)[0].tobytes()]
+        # keyed in the dtype of the representatives, whatever the input's
+        return self._index[self.group.borel_canonical(M)[0].astype(self.reps.dtype).tobytes()]
 
     def perm_of(self, M: np.ndarray) -> np.ndarray:
         # a KeyError here is an image outside the enumerated cosets

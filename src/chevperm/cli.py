@@ -10,7 +10,8 @@ Three subcommands:
 Exit codes: 0 all selected suites passed (skipped-as-inapplicable counts as
 passing); 1 at least one suite failed a check or ran vacuously; 2 usage
 errors, including explicitly selecting a suite the configuration cannot
-run; 3 an enumeration or search budget was exhausted.
+run; 3 an enumeration or search budget was exhausted; 4 an internal error,
+an assertion of the program's own invariants that failed inside a suite.
 """
 
 import argparse
@@ -28,7 +29,7 @@ from .permmod import (
 )
 
 KINDS = ("A1", "A2", "A3", "B2")
-EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
+EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 class UsageError(Exception):
@@ -88,6 +89,9 @@ def cmd_run(args):
     except (BudgetError, MeatAxeBudgetError) as exc:
         print("budget exhausted in suite %r: %s" % (name, exc), file=sys.stderr)
         return EXIT_BUDGET
+    except AssertionError as exc:
+        print("internal error in suite %r: %s" % (name, exc), file=sys.stderr)
+        return EXIT_INTERNAL
 
     payload = {
         "schema": "1",

@@ -13,17 +13,21 @@ module.  On top of that: spinning, fixed spaces of permutation labels (orbit
 sums), one fixed vector in the submodule that a vector generates under an
 l-group of permutation labels (a walk x <- (u - 1).x that ends because the
 augmentation ideal of that group algebra is nilpotent; `fixed_vector`
-argues it), restriction and quotient, an irreducibility test with
-certified verdicts, recursive composition series, and a socle check that
-enumerates the lines of a p-group fixed space.
+argues it), subquotients, an irreducibility test with certified verdicts,
+recursive composition series, and a socle check that enumerates the lines
+of a p-group fixed space.
 
-Restriction and quotient work on whole matrices, exact mod l.  Each checks
-one identity for every label in the input handle's `actions`, spin or not
-(`restrict` that the images of S's rows lie in S, `quotient` that the
-projection is equivariant, each on the columns where it does not hold by
-construction), but builds and stores an action only for the spin labels,
-the only ones that spinning, the MeatAxe and composition series read.
-`restrict` also builds a subquotient S / N in the same pass.
+`restrict` is the one subquotient construction, on whole matrices, exact
+mod l: restrict(h, S) is the submodule S, restrict(h, S, N) is S / N, and
+restrict(h, None, N) is the quotient by N, S = None being the whole space.
+It checks that the images of S's rows lie in S for every label in the
+input handle's `actions`, spin or not, on the columns where that does not
+hold by construction (the whole space has none, so it checks nothing), but
+builds and stores an action only for the spin labels, the only ones that
+spinning, the MeatAxe and composition series read.  That N lies in S is
+checked too, but N's invariance is a precondition: composition series
+restricts to N, which checks it, before it divides by N, and the
+filtration argues it by downward induction.
 
 The irreducibility test is the Holt-Rees MeatAxe: a random algebra element
 A, an irreducible factor p of the minimal polynomial of a vector under A
@@ -54,7 +58,6 @@ __all__ = [
     "fixed_vector",
     "restrict",
     "subquotient_coords",
-    "quotient",
     "meataxe_irreducible",
     "composition_series",
     "socle_simple_check",
@@ -374,42 +377,56 @@ def subquotient_coords(sub: Subspace, modulo: Optional[Subspace] = None) -> Call
     return project
 
 
-def _classes(sub: Subspace, N: Optional[Subspace]) -> Callable[[np.ndarray], np.ndarray]:
+def _classes(sub: Optional[Subspace], N: Optional[Subspace]) -> Callable[[np.ndarray], np.ndarray]:
     """x -> x[cols] - x[N's pivots] N[:, cols] for x in S = sub and N in S
     (x[pivots] for N = 0), cols the pivots of S that N lacks: x less the
     vector of N that agrees with it on N's pivots is the combination, with
-    its entries on cols, of the rows of S with pivots cols."""
+    its entries on cols, of the rows of S with pivots cols.  sub = None is
+    the whole space, whose pivots are all the columns, so cols = N.free."""
     if N is None or not N.dim:
         return lambda x: x[..., sub._piv[: sub.dim]]
     gone = set(N.pivots)
-    cols = np.array([p for p in sub.pivots if p not in gone], dtype=np.intp)
-    N_cols, npiv = N.rows[:, cols], N._piv[: N.dim]
-    return lambda x: (x[..., cols] - x[..., npiv] @ N_cols) % sub.l
+    pivots = range(N.n) if sub is None else sub.pivots
+    cols = np.array([p for p in pivots if p not in gone], dtype=np.intp)
+    N_cols, npiv, l = N.rows[:, cols], N._piv[: N.dim], N.l  # the closure keeps no Subspace alive
+    return lambda x: (x[..., cols] - x[..., npiv] @ N_cols) % l
 
 
-def restrict(handle: ModuleHandle, sub: Subspace, modulo: Optional[Subspace] = None) -> ModuleHandle:
+def restrict(handle: ModuleHandle, sub: Optional[Subspace], modulo: Optional[Subspace] = None) -> ModuleHandle:
     """The module structure on an invariant subspace S = sub, in its basis
     coords, or with modulo = N, an invariant subspace of S, on S / N in the
-    basis of the classes of the rows of S whose pivots N lacks.
+    basis of the classes of the rows of S whose pivots N lacks.  sub = None
+    is the whole space, whose rows are the unit vectors: restrict(h, None, N)
+    is the quotient h / N, on the classes of the e_j, j not a pivot of N.
 
     For every label the images img of those rows, with C = img[:, pivots],
     are asserted to satisfy C S == img on the free columns (on the pivot
     columns S is the identity), and N's rows are checked the same way.  N's
     invariance is a precondition; given it, S is invariant.  That costs
-    k' k (n - k) per label, k' = k - dim N.  The action, the images'
-    classes' coordinates transposed, is built only for the spin labels, in
-    their order.  The full space with N = 0 returns the handle itself.
+    k' k (n - k) per label, k' = k - dim N.  The whole space has no free
+    columns, so there is nothing to check, and only the spin labels are
+    read.  The action, the images' classes' coordinates transposed, is
+    built only for the spin labels, in their order.  The full space with
+    N = 0 returns the handle itself.
     """
     gone = set() if modulo is None else set(modulo.pivots)
-    if sub.dim == handle.dim and not gone:
+    if (sub is None or sub.dim == handle.dim) and not gone:
         return handle
-    l, pivots, free = handle.l, list(sub.pivots), sub.free
-    R, rows = sub.rows[:, free], sub.rows
-    if gone:
-        assert np.array_equal(modulo.rows[:, pivots] @ R % l, modulo.rows[:, free]), "vector outside the subspace"
-        rows = rows[[p not in gone for p in pivots]]
+    l = handle.l
+    if sub is None:
+        # the rows e_j, j not a pivot of N, and no free column: the check is empty
+        keep = modulo.free
+        rows = np.zeros((len(keep), handle.dim), dtype=np.int64)
+        rows[np.arange(len(keep)), keep] = 1
+        labels, pivots, free, R = handle.spin_labels, [], [], np.zeros((0, 0), dtype=np.int64)
+    else:
+        labels, pivots, free = handle.actions, list(sub.pivots), sub.free
+        R, rows = sub.rows[:, free], sub.rows
+        if gone:
+            assert np.array_equal(modulo.rows[:, pivots] @ R % l, modulo.rows[:, free]), "vector outside the subspace"
+            rows = rows[[p not in gone for p in pivots]]
     classes, coords = _classes(sub, modulo), {}
-    for label in handle.actions:
+    for label in labels:
         img = handle.images(label, rows)
         assert np.array_equal(img[:, pivots] @ R % l, img[:, free]), "vector outside the subspace"
         if label in handle.spin_labels:
@@ -418,43 +435,6 @@ def restrict(handle: ModuleHandle, sub: Subspace, modulo: Optional[Subspace] = N
     for label in handle.spin_labels:
         out.add_matrix(label, coords.pop(label).T)  # pop: hold one matrix twice at most
     return out
-
-
-def quotient(handle: ModuleHandle, sub: Subspace) -> Tuple[ModuleHandle, Callable[[np.ndarray], np.ndarray]]:
-    """The quotient module by an invariant subspace with its projection.
-
-    The projection reduces mod the subspace then reads off the free
-    coordinates, of one vector or of each row of a block; as a matrix P it
-    is the identity on those columns and -R^T on the pivot columns (R the
-    basis rows restricted to the free ones).
-    For every label of the handle, with Q = (P A)[:, free], P A == Q P is
-    asserted on the pivot columns; on the free columns it holds by
-    construction.  That is equivariance on the full ambient basis, the
-    dropped pivots included.  The quotient action Q is built only for the
-    spin labels, in their order.  The zero subspace returns the handle
-    itself.
-    """
-    if sub.dim == 0:
-        return handle, lambda v: np.asarray(v, dtype=np.int64) % handle.l
-    l = handle.l
-    pivots, keep = list(sub.pivots), sub.free
-
-    def project(v: np.ndarray) -> np.ndarray:
-        return sub.reduce(v)[..., keep]
-
-    P = _annihilator(sub)
-    P_pivots = P[:, pivots]
-    actions = {}
-    for label in handle.actions:
-        PA = handle.pullback(label, P)
-        Q = PA[:, keep]
-        assert np.array_equal((Q @ P_pivots) % l, PA[:, pivots]), "projection is not equivariant"
-        if label in handle.spin_labels:
-            actions[label] = Q
-    out = ModuleHandle(len(keep), l, handle.spin_labels)
-    for label in handle.spin_labels:
-        out.add_matrix(label, actions.pop(label))
-    return out, project
 
 
 # -- irreducibility ----------------------------------------------------------
@@ -597,10 +577,12 @@ def composition_series(handle: ModuleHandle, seed: int = 0) -> List[int]:
     verdict = meataxe_irreducible(handle, seed=seed)
     if verdict.irreducible:
         return [handle.dim]
+    # restrict(handle, sub) checks sub's invariance under every label, spin
+    # or not, which the quotient takes as given: so it is built first, and
+    # before either recursion
     sub = verdict.witness
-    below = composition_series(restrict(handle, sub), seed=seed + 1)
-    above = composition_series(quotient(handle, sub)[0], seed=seed + 1)
-    out = sorted(below + above)
+    below, above = restrict(handle, sub), restrict(handle, None, sub)
+    out = sorted(composition_series(below, seed=seed + 1) + composition_series(above, seed=seed + 1))
     assert sum(out) == handle.dim
     return out
 

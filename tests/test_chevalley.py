@@ -335,6 +335,15 @@ def test_parabolic_reps_and_perm_of_every_root(kind, q):
             assert sorted(perm) == list(range(handle.dim)), (sorted(K), r)
 
 
+@pytest.mark.parametrize("kind,q", [("A2", 2), ("B2", 3)])
+def test_index_of_keys_any_integer_dtype(kind, q):
+    # an int64 matrix of a coset is the same coset as its uint8 form
+    flags = FlagIndex(matrix_group(kind, q))
+    assert flags.reps.dtype == np.uint8
+    for i, rep in enumerate(flags.reps):
+        assert flags.index_of(rep) == flags.index_of(rep.astype(np.int64)) == i, i
+
+
 def test_batched_borel_canonical_matches_scalar_sl2_gf4():
     group = matrix_group("A1", 4)
     els = np.stack(closure(group))

@@ -89,6 +89,19 @@ def test_failing_suite_gives_exit_one(tmp_path, monkeypatch):
     assert payload["summary"]["failing"] == ["composition"]
 
 
+def test_internal_error_gives_exit_four(tmp_path, monkeypatch, capsys):
+    def breaks_an_invariant(runner, seed):
+        raise AssertionError("vector outside the subspace")
+
+    spec = permmod.SUITES["composition"]
+    monkeypatch.setitem(permmod.SUITES, "composition",
+                        permmod.SuiteSpec(breaks_an_invariant, spec.scope, spec.defining_only, spec.claim))
+    rc, out = run_to_file(tmp_path, "internal.json", ["--type", "A1", "--q", "2", "--suites", "composition"])
+    assert rc == 4
+    assert not out.exists()
+    assert "internal error in suite 'composition': vector outside the subspace" in capsys.readouterr().err
+
+
 def test_vacuous_run_gives_exit_one(tmp_path, monkeypatch):
     def checks_nothing(runner, seed):
         return SuiteReport("composition", "ran but verified nothing")

@@ -25,7 +25,6 @@ from chevperm.linrep import (
     line_representatives,
     meataxe_irreducible,
     nullspace,
-    quotient,
     restrict,
     socle_simple_check,
     spin,
@@ -403,10 +402,9 @@ def test_restrict_quotient_roundtrip():
     plane = spin(handle, [np.array([1, 1, 0])])
     sub = restrict(handle, plane)
     assert sub.dim == 2
-    quot, project = quotient(handle, plane)
+    quot = restrict(handle, None, plane)
     assert quot.dim == 1
-    for row in plane.rows:
-        assert not np.any(project(row))
+    assert_same_handle(quot, loop_quotient(handle, plane)[0], handle.spin_labels)
     # the quotient of a transitive permutation module by the sum-zero part
     # is the trivial module
     for lbl in quot.actions:
@@ -551,7 +549,7 @@ def loop_quotient(handle, sub):
     keep = [j for j in range(handle.dim) if j not in set(sub.pivots)]
 
     def project(v):
-        return sub.reduce(v)[keep]
+        return sub.reduce(v)[..., keep]
 
     out = ModuleHandle(len(keep), handle.l, handle.spin_labels)
     for label in handle.actions:
@@ -618,30 +616,14 @@ def assert_same_handle(new, ref, labels=None):
 def test_restrict_quotient_match_per_vector_reference(l, build):
     handle = build(l)
     n = handle.dim
-    rng = np.random.default_rng(l)
-    vectors = rng.integers(0, l, size=(6, n))
     for d in (0, 1, n - 1, n):
         S = submodule_of_dim(handle, d)
         # a proper restriction or quotient stores the spin labels only; the
         # full space and the zero subspace return the handle itself
         assert_same_handle(restrict(handle, S), loop_restrict(handle, S),
                            None if d == n else handle.spin_labels)
-        quot, project = quotient(handle, S)
-        ref_quot, ref_project = loop_quotient(handle, S)
-        assert_same_handle(quot, ref_quot, None if d == 0 else handle.spin_labels)
-        for v in list(vectors) + list(S.rows):
-            assert np.array_equal(project(v), ref_project(v))
-
-
-@pytest.mark.parametrize("l", [2, 3, 5])
-@pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
-def test_quotient_projects_a_block_row_by_row(l, build):
-    # the projection reads the free coordinates of each row, not rows of the block
-    handle = build(l)
-    block = np.random.default_rng(l).integers(0, l, size=(handle.dim + 2, handle.dim))
-    for d in (0, 1, handle.dim - 1):
-        _, project = quotient(handle, submodule_of_dim(handle, d))
-        assert np.array_equal(project(block), np.array([project(v) for v in block]))
+        assert_same_handle(restrict(handle, None, S), loop_quotient(handle, S)[0],
+                           None if d == 0 else handle.spin_labels)
 
 
 @pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
@@ -651,13 +633,11 @@ def test_restrict_quotient_reject_non_invariant(build):
     assert spin(handle, [e0.rows[0]]).dim > 1
     with pytest.raises(AssertionError, match="outside the subspace"):
         restrict(handle, e0)
-    with pytest.raises(AssertionError, match="not equivariant"):
-        quotient(handle, e0)
 
 
 def test_restrict_quotient_check_non_spin_labels():
     # span{e0 + e2, e1 + e3} is invariant under the spin label only; the
-    # non-spin label "flip" moves it, and both constructions must notice
+    # non-spin label "flip" moves it, and restrict must notice
     handle = uniserial_module(2)
     S = submodule_of_dim(handle, 2)
     handle.add_perm("flip", np.array([1, 0, 2, 3]))
@@ -665,8 +645,6 @@ def test_restrict_quotient_check_non_spin_labels():
     assert not S.contains(handle.images("flip", S.rows))
     with pytest.raises(AssertionError, match="outside the subspace"):
         restrict(handle, S)
-    with pytest.raises(AssertionError, match="not equivariant"):
-        quotient(handle, S)
 
 
 @pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
@@ -676,27 +654,30 @@ def test_restrict_quotient_store_only_the_asked_labels(build):
     assert handle.spin_labels == ["c"] and list(handle.actions) == ["c", "c2"]
     S = submodule_of_dim(handle, 2)
     assert_same_handle(restrict(handle, S), loop_restrict(handle, S), ["c"])
-    assert_same_handle(quotient(handle, S)[0], loop_quotient(handle, S)[0], ["c"])
+    assert_same_handle(restrict(handle, None, S), loop_quotient(handle, S)[0], ["c"])
 
 
 @pytest.mark.parametrize("l", [2, 3, 5])
 @pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
 def test_restrict_modulo_matches_the_two_stage_oracle(l, build):
     # restrict(h, S, modulo=N) against the restriction to S, then the
-    # quotient by N's coordinates, for every pair N in S of submodules, N = 0
-    # and S the whole space included
+    # per-vector quotient by N's coordinates, for every pair N in S of
+    # submodules, N = 0 and S the whole space (as its RREF and as None)
+    # included
     handle = build(l)
     subs = [submodule_of_dim(handle, d) for d in range(handle.dim + 1)]
     rng = np.random.default_rng(l)
-    for S in subs:
-        block = rng.integers(0, l, size=(3, S.dim)) @ S.rows % l
-        for N in subs[: S.dim + 1]:
-            ref, ref_project = quotient(restrict(handle, S), Subspace(S.dim, l, S.coords(N.rows)))
+    for S in subs + [None]:
+        space = subs[-1] if S is None else S
+        block = rng.integers(0, l, size=(3, space.dim)) @ space.rows % l
+        for N in subs[: space.dim + 1]:
+            ref, ref_project = loop_quotient(restrict(handle, space), Subspace(space.dim, l, space.coords(N.rows)))
             got = restrict(handle, S, modulo=N)
-            assert got.dim == ref.dim == S.dim - N.dim
+            assert got.dim == ref.dim == space.dim - N.dim
             for label in handle.spin_labels:
-                assert np.array_equal(dense_matrix(got, label), dense_matrix(ref, label)), (S.dim, N.dim)
-            assert np.array_equal(subquotient_coords(S, N)(block), ref_project(S.coords(block)))
+                assert np.array_equal(dense_matrix(got, label), dense_matrix(ref, label)), (space.dim, N.dim)
+            if S is not None:
+                assert np.array_equal(subquotient_coords(S, N)(block), ref_project(S.coords(block)))
 
 
 @pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
@@ -712,6 +693,23 @@ def test_restrict_modulo_rejects_a_moved_space_or_a_modulus_outside_it(build):
     with pytest.raises(AssertionError, match="vector outside the subspace") as err:
         restrict(handle, N, modulo=submodule_of_dim(handle, 2))
     assert err.traceback[-1].name == "restrict"
+
+
+@pytest.mark.parametrize("kind,q,l", [("A1", 4, 2), ("A2", 2, 2), ("A2", 2, 3), ("B2", 2, 2)])
+def test_quotient_by_a_meataxe_witness_matches_the_per_vector_reference(kind, q, l):
+    # the quotients that composition series takes: by the MeatAxe witness of
+    # the flag module (reducible: it holds the constants) and of each
+    # reducible filtration piece
+    lm = LevelModule(kind, q, l)
+    handles = [lm.handle] + [piece.handle for piece in lm.filtration().values()]
+    quotients = 0
+    for handle in handles:
+        verdict = meataxe_irreducible(handle, seed=0)
+        if not verdict.irreducible:
+            W = verdict.witness
+            assert_same_handle(restrict(handle, None, W), loop_quotient(handle, W)[0], handle.spin_labels)
+            quotients += 1
+    assert quotients >= 1
 
 
 # -- action reads against the dense-matrix reference ---------------------------
@@ -1144,4 +1142,4 @@ def test_norton_witness_does_not_depend_on_the_row_spun():
     tr = handle.transpose()
     for w in list(kerT) + [combo]:
         assert spin(tr, [w]).perp() == got.witness
-    assert meataxe_irreducible(quotient(handle, got.witness)[0]).irreducible
+    assert meataxe_irreducible(restrict(handle, None, got.witness)).irreducible
