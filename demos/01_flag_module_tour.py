@@ -28,7 +28,7 @@ for J in datum.all_subsets():
     eta = lm.alternating_sum(J)
     piece = pieces[J]
     print("   J=%-3s |support(eta)|=%-3d submodule dim=%-3d subquotient dim=%d"
-          % (subset_tag(J), int((eta != 0).sum()), piece.sub.dim, piece.dim))
+          % (subset_tag(J), int((eta != 0).sum()), piece.sub_dim, piece.dim))
 
 total = sum(p.dim for p in pieces.values())
 print()

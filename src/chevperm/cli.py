@@ -184,7 +184,7 @@ def cmd_inspect(args):
             for J2 in datum.all_subsets():
                 piece = lm.filtration()[J2]
                 print("piece[J=%s] dim=%d (submodule dim=%d)"
-                      % (subset_tag(J2), piece.dim, piece.sub.dim))
+                      % (subset_tag(J2), piece.dim, piece.sub_dim))
         else:
             raise UsageError("unknown inspect item %r" % item)
     return EXIT_OK

@@ -17,17 +17,10 @@ argues it), subquotients, an irreducibility test with certified verdicts,
 recursive composition series, and a socle check that enumerates the lines
 of a p-group fixed space.
 
-`restrict` is the one subquotient construction, on whole matrices, exact
-mod l: restrict(h, S) is the submodule S, restrict(h, S, N) is S / N, and
-restrict(h, None, N) is the quotient by N, S = None being the whole space.
-It checks that the images of S's rows lie in S for every label in the
-input handle's `actions`, spin or not, on the columns where that does not
-hold by construction (the whole space has none, so it checks nothing), but
-builds and stores an action only for the spin labels, the only ones that
-spinning, the MeatAxe and composition series read.  That N lies in S is
-checked too, but N's invariance is a precondition: composition series
-restricts to N, which checks it, before it divides by N, and the
-filtration argues it by downward induction.
+`restrict` builds submodules, restrict(h, S), checked under every label,
+and quotients, restrict(h, None, N), storing spin-label actions only.
+`TriangularBasis` gives coordinates with no elimination in a basis whose
+rows have distinct leading columns, such as the filtration's basis of k[G/B].
 
 The irreducibility test is the Holt-Rees MeatAxe: a random algebra element
 A, an irreducible factor p of the minimal polynomial of a vector under A
@@ -43,7 +36,7 @@ import bisect
 import collections
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +50,7 @@ __all__ = [
     "fixed_space",
     "fixed_vector",
     "restrict",
-    "subquotient_coords",
+    "TriangularBasis",
     "meataxe_irreducible",
     "composition_series",
     "socle_simple_check",
@@ -187,29 +180,8 @@ class Subspace:
         return not np.any(self.reduce(v))
 
     def coords(self, v: np.ndarray) -> np.ndarray:
-        return subquotient_coords(self)(v)
-
-    def extend(self, rows: np.ndarray) -> "Subspace":
-        """The span of this subspace and the given rows, as a new Subspace:
-        a copy of the RREF rows and pivots in a buffer of dim + len(rows)
-        rows (at most n), then one `_add` per row, reduced mod l."""
-        rows = np.asarray(rows, dtype=np.int64) % self.l
-        out = Subspace(self.n, self.l)
-        size = min(self.n, self.dim + len(rows))
-        out._buf = np.zeros((size, self.n), dtype=np.int64)
-        out._buf[: self.dim] = self.rows
-        out._piv = np.zeros(size, dtype=np.intp)
-        out._piv[: self.dim] = self._piv[: self.dim]
-        out.pivots = self.pivots
-        for v in rows:
-            out._add(v)
-        return out._trim()
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        """The sum, as the larger operand's RREF extended by the other's rows."""
-        assert (self.n, self.l) == (other.n, other.l)
-        big, small = (self, other) if self.dim >= other.dim else (other, self)
-        return big.extend(small.rows)
+        assert self.contains(v), "vector outside the subspace"
+        return np.asarray(v, dtype=np.int64)[..., self._piv[: self.dim]] % self.l
 
     def intersect(self, other: "Subspace") -> "Subspace":
         stacked = np.vstack([self.rows, other.rows])
@@ -224,6 +196,55 @@ class Subspace:
 
     def __repr__(self) -> str:
         return "Subspace(dim=%d of %d, mod %d)" % (self.dim, self.n, self.l)
+
+
+class TriangularBasis:
+    """n vectors of GF(l)^n, the rows of T, and a grade, an integer >= 0,
+    on each column.  Each row is asserted to have a unique column of
+    greatest grade, its lead, and the leads to be the n columns: so the rows
+    are a basis, triangular in the leads' order by grade.  `coords` solves
+    Y T = X by substitution, a grade at a time from the top: X's entries at
+    the top grade are Y's at the rows led there times the leads' values;
+    those rows times Y are subtracted, and the next grade is the top one.
+    Vectors are triples (vector or row, column, value), values in [0, l)."""
+
+    def __init__(self, l: int, row: np.ndarray, col: np.ndarray, val: np.ndarray, grade: np.ndarray):
+        n, order = len(grade), np.lexsort((grade[col], row))
+        self.row, self.col, self.val = row, col, val = row[order], col[order], val[order]
+        top = np.flatnonzero(np.append(row[1:] != row[:-1], True))  # each row's last entry
+        tie = (row[1:] == row[:-1]) & (grade[col[1:]] == grade[col[:-1]])  # entry i + 1 ties with entry i
+        assert not tie[top[top > 0] - 1].any(), "a row has no unique leading column"
+        assert np.array_equal(row[top], np.arange(n)) and np.all(np.bincount(col[top], minlength=n) == 1), \
+            "the leading columns do not cover the columns"
+        self.l, self.grade, self.lead_value = l, grade, val[top]
+        self.row_of = np.argsort(col[top], kind="stable")
+        self.scale = np.array([pow(u, -1, l) for u in self.lead_value.tolist()], dtype=np.int64)
+        rest = np.delete(np.arange(len(row)), top)  # row r's are rest[indptr[r]:indptr[r + 1]]
+        self.rest_col, self.rest_val, self.indptr = col[rest], val[rest], np.append(0, top - np.arange(n))
+        self.grades = np.flatnonzero(np.bincount(grade))[::-1]
+
+    def coords(self, vec: np.ndarray, col: np.ndarray, val: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """X -> Y, Y T = X, as triples: (vector, row, value) for Y's nonzero entries."""
+        l, n = self.l, len(self.grade)
+        out = [(vec[:0], col[:0], val[:0])]
+        for g in self.grades:
+            at = self.grade[col] == g
+            key = vec[at] * n + col[at]
+            order = np.argsort(key, kind="stable")
+            key, x = key[order], val[at][order]
+            first = np.flatnonzero(np.diff(key, prepend=-1))
+            x = np.add.reduceat(x, first) % l
+            key, x = key[first][x != 0], x[x != 0]
+            v, r = key // n, self.row_of[key % n]
+            y = x * self.scale[r] % l
+            out.append((v, r, y))
+            # less y times the rows' entries below their leads (the leads cancel)
+            lo, counts = self.indptr[r], self.indptr[r + 1] - self.indptr[r]
+            idx = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+            vec = np.concatenate([vec[~at], np.repeat(v, counts)])
+            col = np.concatenate([col[~at], self.rest_col[idx]])
+            val = np.concatenate([val[~at], np.repeat(l - y, counts) * self.rest_val[idx] % l])
+        return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
 def line_representatives(basis: np.ndarray, l: int):
@@ -365,72 +386,41 @@ def fixed_vector(handle: ModuleHandle, labels: Sequence[Hashable], v: np.ndarray
     return None
 
 
-def subquotient_coords(sub: Subspace, modulo: Optional[Subspace] = None) -> Callable[[np.ndarray], np.ndarray]:
-    """x in S = sub (asserted), or each row of a block -> the coordinates of
-    x + N in S / N, N = modulo (zero by default), in the basis of `restrict`."""
-    classes = _classes(sub, modulo)
-
-    def project(x: np.ndarray) -> np.ndarray:
-        assert sub.contains(x), "vector outside the subspace"
-        return classes(np.asarray(x, dtype=np.int64) % sub.l)
-
-    return project
-
-
-def _classes(sub: Optional[Subspace], N: Optional[Subspace]) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> x[cols] - x[N's pivots] N[:, cols] for x in S = sub and N in S
-    (x[pivots] for N = 0), cols the pivots of S that N lacks: x less the
-    vector of N that agrees with it on N's pivots is the combination, with
-    its entries on cols, of the rows of S with pivots cols.  sub = None is
-    the whole space, whose pivots are all the columns, so cols = N.free."""
-    if N is None or not N.dim:
-        return lambda x: x[..., sub._piv[: sub.dim]]
-    gone = set(N.pivots)
-    pivots = range(N.n) if sub is None else sub.pivots
-    cols = np.array([p for p in pivots if p not in gone], dtype=np.intp)
-    N_cols, npiv, l = N.rows[:, cols], N._piv[: N.dim], N.l  # the closure keeps no Subspace alive
-    return lambda x: (x[..., cols] - x[..., npiv] @ N_cols) % l
-
-
 def restrict(handle: ModuleHandle, sub: Optional[Subspace], modulo: Optional[Subspace] = None) -> ModuleHandle:
-    """The module structure on an invariant subspace S = sub, in its basis
-    coords, or with modulo = N, an invariant subspace of S, on S / N in the
-    basis of the classes of the rows of S whose pivots N lacks.  sub = None
-    is the whole space, whose rows are the unit vectors: restrict(h, None, N)
-    is the quotient h / N, on the classes of the e_j, j not a pivot of N.
+    """The module on an invariant subspace S = sub, in its basis coords,
+    or, with sub = None, on the quotient by an invariant subspace N =
+    modulo, in the basis of the classes of the e_j, j not a pivot of N.
 
-    For every label the images img of those rows, with C = img[:, pivots],
-    are asserted to satisfy C S == img on the free columns (on the pivot
-    columns S is the identity), and N's rows are checked the same way.  N's
-    invariance is a precondition; given it, S is invariant.  That costs
-    k' k (n - k) per label, k' = k - dim N.  The whole space has no free
-    columns, so there is nothing to check, and only the spin labels are
-    read.  The action, the images' classes' coordinates transposed, is
-    built only for the spin labels, in their order.  The full space with
-    N = 0 returns the handle itself.
+    For S, every label's images img of S's rows, spin label or not, are
+    asserted to satisfy C S == img on the free columns, C = img[:, pivots]
+    (on the pivots S is the identity), and C is the action.  The class of
+    x modulo N is x[keep] - x[N's pivots] N[:, keep], keep the non-pivots
+    of N; N's invariance is a precondition (composition series restricts
+    to N first), so only the spin labels are read.  Actions are stored for
+    the spin labels only, the ones spinning and the MeatAxe read.  S the
+    whole space, or N = 0, returns the handle itself.
     """
-    gone = set() if modulo is None else set(modulo.pivots)
-    if (sub is None or sub.dim == handle.dim) and not gone:
+    assert sub is None or modulo is None, "restrict takes a subspace or a modulus, not both"
+    if sub is not None and sub.dim == handle.dim or modulo is not None and not modulo.dim:
         return handle
     l = handle.l
-    if sub is None:
-        # the rows e_j, j not a pivot of N, and no free column: the check is empty
-        keep = modulo.free
-        rows = np.zeros((len(keep), handle.dim), dtype=np.int64)
-        rows[np.arange(len(keep)), keep] = 1
-        labels, pivots, free, R = handle.spin_labels, [], [], np.zeros((0, 0), dtype=np.int64)
+    if modulo is None:
+        rows, labels, pivots, free = sub.rows, handle.actions, sub._piv[: sub.dim], sub.free
+        R = sub.rows[:, free]
     else:
-        labels, pivots, free = handle.actions, list(sub.pivots), sub.free
-        R, rows = sub.rows[:, free], sub.rows
-        if gone:
-            assert np.array_equal(modulo.rows[:, pivots] @ R % l, modulo.rows[:, free]), "vector outside the subspace"
-            rows = rows[[p not in gone for p in pivots]]
-    classes, coords = _classes(sub, modulo), {}
+        keep, npiv = modulo.free, modulo._piv[: modulo.dim]
+        rows = (np.array(keep)[:, None] == np.arange(handle.dim)).astype(np.int64)  # the e_j, with no n x n eye
+        labels, N_keep = handle.spin_labels, modulo.rows[:, keep]
+    coords = {}
     for label in labels:
         img = handle.images(label, rows)
-        assert np.array_equal(img[:, pivots] @ R % l, img[:, free]), "vector outside the subspace"
+        if modulo is None:
+            C = img[:, pivots]
+            assert np.array_equal(C @ R % l, img[:, free]), "vector outside the subspace"
+        else:
+            C = (img[:, keep] - img[:, npiv] @ N_keep) % l
         if label in handle.spin_labels:
-            coords[label] = classes(img)
+            coords[label] = C
     out = ModuleHandle(len(rows), l, handle.spin_labels)
     for label in handle.spin_labels:
         out.add_matrix(label, coords.pop(label).T)  # pop: hold one matrix twice at most
@@ -577,12 +567,11 @@ def composition_series(handle: ModuleHandle, seed: int = 0) -> List[int]:
     verdict = meataxe_irreducible(handle, seed=seed)
     if verdict.irreducible:
         return [handle.dim]
-    # restrict(handle, sub) checks sub's invariance under every label, spin
-    # or not, which the quotient takes as given: so it is built first, and
-    # before either recursion
+    # restrict(handle, sub) checks sub under every label, which the quotient
+    # takes as given: so its factors are found before the quotient is built
     sub = verdict.witness
-    below, above = restrict(handle, sub), restrict(handle, None, sub)
-    out = sorted(composition_series(below, seed=seed + 1) + composition_series(above, seed=seed + 1))
+    below = composition_series(restrict(handle, sub), seed=seed + 1)
+    out = sorted(below + composition_series(restrict(handle, None, sub), seed=seed + 1))
     assert sum(out) == handle.dim
     return out
 

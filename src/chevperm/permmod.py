@@ -55,6 +55,7 @@ from .gf import MAX_ORDER, additive_transversal, embedding_table, factor_prime_p
 from .linrep import (
     ModuleHandle,
     Subspace,
+    TriangularBasis,
     composition_series,
     fixed_space,
     fixed_vector,
@@ -62,7 +63,6 @@ from .linrep import (
     restrict,
     socle_simple_check,
     spin,
-    subquotient_coords,
 )
 from .report import SuiteReport
 from .rootsys import RootDatum, WeylElement, check_reflection_transfer, check_stability_separation, root_datum
@@ -105,10 +105,11 @@ def word_tag(w: WeylElement) -> str:
 @dataclass
 class FiltrationPiece:
     J: FrozenSet[int]
-    sub: Subspace               # the submodule generated by the alternating sum
-    prime_dim: int              # dimension of the sum of the strictly-larger pieces
+    sub_dim: int                # dimension of M_J, the submodule generated by the alternating sum
+    prime_dim: int              # dimension of M_{>J}, the sum of the strictly-larger M_K
     handle: ModuleHandle        # the subquotient as a module over the spin labels only
-    project: Callable[[np.ndarray], np.ndarray]   # ambient vector or block of rows (in sub) -> subquotient coords
+    project: Callable[[np.ndarray], np.ndarray]   # ambient vector or block of rows (in M_J) -> subquotient coords
+    contains: Callable[[np.ndarray], bool]        # is the vector (every row of the block) in M_J?
     C: np.ndarray               # image of the alternating sum
     _series: Optional[List[int]] = field(default=None, repr=False)
 
@@ -357,62 +358,72 @@ class LevelModule:
 
     def filtration(self) -> Dict[FrozenSet[int], FiltrationPiece]:
         """The submodules M_J = kG.eta_J, eta_J the alternating sum over
-        W_J, and the subquotients M_J / M_{>J}, M_{>J} the sum of the M_K
-        for K > J.  No M_J is spun: it is spanned from the paper's basis.
-
-        The subsets are walked largest first.  For each i not in J,
-        eta_{J+i} is asserted to equal the signed sum of the translates
-        x.eta_J over the minimal coset representatives x of W_J lying in
-        W_{J+i} (W_{J+i} is the disjoint union of the cosets x W_J, with
-        lengths adding).  So M_{J+i} = kG.eta_{J+i} lies in kG.eta_J, and
-        so does M_{>J}, the sum of the M_{J+i}: every larger K lies in some
-        J + i.  M_J is M_{>J} extended by the rows of
-        `translates(tail, w.eta_J)` for each entry of `y_translates(J,
-        eta_J)`, group translates of eta_J, so M_J lies in kG.eta_J.  It is
-        asserted to hold eta_J; if M_J is invariant under every label of the
-        module, it contains kG.eta_J too: M_J = kG.eta_J.  The RREF is
-        canonical, so M_J is the Subspace that spinning eta_J gives.
-
-        Each piece is one `restrict(handle, M_J, M_{>J})`, smallest J
-        first, so the checks of the largest submodules, the costliest in
-        memory, run before the top piece's dense actions are held.  It takes
-        M_{>J}'s invariance as given, and M_J's follows by downward
-        induction: the top piece has M_{>J} = 0, and once each M_K, K > J,
-        is invariant, so is their sum.  The filtration returns only once
-        every call has passed.  Should the translates not span an invariant
-        subspace, one fails; it never yields a smaller subspace.
-        """
+        W_J, and the pieces M_J / M_{>J}, M_{>J} the sum of the M_K, K > J,
+        read off one basis T of k[G/B], nothing spun or row-reduced.  Each
+        eta_{J+i} is asserted to be the signed sum of the x.eta_J, x the
+        minimal coset representatives of W_J in W_{J+i}: M_K lies in M_J for
+        K > J.  Block J of T is the rows of `translates(tail, w.eta_J)` over
+        `y_translates(J, eta_J)`: translates u.w.eta_J, each the signed sum
+        of the cosets u w x B, x in W_J, whose longest is u w w_J B (w is
+        shortest in w W_J), with sign(w_J).  Asserting that, and that these
+        leading cosets cover G/B, makes T triangular (`TriangularBasis`).
+        V_J, the span of the blocks K >= J, lies in M_J; every label, spin or
+        not, is asserted to map block J into V_J (on the T-coordinates of
+        its images), and `project` asserts that eta_J lies in V_J: V_J is
+        the submodule M_J.  So block J is a basis of the piece, on which a
+        label acts by the J x J block of its images' coordinates.
+        `contains` and `project` read x T^-1."""
         if self._filtration is not None:
             return self._filtration
-        subsets = self.datum.all_subsets()
-        etas: Dict[FrozenSet[int], np.ndarray] = {}
-        generated: Dict[FrozenSet[int], Subspace] = {}
-        above: Dict[FrozenSet[int], Subspace] = {}
-        for J in reversed(subsets):
-            eta = etas[J] = self.alternating_sum(J)
-            above[J] = Subspace(self.dim, self.ell)
-            for i in range(self.datum.rank):
-                if i in J:
-                    continue
-                K = J | {i}
-                W_K = {w.perm for w in self.datum.subgroup_elements(K)}
-                image = np.zeros_like(eta)
-                for x in self.datum.min_coset_reps(J):
-                    if x.perm in W_K:
-                        image = (image + self.sign(x) * self.act_weyl(x, eta)) % self.ell
-                assert np.array_equal(image, etas[K]), "eta_K is not the signed coset sum of eta_J"
-                # the first larger submodule is taken as it is, not copied
-                above[J] = above[J].sum(generated[K]) if above[J].dim else generated[K]
-            rows = [self.translates(tail, weta) for _, tail, weta in self.y_translates(J, eta)]
-            generated[J] = above[J].extend(np.vstack(rows))
-            assert generated[J].contains(eta), "eta_J outside its translate span"
-        pieces: Dict[FrozenSet[int], FiltrationPiece] = {}
+        subsets, n, l = self.datum.all_subsets(), self.dim, self.ell
+        etas = {J: self.alternating_sum(J) for J in subsets}
         for J in subsets:
-            sub, larger = generated[J], above.pop(J)
-            project = subquotient_coords(sub, larger)
+            for i in sorted(set(range(self.datum.rank)) - J):
+                W_K = {w.perm for w in self.datum.subgroup_elements(J | {i})}
+                xs = [x for x in self.datum.min_coset_reps(J) if x.perm in W_K]
+                image = sum(self.sign(x) * self.act_weyl(x, etas[J]) for x in xs) % l
+                assert np.array_equal(image, etas[J | {i}]), "eta_K is not the signed coset sum of eta_J"
+        parts, block = [], []  # T as triples (row, coset, value), and each row's block
+        for j, J in enumerate(subsets):
+            for _, tail, weta in self.y_translates(J, etas[J]):
+                translates = self.translates(tail, weta)
+                r, c = np.nonzero(translates)
+                parts.append((r + len(block), c, translates[r, c]))
+                block += [j] * len(translates)
+        lengths = np.array([w.length for w in self.flags.bruhat_labels()])
+        T, block = TriangularBasis(l, *(np.concatenate(p) for p in zip(*parts)), lengths), np.array(block)
+        signs = np.array([self.sign(self.datum.longest_element(J)) for J in subsets])
+        assert np.array_equal(T.lead_value, signs[block]), "a leading coefficient is not sign(w_J)"
+        inside = np.array([[K >= J for K in subsets] for J in subsets])  # inside[J, K]: M_K in M_J
+        sizes, starts = np.bincount(block), np.searchsorted(block, np.arange(len(subsets)))
+        handles = [ModuleHandle(int(k), l, self.handle.spin_labels) for k in sizes]
+        for label, (_, fwd, _) in self.handle.actions.items():
+            v, r, y = T.coords(T.row, fwd[T.col], T.val)
+            assert inside[block[v], block[r]].all(), "vector outside the subspace"
+            for j, handle in enumerate(handles if label in self.handle.spin_labels else ()):
+                mine = (block[v] == j) & (block[r] == j)
+                M = np.zeros((handle.dim, handle.dim), dtype=np.int64)
+                M[r[mine] - starts[j], v[mine] - starts[j]] = y[mine]  # column i: the image of row i
+                handle.add_matrix(label, M)
+        v, r, y = T.coords(np.arange(n), np.arange(n), np.ones(n, dtype=np.int64))
+        inverse_t = np.zeros((n, n), dtype=np.int64)  # (T^-1)^T: x T^-1 = (T^-1)^T x reads rows
+        inverse_t[r, v] = y
+        pieces: Dict[FrozenSet[int], FiltrationPiece] = {}
+        for j, J in enumerate(subsets):
+            outside, own = ~inside[j][block], slice(starts[j], starts[j] + sizes[j])
+
+            def contains(x, outside=outside):
+                return not ((inverse_t @ x.T).T % l)[..., outside].any()
+
+            def project(x, outside=outside, own=own):
+                y = (inverse_t @ x.T).T % l
+                assert not y[..., outside].any(), "vector outside the subspace"
+                return y[..., own]
+
             C = project(etas[J])
             assert np.any(C), "alternating-sum image vanished in the subquotient"
-            pieces[J] = FiltrationPiece(J, sub, larger.dim, restrict(self.handle, sub, larger), project, C)
+            sub_dim, prime_dim = int((~outside).sum()), int((~outside & (block != j)).sum())
+            pieces[J] = FiltrationPiece(J, sub_dim, prime_dim, handles[j], project, contains, C)
         self._filtration = pieces
         return pieces
 
@@ -593,11 +604,11 @@ def suite_filtration(runner: SuiteRunner, seed: int) -> SuiteReport:
     datum = lm.datum
     pieces = lm.filtration()
     subsets = datum.all_subsets()
-    generated = {J: pieces[J].sub for J in subsets}
     for J in subsets:
         for K in subsets:
             if J < K:
-                rep.check(generated[J].contains(generated[K].rows) and generated[K].dim < generated[J].dim,
+                # M_K = kG.eta_K lies in M_J if eta_K does
+                rep.check(pieces[J].contains(lm.alternating_sum(K)) and pieces[K].sub_dim < pieces[J].sub_dim,
                           what="strict-inclusion", small=subset_tag(K), large=subset_tag(J))
     total = 0
     nonzero = 0
@@ -605,8 +616,8 @@ def suite_filtration(runner: SuiteRunner, seed: int) -> SuiteReport:
         piece = pieces[J]
         total += piece.dim
         nonzero += piece.dim > 0
-        rep.check(piece.dim == generated[J].dim - piece.prime_dim, what="quotient-dim", J=subset_tag(J))
-        rep.witness(J=subset_tag(J), dim=piece.dim, sub_dim=generated[J].dim)
+        rep.check(piece.dim == piece.sub_dim - piece.prime_dim, what="quotient-dim", J=subset_tag(J))
+        rep.witness(J=subset_tag(J), dim=piece.dim, sub_dim=piece.sub_dim)
     rep.check(nonzero == len(subsets), what="all-pieces-nonzero", found=nonzero)
     rep.check(total == lm.dim, what="dimension-sum", total=total, module=lm.dim)
     full = frozenset(range(datum.rank))

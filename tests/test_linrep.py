@@ -16,6 +16,7 @@ from chevperm.linrep import (
     MeatAxeBudgetError,
     ModuleHandle,
     Subspace,
+    TriangularBasis,
     _min_poly,
     _poly_at,
     _random_algebra_element,
@@ -28,7 +29,6 @@ from chevperm.linrep import (
     restrict,
     socle_simple_check,
     spin,
-    subquotient_coords,
 )
 from chevperm.permmod import LevelModule
 
@@ -161,7 +161,7 @@ def test_subspace_block_membership_and_coords():
 def test_subspace_sum_intersect_frozen():
     A = Subspace(3, 2, np.array([[1, 1, 0]]))
     B = Subspace(3, 2, np.array([[0, 1, 1]]))
-    assert A.sum(B).dim == 2
+    assert Subspace(3, 2, np.vstack([A.rows, B.rows])).dim == 2
     assert A.intersect(B).dim == 0
     C = Subspace(3, 2, np.array([[1, 1, 0], [0, 0, 1]]))
     meet = A.intersect(C)
@@ -182,7 +182,7 @@ def test_perp_dimensions_and_double_perp():
 def test_dimension_formula(rows_a, rows_b):
     A = Subspace(4, 3, np.array(rows_a))
     B = Subspace(4, 3, np.array(rows_b))
-    assert A.sum(B).dim + A.intersect(B).dim == A.dim + B.dim
+    assert Subspace(4, 3, np.vstack([A.rows, B.rows])).dim + A.intersect(B).dim == A.dim + B.dim
 
 
 @st.composite
@@ -227,22 +227,64 @@ def test_sum_matches_the_stacked_rref(case):
         assert_same_rref(S, Subspace(n, l, M % l))
         # RREF rows, in either order, need no reduction and clear nothing
         assert_same_rref(Subspace(n, l, S.rows[::-1]), S)
-    # either operand larger, zero or full: the order of the operands and of
-    # the rows does not change the canonical RREF
+    # either operand larger, zero or full: the sum of the spans, stacked as
+    # RREF rows or as the rows given, in either order, has one canonical RREF
     AB = Subspace(n, l, np.vstack([A.rows, B.rows]))
-    assert_same_rref(A.sum(B), AB)
-    assert_same_rref(B.sum(A), AB)
+    assert_same_rref(Subspace(n, l, np.vstack([B.rows, A.rows])), AB)
+    assert_same_rref(Subspace(n, l, np.vstack([MB, MA])), AB)
     # a sum summed again, on either side
     ABC = Subspace(n, l, np.vstack([MA, MB, MC]))
-    assert_same_rref(A.sum(B).sum(C), ABC)
-    assert_same_rref(C.sum(B.sum(A)), ABC)
-    # extend takes rows as given, shifted by multiples of l, or none at all
-    assert_same_rref(A.extend(MB), AB)
-    assert_same_rref(A.extend(np.vstack([MB, MC])), ABC)
-    assert_same_rref(A.extend(np.zeros((0, n), dtype=np.int64)), A)
+    assert_same_rref(Subspace(n, l, np.vstack([AB.rows, C.rows])), ABC)
+    assert_same_rref(Subspace(n, l, np.vstack([C.rows, B.rows, A.rows])), ABC)
     # the operands are left as they were
     assert_same_rref(A, Subspace(n, l, MA % l))
     assert_same_rref(B, Subspace(n, l, MB % l))
+
+
+@st.composite
+def triangular_bases(draw):
+    """n rows mod l with distinct leads of greatest grade, units there, and
+    random entries at the columns of lower grade; and a block X of vectors."""
+    l = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grade = rng.integers(0, draw(st.integers(1, 4)), size=n)
+    lead = rng.permutation(n)
+    T = rng.integers(0, l, size=(n, n)) * (grade[None, :] < grade[lead][:, None])
+    T[np.arange(n), lead] = rng.integers(1, l, size=n)
+    return l, grade, T, rng.integers(0, l, size=(draw(st.integers(0, 4)), n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(triangular_bases())
+def test_triangular_coords_solve_y_t_equals_x(case):
+    # Y T = X, one nonzero triple per entry of Y, and Y = X T^-1 with T^-1
+    # read off the RREF [I | T^-1] of the rows [T | I]
+    l, grade, T, X = case
+    n = len(grade)
+    r, c = np.nonzero(T)
+    basis = TriangularBasis(l, r, c, T[r, c], grade)
+    assert np.array_equal(basis.lead_value[basis.row_of], T[basis.row_of, np.arange(n)])
+    v, c = np.nonzero(X)
+    vec, row, val = basis.coords(v, c, X[v, c])
+    assert np.all(val != 0) and len(set(zip(vec.tolist(), row.tolist()))) == len(vec)
+    Y = np.zeros(X.shape, dtype=np.int64)
+    Y[vec, row] = val
+    assert np.array_equal(Y @ T % l, X)
+    augmented = Subspace(2 * n, l, np.hstack([T, np.eye(n, dtype=np.int64)]))
+    assert augmented.pivots == tuple(range(n))
+    assert np.array_equal(Y, X @ augmented.rows[:, n:] % l)
+
+
+def test_triangular_basis_refuses_a_tie_at_the_top_or_leads_that_miss_a_column():
+    grade = np.array([0, 1, 1])
+    # row 1 is e1 + e2, two columns of grade 1
+    with pytest.raises(AssertionError, match="no unique leading column"):
+        TriangularBasis(2, np.array([0, 1, 1, 2]), np.array([0, 1, 2, 2]), np.array([1, 1, 1, 1]), grade)
+    # two rows, e0 and e1, for three columns; or e0, e0 + e1 and e1, two led by column 1
+    for row, col in (([0, 1], [0, 1]), ([0, 1, 1, 2], [0, 0, 1, 1])):
+        with pytest.raises(AssertionError, match="do not cover"):
+            TriangularBasis(2, np.array(row), np.array(col), np.ones(len(row), dtype=np.int64), grade)
 
 
 def test_line_representatives_count():
@@ -500,6 +542,24 @@ def test_composition_series_seed_stable():
     assert sum(first) == 21
 
 
+def test_composition_series_checks_the_witness_before_any_quotient(monkeypatch):
+    # a witness that is no submodule: the restriction to it, built first,
+    # refuses it, and no quotient by it is ever built
+    _, _, handle = borel_perm_module("A1", 2, 2)
+    e0 = Subspace(3, 2, np.array([[1, 0, 0]]))
+    monkeypatch.setattr(linrep, "meataxe_irreducible", lambda h, seed=0: linrep.Verdict(False, witness=e0))
+    real, calls = linrep.restrict, []
+
+    def restrict(h, sub, modulo=None):
+        calls.append((sub is e0, modulo))
+        return real(h, sub, modulo)
+
+    monkeypatch.setattr(linrep, "restrict", restrict)
+    with pytest.raises(AssertionError, match="vector outside the subspace"):
+        composition_series(handle)
+    assert calls == [(True, None)]
+
+
 # -- socle --------------------------------------------------------------------
 
 
@@ -660,38 +720,34 @@ def test_restrict_quotient_store_only_the_asked_labels(build):
 @pytest.mark.parametrize("l", [2, 3, 5])
 @pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
 def test_restrict_modulo_matches_the_two_stage_oracle(l, build):
-    # restrict(h, S, modulo=N) against the restriction to S, then the
-    # per-vector quotient by N's coordinates, for every pair N in S of
-    # submodules, N = 0 and S the whole space (as its RREF and as None)
-    # included
+    # restrict(h, None, modulo=N) against the restriction to the whole space
+    # (as its RREF), then the per-vector quotient by N's coordinates, for
+    # every submodule N, N = 0 and the whole space included
     handle = build(l)
     subs = [submodule_of_dim(handle, d) for d in range(handle.dim + 1)]
-    rng = np.random.default_rng(l)
-    for S in subs + [None]:
-        space = subs[-1] if S is None else S
-        block = rng.integers(0, l, size=(3, space.dim)) @ space.rows % l
-        for N in subs[: space.dim + 1]:
-            ref, ref_project = loop_quotient(restrict(handle, space), Subspace(space.dim, l, space.coords(N.rows)))
-            got = restrict(handle, S, modulo=N)
-            assert got.dim == ref.dim == space.dim - N.dim
-            for label in handle.spin_labels:
-                assert np.array_equal(dense_matrix(got, label), dense_matrix(ref, label)), (space.dim, N.dim)
-            if S is not None:
-                assert np.array_equal(subquotient_coords(S, N)(block), ref_project(S.coords(block)))
+    space = subs[-1]
+    for N in subs:
+        ref, _ = loop_quotient(restrict(handle, space), Subspace(space.dim, l, space.coords(N.rows)))
+        got = restrict(handle, None, modulo=N)
+        assert got.dim == ref.dim == space.dim - N.dim
+        for label in handle.spin_labels:
+            assert np.array_equal(dense_matrix(got, label), dense_matrix(ref, label)), N.dim
 
 
 @pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
 def test_restrict_modulo_rejects_a_moved_space_or_a_modulus_outside_it(build):
+    # a subquotient S / N is no longer one call: restrict refuses S and N
+    # together, and a moved S on its own
     handle = build(3)
     N = submodule_of_dim(handle, 1)
     # N plus e0 is no submodule: the only 2-dimensional one is another space
-    S = N.extend(handle.basis_vector(0)[None, :])
+    S = Subspace(handle.dim, 3, np.vstack([N.rows, handle.basis_vector(0)]))
     assert S.dim == 2 and S != submodule_of_dim(handle, 2)
     with pytest.raises(AssertionError, match="vector outside the subspace") as err:
-        restrict(handle, S, modulo=N)
+        restrict(handle, S)
     assert err.traceback[-1].name == "restrict"
-    with pytest.raises(AssertionError, match="vector outside the subspace") as err:
-        restrict(handle, N, modulo=submodule_of_dim(handle, 2))
+    with pytest.raises(AssertionError, match="not both") as err:
+        restrict(handle, submodule_of_dim(handle, 2), modulo=N)
     assert err.traceback[-1].name == "restrict"
 
 

@@ -86,7 +86,7 @@ def test_filtration_dims_a2():
     assert {subset_tag(J): p.dim for J, p in pieces.items()} == {
         "-": 1, "1": 6, "2": 6, "12": 8,
     }
-    assert {subset_tag(J): p.sub.dim for J, p in pieces.items()} == {
+    assert {subset_tag(J): p.sub_dim for J, p in pieces.items()} == {
         "-": 21, "1": 14, "2": 14, "12": 8,
     }
 
@@ -107,7 +107,7 @@ def test_filtration_checks_non_spin_labels():
     assert ("bogus",) not in lm.handle.spin_labels
     with pytest.raises(AssertionError, match="outside the subspace") as err:
         lm.filtration()
-    assert err.traceback[-1].name == "restrict"
+    assert err.traceback[-1].name == "filtration"
 
 
 def test_filtration_dims_survive_coefficient_change():
@@ -142,6 +142,18 @@ def spin_filtration(lm):
     return out
 
 
+def translate_rows(lm):
+    """The paper's basis T, dense: the rows of `translates(tail, w.eta_J)`
+    for each J and each entry of `y_translates(J, eta_J)`, in the
+    filtration's order; and each row's block J."""
+    rows, blocks = [], []
+    for J in lm.datum.all_subsets():
+        for _, tail, weta in lm.y_translates(J, lm.alternating_sum(J)):
+            rows.append(lm.translates(tail, weta))
+            blocks += [J] * len(rows[-1])
+    return np.vstack(rows), blocks
+
+
 @pytest.mark.parametrize("kind,q,b,char,level", [
     ("A1", 2, None, None, "base"), ("A1", 3, None, None, "base"),
     ("A1", 4, None, None, "base"), ("A1", 5, None, None, "base"),
@@ -151,27 +163,35 @@ def spin_filtration(lm):
     ("A1", 2, 3, None, "ext"), ("A2", 2, None, None, "ext"),  # A1 over GF(8), A2 over GF(4)
 ])
 def test_filtration_equals_the_spin_built_one(kind, q, b, char, level):
-    # the pieces are built in one pass each: their spaces, actions and
-    # projections equal the spin-built, two-stage ones
+    # the pieces are read off the translate basis T: each M_J is the span of
+    # T's rows that it contains, the spin-built submodule, and each piece is
+    # the spin-built, two-stage one in the basis of block J's classes: P, the
+    # oracle's projection of block J, is the change of basis, so a vector's
+    # coordinates times P are the oracle's and P intertwines the actions
     lm = getattr(ctx(kind, q, b=b, char=char), level)
     pieces = lm.filtration()
     oracle = spin_filtration(lm)
+    T, blocks = translate_rows(lm)
     assert list(pieces) == lm.datum.all_subsets()
     for J, (sub, prime_dim, C, E, project) in oracle.items():
         piece, tag = pieces[J], subset_tag(J)
-        assert piece.sub == sub, tag
-        assert piece.prime_dim == prime_dim and np.array_equal(piece.C, C), tag
-        assert piece.dim == E.dim, tag
+        inside = [piece.contains(row) for row in T]
+        assert Subspace(lm.dim, lm.ell, T[inside]) == sub and piece.sub_dim == sub.dim, tag
+        assert piece.prime_dim == prime_dim and piece.dim == E.dim, tag
+        P = project(T[[K == J for K in blocks]])
+        assert Subspace(E.dim, lm.ell, P).dim == E.dim, tag
+        assert np.array_equal(piece.C @ P % lm.ell, C), tag
         for label in lm.handle.spin_labels:
-            assert np.array_equal(dense_matrix(piece.handle, label), dense_matrix(E, label)), (tag, label)
+            lhs = dense_matrix(piece.handle, label).T @ P % lm.ell
+            assert np.array_equal(lhs, P @ dense_matrix(E, label).T % lm.ell), (tag, label)
         for _, tail, weta in lm.y_translates(J, lm.alternating_sum(J)):
             block = lm.translates(tail, weta)
-            assert np.array_equal(piece.project(block), project(block)), tag
+            assert np.array_equal(piece.project(block) @ P % lm.ell, project(block)), tag
 
 
 def test_filtration_refuses_a_translate_span_missing_a_row(monkeypatch):
-    # dropping one non-first row of one block leaves a proper subspace that
-    # still holds eta_J; it is not invariant, so restrict must refuse it
+    # dropping one non-first row of one block leaves n - 1 rows that still
+    # hold eta_J; their leading cosets cannot cover G/B
     real = LevelModule.translates
     dropped = []
 
@@ -184,9 +204,49 @@ def test_filtration_refuses_a_translate_span_missing_a_row(monkeypatch):
 
     monkeypatch.setattr(LevelModule, "translates", translates)
     lm = LevelModule("A2", 2, 2)
-    with pytest.raises(AssertionError, match="vector outside the subspace") as err:
+    with pytest.raises(AssertionError, match="leading columns do not cover") as err:
         lm.filtration()
-    assert dropped and err.traceback[-1].name == "restrict"
+    assert dropped and err.traceback[-1].name == "__init__"
+
+
+def test_filtration_refuses_a_row_with_two_top_cosets(monkeypatch):
+    # row 1 of a block plus row 0: u.w.eta_J + w.eta_J has two cosets of the
+    # greatest length, u w w_J B and w w_J B
+    real = LevelModule.translates
+    doubled = []
+
+    def translates(self, w, v, handle=None):
+        block = real(self, w, v, handle)
+        if not doubled and len(block) > 1:
+            doubled.append(w)
+            block[1] = (block[1] + block[0]) % self.ell
+        return block
+
+    monkeypatch.setattr(LevelModule, "translates", translates)
+    lm = LevelModule("A2", 2, 2)
+    with pytest.raises(AssertionError, match="no unique leading column") as err:
+        lm.filtration()
+    assert doubled and err.traceback[-1].name == "__init__"
+
+
+def test_filtration_refuses_a_leading_coefficient_other_than_sign_wJ(monkeypatch):
+    # at l = 3, -1 != 1: one row negated keeps its leading coset, with
+    # coefficient -sign(w_J)
+    real = LevelModule.translates
+    flipped = []
+
+    def translates(self, w, v, handle=None):
+        block = real(self, w, v, handle)
+        if not flipped and w.length:
+            flipped.append(w)
+            block[-1] = (-block[-1]) % self.ell
+        return block
+
+    monkeypatch.setattr(LevelModule, "translates", translates)
+    lm = LevelModule("A2", 2, 3)
+    with pytest.raises(AssertionError, match="not sign") as err:
+        lm.filtration()
+    assert flipped and err.traceback[-1].name == "filtration"
 
 
 def test_filtration_checks_the_coset_sum_identity(monkeypatch):
@@ -386,7 +446,7 @@ def test_fixed_vector_lies_in_the_spin_and_the_fixed_space(kind, q):
         assert all(np.array_equal(lm.handle.images(u, x), x) for u in labels)
         S = spin(lm.handle, [v])
         assert F.contains(x) and S.contains(x)
-        assert S.sum(F).dim < S.dim + F.dim
+        assert Subspace(lm.dim, lm.ell, np.vstack([S.rows, F.rows])).dim < S.dim + F.dim
 
 
 def test_fixed_vector_gives_up_when_u_is_no_l_group():
