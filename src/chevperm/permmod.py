@@ -106,16 +106,27 @@ def word_tag(w: WeylElement) -> str:
 class FiltrationPiece:
     J: FrozenSet[int]
     sub_dim: int                # dimension of M_J, the submodule generated by the alternating sum
-    prime_dim: int              # dimension of M_{>J}, the sum of the strictly-larger M_K
     handle: ModuleHandle        # the subquotient as a module over the spin labels only
-    project: Callable[[np.ndarray], np.ndarray]   # ambient vector or block of rows (in M_J) -> subquotient coords
-    contains: Callable[[np.ndarray], bool]        # is the vector (every row of the block) in M_J?
-    C: np.ndarray               # image of the alternating sum
+    inverse_t: np.ndarray       # (T^-1)^T, shared by the pieces
+    outside: np.ndarray         # the rows of T outside M_J
+    own: slice                  # the rows of T in block J, a basis of the subquotient
+    C: Optional[np.ndarray] = None  # image of the alternating sum, set by `filtration`
     _series: Optional[List[int]] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.handle.dim
+
+    def coords(self, x: np.ndarray) -> np.ndarray:
+        return (self.inverse_t @ x.T).T % self.handle.l  # x T^-1, (T^-1)^T x reads rows
+
+    def contains(self, x: np.ndarray) -> bool:  # is the vector (every row of the block) in M_J?
+        return not self.coords(x)[..., self.outside].any()
+
+    def project(self, x: np.ndarray) -> np.ndarray:  # the vector (each row), asserted in M_J, in block J's basis
+        y = self.coords(x)
+        assert not y[..., self.outside].any(), "vector outside the subspace"
+        return y[..., self.own]
 
     def composition_series(self, seed: int) -> List[int]:
         """The subquotient's sorted composition factor dimensions, computed
@@ -371,16 +382,14 @@ class LevelModule:
         not, is asserted to map block J into V_J (on the T-coordinates of
         its images), and `project` asserts that eta_J lies in V_J: V_J is
         the submodule M_J.  So block J is a basis of the piece, on which a
-        label acts by the J x J block of its images' coordinates.
-        `contains` and `project` read x T^-1."""
+        label acts by the J x J block of its images' coordinates."""
         if self._filtration is not None:
             return self._filtration
         subsets, n, l = self.datum.all_subsets(), self.dim, self.ell
         etas = {J: self.alternating_sum(J) for J in subsets}
         for J in subsets:
             for i in sorted(set(range(self.datum.rank)) - J):
-                W_K = {w.perm for w in self.datum.subgroup_elements(J | {i})}
-                xs = [x for x in self.datum.min_coset_reps(J) if x.perm in W_K]
+                xs = [x for x in self.datum.min_coset_reps(J) if set(x.word) <= J | {i}]  # x in W_{J+i}
                 image = sum(self.sign(x) * self.act_weyl(x, etas[J]) for x in xs) % l
                 assert np.array_equal(image, etas[J | {i}]), "eta_K is not the signed coset sum of eta_J"
         parts, block = [], []  # T as triples (row, coset, value), and each row's block
@@ -406,24 +415,14 @@ class LevelModule:
                 M[r[mine] - starts[j], v[mine] - starts[j]] = y[mine]  # column i: the image of row i
                 handle.add_matrix(label, M)
         v, r, y = T.coords(np.arange(n), np.arange(n), np.ones(n, dtype=np.int64))
-        inverse_t = np.zeros((n, n), dtype=np.int64)  # (T^-1)^T: x T^-1 = (T^-1)^T x reads rows
+        inverse_t = np.zeros((n, n), dtype=np.int64)
         inverse_t[r, v] = y
         pieces: Dict[FrozenSet[int], FiltrationPiece] = {}
         for j, J in enumerate(subsets):
             outside, own = ~inside[j][block], slice(starts[j], starts[j] + sizes[j])
-
-            def contains(x, outside=outside):
-                return not ((inverse_t @ x.T).T % l)[..., outside].any()
-
-            def project(x, outside=outside, own=own):
-                y = (inverse_t @ x.T).T % l
-                assert not y[..., outside].any(), "vector outside the subspace"
-                return y[..., own]
-
-            C = project(etas[J])
-            assert np.any(C), "alternating-sum image vanished in the subquotient"
-            sub_dim, prime_dim = int((~outside).sum()), int((~outside & (block != j)).sum())
-            pieces[J] = FiltrationPiece(J, sub_dim, prime_dim, handles[j], project, contains, C)
+            piece = pieces[J] = FiltrationPiece(J, int((~outside).sum()), handles[j], inverse_t, outside, own)
+            piece.C = piece.project(etas[J])
+            assert np.any(piece.C), "alternating-sum image vanished in the subquotient"
         self._filtration = pieces
         return pieces
 
@@ -610,14 +609,15 @@ def suite_filtration(runner: SuiteRunner, seed: int) -> SuiteReport:
                 # M_K = kG.eta_K lies in M_J if eta_K does
                 rep.check(pieces[J].contains(lm.alternating_sum(K)) and pieces[K].sub_dim < pieces[J].sub_dim,
                           what="strict-inclusion", small=subset_tag(K), large=subset_tag(J))
-    total = 0
-    nonzero = 0
+    # the paper's counts, from W, not T: dim M_K = q^l(w_K) [G : P_K], and the
+    # M_K span parts of one basis, so a piece's is the alternating sum over K >= J
+    q = lm.field.order
+    paper = {K: q ** datum.longest_element(K).length * datum.poincare_sum(K, q) for K in subsets}
     for J in subsets:
-        piece = pieces[J]
-        total += piece.dim
-        nonzero += piece.dim > 0
-        rep.check(piece.dim == piece.sub_dim - piece.prime_dim, what="quotient-dim", J=subset_tag(J))
-        rep.witness(J=subset_tag(J), dim=piece.dim, sub_dim=piece.sub_dim)
+        count = sum((-1) ** len(K - J) * paper[K] for K in subsets if K >= J)
+        rep.check(pieces[J].dim == count, what="quotient-dim", J=subset_tag(J))
+        rep.witness(J=subset_tag(J), dim=pieces[J].dim, sub_dim=pieces[J].sub_dim)
+    nonzero, total = sum(pieces[J].dim > 0 for J in subsets), sum(pieces[J].dim for J in subsets)
     rep.check(nonzero == len(subsets), what="all-pieces-nonzero", found=nonzero)
     rep.check(total == lm.dim, what="dimension-sum", total=total, module=lm.dim)
     full = frozenset(range(datum.rank))

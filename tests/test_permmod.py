@@ -177,7 +177,7 @@ def test_filtration_equals_the_spin_built_one(kind, q, b, char, level):
         piece, tag = pieces[J], subset_tag(J)
         inside = [piece.contains(row) for row in T]
         assert Subspace(lm.dim, lm.ell, T[inside]) == sub and piece.sub_dim == sub.dim, tag
-        assert piece.prime_dim == prime_dim and piece.dim == E.dim, tag
+        assert piece.sub_dim - piece.dim == prime_dim and piece.dim == E.dim, tag
         P = project(T[[K == J for K in blocks]])
         assert Subspace(E.dim, lm.ell, P).dim == E.dim, tag
         assert np.array_equal(piece.C @ P % lm.ell, C), tag
