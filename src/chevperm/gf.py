@@ -105,7 +105,7 @@ def poly_divmod(f: np.ndarray, g: np.ndarray, p: int) -> Tuple[np.ndarray, np.nd
 
 
 def poly_gcd(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
-    """The monic gcd of two polynomials, not both zero."""
+    """The monic gcd of two polynomials, at least one of them nonzero."""
     f, g = _trim(np.asarray(f, dtype=np.int64) % p), _trim(np.asarray(g, dtype=np.int64) % p)
     while len(g):
         g = _monic(g, p)

@@ -13,14 +13,17 @@ module.  On top of that: spinning, fixed spaces of permutation labels (orbit
 sums), one fixed vector in the submodule that a vector generates under an
 l-group of permutation labels (a walk x <- (u - 1).x that ends because the
 augmentation ideal of that group algebra is nilpotent; `fixed_vector`
-argues it), subquotients, an irreducibility test with certified verdicts,
+argues it), submodules, an irreducibility test with certified verdicts,
 recursive composition series, and a socle check that enumerates the lines
 of a p-group fixed space.
 
-`restrict` builds submodules, restrict(h, S), checked under every label,
-and quotients, restrict(h, None, N), storing spin-label actions only.
-`TriangularBasis` gives coordinates with no elimination in a basis whose
-rows have distinct leading columns, such as the filtration's basis of k[G/B].
+`restrict(h, S)`, the module on an invariant subspace S checked under every
+label, is the one construction of a smaller module; it stores spin-label
+actions only.  No quotient is built: composition series reads M/W as its
+dual, the submodule W^perp of the transpose module, which has composition
+factors of the same dimensions.  `TriangularBasis` gives coordinates with
+no elimination in a basis whose rows have distinct leading columns, such as
+the filtration's basis of k[G/B].
 
 The irreducibility test is the Holt-Rees MeatAxe: a random algebra element
 A, an irreducible factor p of the minimal polynomial of a vector under A
@@ -303,11 +306,12 @@ class ModuleHandle:
     def transpose(self) -> "ModuleHandle":
         """The transpose module: each spin label acts by A^T.  A permutation
         P has P^T = P^-1, so its label keeps the arrays with fwd and inv
-        swapped."""
+        swapped; a matrix label keeps a view of A^T (no action matrix is
+        ever written), so `images` reads x A on A itself."""
         out = ModuleHandle(self.dim, self.l, self.spin_labels)
         for label in self.spin_labels:
             kind, fwd, inv = self.actions[label]
-            out.actions[label] = ("perm", inv, fwd) if kind == "perm" else ("mat", fwd.T.copy(), None)
+            out.actions[label] = ("perm", inv, fwd) if kind == "perm" else ("mat", fwd.T, None)
         return out
 
     def basis_vector(self, i: int) -> np.ndarray:
@@ -386,42 +390,27 @@ def fixed_vector(handle: ModuleHandle, labels: Sequence[Hashable], v: np.ndarray
     return None
 
 
-def restrict(handle: ModuleHandle, sub: Optional[Subspace], modulo: Optional[Subspace] = None) -> ModuleHandle:
-    """The module on an invariant subspace S = sub, in its basis coords,
-    or, with sub = None, on the quotient by an invariant subspace N =
-    modulo, in the basis of the classes of the e_j, j not a pivot of N.
+def restrict(handle: ModuleHandle, sub: Subspace) -> ModuleHandle:
+    """The module on an invariant subspace S = sub, in its basis coords.
 
-    For S, every label's images img of S's rows, spin label or not, are
-    asserted to satisfy C S == img on the free columns, C = img[:, pivots]
-    (on the pivots S is the identity), and C is the action.  The class of
-    x modulo N is x[keep] - x[N's pivots] N[:, keep], keep the non-pivots
-    of N; N's invariance is a precondition (composition series restricts
-    to N first), so only the spin labels are read.  Actions are stored for
+    Every label's images img of S's rows, spin label or not, are asserted
+    to satisfy C S == img on the free columns, C = img[:, pivots] (on the
+    pivots S is the identity), and C is the action.  Actions are stored for
     the spin labels only, the ones spinning and the MeatAxe read.  S the
-    whole space, or N = 0, returns the handle itself.
+    whole space returns the handle itself.
     """
-    assert sub is None or modulo is None, "restrict takes a subspace or a modulus, not both"
-    if sub is not None and sub.dim == handle.dim or modulo is not None and not modulo.dim:
+    if sub.dim == handle.dim:
         return handle
-    l = handle.l
-    if modulo is None:
-        rows, labels, pivots, free = sub.rows, handle.actions, sub._piv[: sub.dim], sub.free
-        R = sub.rows[:, free]
-    else:
-        keep, npiv = modulo.free, modulo._piv[: modulo.dim]
-        rows = (np.array(keep)[:, None] == np.arange(handle.dim)).astype(np.int64)  # the e_j, with no n x n eye
-        labels, N_keep = handle.spin_labels, modulo.rows[:, keep]
+    l, pivots, free = handle.l, sub._piv[: sub.dim], sub.free
+    R = sub.rows[:, free]
     coords = {}
-    for label in labels:
-        img = handle.images(label, rows)
-        if modulo is None:
-            C = img[:, pivots]
-            assert np.array_equal(C @ R % l, img[:, free]), "vector outside the subspace"
-        else:
-            C = (img[:, keep] - img[:, npiv] @ N_keep) % l
+    for label in handle.actions:
+        img = handle.images(label, sub.rows)
+        C = img[:, pivots]
+        assert np.array_equal(C @ R % l, img[:, free]), "vector outside the subspace"
         if label in handle.spin_labels:
             coords[label] = C
-    out = ModuleHandle(len(rows), l, handle.spin_labels)
+    out = ModuleHandle(sub.dim, l, handle.spin_labels)
     for label in handle.spin_labels:
         out.add_matrix(label, coords.pop(label).T)  # pop: hold one matrix twice at most
     return out
@@ -561,17 +550,22 @@ def meataxe_irreducible(handle: ModuleHandle, seed: int = 0, budget: int = 200) 
 
 
 def composition_series(handle: ModuleHandle, seed: int = 0) -> List[int]:
-    """Multiset (sorted list) of composition factor dimensions."""
+    """Multiset (sorted list) of composition factor dimensions: those of a
+    MeatAxe witness W, then those of the quotient by W, read off W^perp in
+    the transpose module."""
     if handle.dim == 0:
         return []
     verdict = meataxe_irreducible(handle, seed=seed)
     if verdict.irreducible:
         return [handle.dim]
-    # restrict(handle, sub) checks sub under every label, which the quotient
-    # takes as given: so its factors are found before the quotient is built
+    # restrict(handle, sub) checks the witness W under every label, spin or
+    # not, before the transpose side is built.  W invariant under each A
+    # makes W^perp invariant under each A^T, and (M/W)^* is W^perp in the
+    # transpose module; duality keeps dimensions and simplicity, so the
+    # factors of W^perp have the dimensions of the quotient's
     sub = verdict.witness
     below = composition_series(restrict(handle, sub), seed=seed + 1)
-    out = sorted(below + composition_series(restrict(handle, None, sub), seed=seed + 1))
+    out = sorted(below + composition_series(restrict(handle.transpose(), sub.perp()), seed=seed + 1))
     assert sum(out) == handle.dim
     return out
 

@@ -1061,8 +1061,10 @@ class SuiteRunner:
     least a; None for 2a, and b = a for none), the coefficient characteristic (a prime; the
     field characteristic by default), the coset budget (>= 1), the run seed
     (>= 0) and the sample count of the sampled structure sweeps (>= 1).  A
-    bad value raises ValueError here.  Construction builds no module, and
-    nothing is reassigned afterwards.
+    bad value raises ValueError here, and so does a characteristic with
+    (budget + 1)(char - 1)^2 >= 2^63: the kernels sum int64 products of
+    entries < char over inner dimensions up to n + 1, n <= budget.
+    Construction builds no module, and nothing is reassigned afterwards.
     """
 
     def __init__(self, kind: str, q: int, a: int = 1, b: Optional[int] = None,
@@ -1080,6 +1082,9 @@ class SuiteRunner:
             raise ValueError("coefficient characteristic must be prime")
         if budget < 1:
             raise ValueError("budget must be positive")
+        if (budget + 1) * (char - 1) ** 2 >= 2**63:
+            raise ValueError("coefficient characteristic %d is too large for exact int64 products "
+                             "at budget %d: (budget + 1)(char - 1)^2 must be below 2^63" % (char, budget))
         if seed < 0:
             raise ValueError("seed must be non-negative")
         if samples < 1:

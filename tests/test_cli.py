@@ -42,6 +42,28 @@ def test_large_coefficient_prime_gets_a_verdict(tmp_path):
     assert json.loads(out.read_text())["summary"]["ok"] is True
 
 
+def test_coefficient_primes_that_overflow_int64_are_refused(tmp_path, capsys):
+    # the kernels sum int64 products of entries < l over inner dimensions up
+    # to n + 1 <= budget + 1: a prime with (budget + 1)(l - 1)^2 >= 2^63 is
+    # refused before any module is built, in run and inspect alike
+    l = 1_000_003
+    rc, out = run_to_file(tmp_path, "big.json", ["--type", "A2", "--q", "2", "--b", "1", "--char", str(l)])
+    assert rc == 0 and json.loads(out.read_text())["summary"]["ok"] is True
+    capsys.readouterr()
+    for extra in (["--char", str(l), "--budget", "10000000"], ["--char", "2147483647"]):
+        assert main(["run", "--type", "A2", "--q", "2", "--b", "1"] + extra) == 2
+        assert "below 2^63" in capsys.readouterr().err
+    assert main(["inspect", "--type", "A1", "--q", "2", "--char", "2147483647", "dims"]) == 2
+    assert "below 2^63" in capsys.readouterr().err
+    # the bound itself: the largest budget that keeps the products exact
+    # passes, one more is refused
+    edge = -(-2**63 // (l - 1) ** 2) - 2
+    assert (edge + 1) * (l - 1) ** 2 < 2**63 <= (edge + 2) * (l - 1) ** 2
+    permmod.SuiteRunner("A2", 2, char=l, budget=edge)
+    with pytest.raises(ValueError, match="below 2\\^63"):
+        permmod.SuiteRunner("A2", 2, char=l, budget=edge + 1)
+
+
 def test_explicit_inapplicable_suite_is_refused(tmp_path, capsys):
     rc = main(["run", "--type", "A1", "--q", "2", "--char", "7", "--suites", "socle"])
     assert rc == 2

@@ -444,13 +444,14 @@ def test_restrict_quotient_roundtrip():
     plane = spin(handle, [np.array([1, 1, 0])])
     sub = restrict(handle, plane)
     assert sub.dim == 2
-    quot = restrict(handle, None, plane)
-    assert quot.dim == 1
-    assert_same_handle(quot, loop_quotient(handle, plane)[0], handle.spin_labels)
+    assert_dual_is_the_quotient(handle, plane)
     # the quotient of a transitive permutation module by the sum-zero part
-    # is the trivial module
-    for lbl in quot.actions:
-        assert dense_matrix(quot, lbl).tolist() == [[1]]
+    # is the trivial module, and so is its dual, the constants line of the
+    # transpose module
+    dual = restrict(handle.transpose(), plane.perp())
+    assert dual.dim == 1
+    for lbl in dual.actions:
+        assert dense_matrix(dual, lbl).tolist() == [[1]]
 
 
 def test_restrict_rejects_non_invariant():
@@ -544,20 +545,25 @@ def test_composition_series_seed_stable():
 
 def test_composition_series_checks_the_witness_before_any_quotient(monkeypatch):
     # a witness that is no submodule: the restriction to it, built first,
-    # refuses it, and no quotient by it is ever built
+    # refuses it, and neither the transpose module nor the perp that stands
+    # for the quotient is ever taken
     _, _, handle = borel_perm_module("A1", 2, 2)
     e0 = Subspace(3, 2, np.array([[1, 0, 0]]))
     monkeypatch.setattr(linrep, "meataxe_irreducible", lambda h, seed=0: linrep.Verdict(False, witness=e0))
-    real, calls = linrep.restrict, []
+    calls = []
 
-    def restrict(h, sub, modulo=None):
-        calls.append((sub is e0, modulo))
-        return real(h, sub, modulo)
+    def record(name, real):
+        def wrapped(*args):
+            calls.append((name, args[1] is e0) if name == "restrict" else name)
+            return real(*args)
+        return wrapped
 
-    monkeypatch.setattr(linrep, "restrict", restrict)
+    monkeypatch.setattr(linrep, "restrict", record("restrict", linrep.restrict))
+    monkeypatch.setattr(ModuleHandle, "transpose", record("transpose", ModuleHandle.transpose))
+    monkeypatch.setattr(Subspace, "perp", record("perp", Subspace.perp))
     with pytest.raises(AssertionError, match="vector outside the subspace"):
         composition_series(handle)
-    assert calls == [(True, None)]
+    assert calls == [("restrict", True)]
 
 
 # -- socle --------------------------------------------------------------------
@@ -588,7 +594,7 @@ def test_socle_check_rejects_zero_candidate():
         socle_simple_check(h, np.zeros(3, dtype=np.int64), fixed_space(h, ["c"]))
 
 
-# -- restrict / quotient against the per-vector reference ---------------------
+# -- restrict, and quotients read by duality, against per-vector references ---
 
 
 def loop_restrict(handle, sub):
@@ -625,6 +631,23 @@ def loop_quotient(handle, sub):
             rhs = (M @ project(handle.basis_vector(j))) % handle.l
             assert np.array_equal(lhs, rhs), "projection is not equivariant"
     return out, project
+
+
+def assert_dual_is_the_quotient(handle, W):
+    """The quotient by W as composition series reads it, the module D on
+    W^perp in the transpose module, is the dual of the per-vector quotient Q:
+    D^T P == P Q for every spin label, where P[i, j] = <y_i, e_j + W> pairs
+    W^perp's rows y_i with Q's basis, the classes of e_j for j not a pivot
+    of W, and is asserted invertible.  (<y_i, A e_j> reads (D^T P)[i, j] on
+    the left, A^T y_i in W^perp's basis, and (P Q)[i, j] on the right, A e_j
+    modulo W in Q's.)"""
+    l, perp = handle.l, W.perp()
+    dual, (quot, _) = restrict(handle.transpose(), perp), loop_quotient(handle, W)
+    P = perp.rows[:, W.free]
+    assert dual.dim == quot.dim == handle.dim - W.dim == Subspace(len(P), l, P).dim
+    for label in handle.spin_labels:
+        lhs = dense_matrix(dual, label).T @ P % l
+        assert np.array_equal(lhs, P @ dense_matrix(quot, label) % l), label
 
 
 def uniserial_module(l):
@@ -678,12 +701,12 @@ def test_restrict_quotient_match_per_vector_reference(l, build):
     n = handle.dim
     for d in (0, 1, n - 1, n):
         S = submodule_of_dim(handle, d)
-        # a proper restriction or quotient stores the spin labels only; the
-        # full space and the zero subspace return the handle itself
+        # a proper restriction stores the spin labels only; the full space
+        # returns the handle itself
         assert_same_handle(restrict(handle, S), loop_restrict(handle, S),
                            None if d == n else handle.spin_labels)
-        assert_same_handle(restrict(handle, None, S), loop_quotient(handle, S)[0],
-                           None if d == 0 else handle.spin_labels)
+    for d in range(1, n):
+        assert_dual_is_the_quotient(handle, submodule_of_dim(handle, d))
 
 
 @pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
@@ -693,6 +716,14 @@ def test_restrict_quotient_reject_non_invariant(build):
     assert spin(handle, [e0.rows[0]]).dim > 1
     with pytest.raises(AssertionError, match="outside the subspace"):
         restrict(handle, e0)
+    # a moved space that holds a submodule: N plus e0 is no submodule, the
+    # only 2-dimensional one is another space
+    N = submodule_of_dim(handle, 1)
+    S = Subspace(handle.dim, 3, np.vstack([N.rows, handle.basis_vector(0)]))
+    assert S.dim == 2 and S != submodule_of_dim(handle, 2)
+    with pytest.raises(AssertionError, match="vector outside the subspace") as err:
+        restrict(handle, S)
+    assert err.traceback[-1].name == "restrict"
 
 
 def test_restrict_quotient_check_non_spin_labels():
@@ -714,56 +745,20 @@ def test_restrict_quotient_store_only_the_asked_labels(build):
     assert handle.spin_labels == ["c"] and list(handle.actions) == ["c", "c2"]
     S = submodule_of_dim(handle, 2)
     assert_same_handle(restrict(handle, S), loop_restrict(handle, S), ["c"])
-    assert_same_handle(restrict(handle, None, S), loop_quotient(handle, S)[0], ["c"])
-
-
-@pytest.mark.parametrize("l", [2, 3, 5])
-@pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
-def test_restrict_modulo_matches_the_two_stage_oracle(l, build):
-    # restrict(h, None, modulo=N) against the restriction to the whole space
-    # (as its RREF), then the per-vector quotient by N's coordinates, for
-    # every submodule N, N = 0 and the whole space included
-    handle = build(l)
-    subs = [submodule_of_dim(handle, d) for d in range(handle.dim + 1)]
-    space = subs[-1]
-    for N in subs:
-        ref, _ = loop_quotient(restrict(handle, space), Subspace(space.dim, l, space.coords(N.rows)))
-        got = restrict(handle, None, modulo=N)
-        assert got.dim == ref.dim == space.dim - N.dim
-        for label in handle.spin_labels:
-            assert np.array_equal(dense_matrix(got, label), dense_matrix(ref, label)), N.dim
-
-
-@pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
-def test_restrict_modulo_rejects_a_moved_space_or_a_modulus_outside_it(build):
-    # a subquotient S / N is no longer one call: restrict refuses S and N
-    # together, and a moved S on its own
-    handle = build(3)
-    N = submodule_of_dim(handle, 1)
-    # N plus e0 is no submodule: the only 2-dimensional one is another space
-    S = Subspace(handle.dim, 3, np.vstack([N.rows, handle.basis_vector(0)]))
-    assert S.dim == 2 and S != submodule_of_dim(handle, 2)
-    with pytest.raises(AssertionError, match="vector outside the subspace") as err:
-        restrict(handle, S)
-    assert err.traceback[-1].name == "restrict"
-    with pytest.raises(AssertionError, match="not both") as err:
-        restrict(handle, submodule_of_dim(handle, 2), modulo=N)
-    assert err.traceback[-1].name == "restrict"
 
 
 @pytest.mark.parametrize("kind,q,l", [("A1", 4, 2), ("A2", 2, 2), ("A2", 2, 3), ("B2", 2, 2)])
 def test_quotient_by_a_meataxe_witness_matches_the_per_vector_reference(kind, q, l):
-    # the quotients that composition series takes: by the MeatAxe witness of
-    # the flag module (reducible: it holds the constants) and of each
-    # reducible filtration piece
+    # the quotients that composition series takes, each read as its dual: by
+    # the MeatAxe witness of the flag module (reducible: it holds the
+    # constants) and of each reducible filtration piece
     lm = LevelModule(kind, q, l)
     handles = [lm.handle] + [piece.handle for piece in lm.filtration().values()]
     quotients = 0
     for handle in handles:
         verdict = meataxe_irreducible(handle, seed=0)
         if not verdict.irreducible:
-            W = verdict.witness
-            assert_same_handle(restrict(handle, None, W), loop_quotient(handle, W)[0], handle.spin_labels)
+            assert_dual_is_the_quotient(handle, verdict.witness)
             quotients += 1
     assert quotients >= 1
 
@@ -1198,4 +1193,4 @@ def test_norton_witness_does_not_depend_on_the_row_spun():
     tr = handle.transpose()
     for w in list(kerT) + [combo]:
         assert spin(tr, [w]).perp() == got.witness
-    assert meataxe_irreducible(restrict(handle, None, got.witness)).irreducible
+    assert meataxe_irreducible(restrict(tr, got.witness.perp())).irreducible  # R^perp, dual to M/R, is simple
