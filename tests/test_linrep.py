@@ -633,16 +633,17 @@ def loop_quotient(handle, sub):
     return out, project
 
 
-def assert_dual_is_the_quotient(handle, W):
+def assert_dual_is_the_quotient(handle, W, quot=None):
     """The quotient by W as composition series reads it, the module D on
-    W^perp in the transpose module, is the dual of the per-vector quotient Q:
-    D^T P == P Q for every spin label, where P[i, j] = <y_i, e_j + W> pairs
-    W^perp's rows y_i with Q's basis, the classes of e_j for j not a pivot
-    of W, and is asserted invertible.  (<y_i, A e_j> reads (D^T P)[i, j] on
-    the left, A^T y_i in W^perp's basis, and (P Q)[i, j] on the right, A e_j
-    modulo W in Q's.)"""
+    W^perp in the transpose module, is the dual of the per-vector quotient Q
+    (by default `loop_quotient(handle, W)`): D^T P == P Q for every spin
+    label, where P[i, j] = <y_i, e_j + W> pairs W^perp's rows y_i with Q's
+    basis, the classes of e_j for j not a pivot of W, and is asserted
+    invertible.  (<y_i, A e_j> reads (D^T P)[i, j] on the left, A^T y_i in
+    W^perp's basis, and (P Q)[i, j] on the right, A e_j modulo W in Q's.)"""
     l, perp = handle.l, W.perp()
-    dual, (quot, _) = restrict(handle.transpose(), perp), loop_quotient(handle, W)
+    dual = restrict(handle.transpose(), perp)
+    quot = loop_quotient(handle, W)[0] if quot is None else quot
     P = perp.rows[:, W.free]
     assert dual.dim == quot.dim == handle.dim - W.dim == Subspace(len(P), l, P).dim
     for label in handle.spin_labels:
@@ -716,14 +717,6 @@ def test_restrict_quotient_reject_non_invariant(build):
     assert spin(handle, [e0.rows[0]]).dim > 1
     with pytest.raises(AssertionError, match="outside the subspace"):
         restrict(handle, e0)
-    # a moved space that holds a submodule: N plus e0 is no submodule, the
-    # only 2-dimensional one is another space
-    N = submodule_of_dim(handle, 1)
-    S = Subspace(handle.dim, 3, np.vstack([N.rows, handle.basis_vector(0)]))
-    assert S.dim == 2 and S != submodule_of_dim(handle, 2)
-    with pytest.raises(AssertionError, match="vector outside the subspace") as err:
-        restrict(handle, S)
-    assert err.traceback[-1].name == "restrict"
 
 
 def test_restrict_quotient_check_non_spin_labels():
@@ -745,6 +738,42 @@ def test_restrict_quotient_store_only_the_asked_labels(build):
     assert handle.spin_labels == ["c"] and list(handle.actions) == ["c", "c2"]
     S = submodule_of_dim(handle, 2)
     assert_same_handle(restrict(handle, S), loop_restrict(handle, S), ["c"])
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+@pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
+def test_restrict_modulo_matches_the_two_stage_oracle(l, build):
+    # the quotient by N, read as its dual W^perp in the transpose module,
+    # against the restriction to the whole space (as its RREF), then the
+    # per-vector quotient by N's coordinates, for every submodule N, N = 0
+    # and the whole space included
+    handle = build(l)
+    subs = [submodule_of_dim(handle, d) for d in range(handle.dim + 1)]
+    space = subs[-1]
+    for N in subs:
+        ref, _ = loop_quotient(restrict(handle, space), Subspace(space.dim, l, space.coords(N.rows)))
+        assert ref.dim == space.dim - N.dim
+        assert_dual_is_the_quotient(handle, N, ref)
+
+
+@pytest.mark.parametrize("build", [uniserial_module, mat_uniserial_module], ids=["perm", "mat"])
+def test_restrict_modulo_rejects_a_moved_space_or_a_modulus_outside_it(build):
+    # a subquotient S / N is no longer one call: restrict takes one subspace,
+    # refuses a moved S, and refuses the dual of a quotient by a moved space
+    handle = build(3)
+    N = submodule_of_dim(handle, 1)
+    # N plus e0 is no submodule: the only 2-dimensional one is another space
+    S = Subspace(handle.dim, 3, np.vstack([N.rows, handle.basis_vector(0)]))
+    assert S.dim == 2 and S != submodule_of_dim(handle, 2)
+    with pytest.raises(AssertionError, match="vector outside the subspace") as err:
+        restrict(handle, S)
+    assert err.traceback[-1].name == "restrict"
+    # S moved by some A means S^perp moved by A^T: no quotient by S is read
+    with pytest.raises(AssertionError, match="vector outside the subspace") as err:
+        restrict(handle.transpose(), S.perp())
+    assert err.traceback[-1].name == "restrict"
+    with pytest.raises(TypeError):
+        restrict(handle, submodule_of_dim(handle, 2), modulo=N)
 
 
 @pytest.mark.parametrize("kind,q,l", [("A1", 4, 2), ("A2", 2, 2), ("A2", 2, 3), ("B2", 2, 2)])
