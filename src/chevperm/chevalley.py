@@ -23,7 +23,11 @@ failure of this argument.
 
 Forms are computed on stacks (N, n, n) of matrices in one numpy pass: the
 loops run over the n columns and their earlier pivots, never over N, and a
-single matrix is a stack of one.  `mat_mul` multiplies stacks the same way.
+single matrix is a stack of one.  `mat_mul`, `mat_inv`, `mat_det` and
+`in_group` work on stacks the same way.  `FlagIndex.perm_of` takes a stack
+of elements, and the structure sweeps (`check_structure_facts`) build every
+matrix of every case as one stack.  Stacked intermediates run in chunks
+under the byte cap `STACK_BYTES`.
 
 Only G/B is enumerated.  The cosets of a standard parabolic P_K are blocks
 of Borel cosets, and their module is built from the Borel permutations
@@ -59,31 +63,57 @@ class BudgetError(RuntimeError):
 
 # -- dense-table matrix arithmetic ------------------------------------------
 
+# Byte cap on the intermediates of one chunk of a stack: `mat_mul` splits its
+# gather, and `perm_of` its products with the coset representatives and their
+# bytes keys, into chunks that stay under it.
+STACK_BYTES = 1 << 16
+
 
 def mat_mul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A*B for stacks (..., n, k) and (..., k, m), broadcast over the leading
-    axes: one MUL gather, then k-1 ADD gathers."""
+    axes: one MUL gather, then k-1 ADD gathers, on chunks of the stack."""
     ADD, MUL, _, _ = field.tables()
-    prod = MUL[A[..., :, :, None], B[..., None, :, :]]
-    acc = prod[..., 0, :]
-    for k in range(1, A.shape[-1]):
-        acc = ADD[acc, prod[..., k, :]]
-    return acc
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    (n, k), m = A.shape[-2:], B.shape[-1]
+    A = np.broadcast_to(A, lead + (n, k)).reshape(-1, n, k)
+    B = np.broadcast_to(B, lead + (k, m)).reshape(-1, k, m)
+    out = np.empty((len(A), n, m), dtype=np.uint8)
+    step = max(1, STACK_BYTES // (n * k * m))
+    for s in range(0, len(A), step):
+        prod = MUL[A[s:s + step, :, :, None], B[s:s + step, None, :, :]]
+        acc = prod[:, :, 0, :]
+        for j in range(1, k):
+            acc = ADD[acc, prod[:, :, j, :]]
+        out[s:s + step] = acc
+    return out.reshape(lead + (n, m))
+
+
+def _swap_pivots(M: np.ndarray, col: int, piv: np.ndarray) -> None:
+    """Swap row `col` of each matrix of the stack with its row `piv`."""
+    at = np.arange(len(M))
+    top, rows = M[:, col].copy(), M[at, piv]
+    M[at, piv] = top
+    M[:, col] = rows
 
 
 def mat_inv(field: Field, A: np.ndarray) -> np.ndarray:
+    """The inverses of a stack (..., n, n) by one Gauss-Jordan pass over the
+    stack, the pivot of each column the first nonzero entry on or below the
+    diagonal; a singular matrix raises ValueError."""
     ADD, MUL, NEG, INV = field.tables()
-    n = A.shape[0]
-    M = np.concatenate([A.copy(), identity_matrix(field, n)], axis=1)
+    n = A.shape[-1]
+    M = A.reshape(-1, n, n)
+    M = np.concatenate([M, np.broadcast_to(identity_matrix(field, n), M.shape)], axis=2)
     for col in range(n):
-        piv = next(r for r in range(col, n) if M[r, col])
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-        M[col] = MUL[INV[M[col, col]], M[col]]
+        nonzero = M[:, col:, col] != 0
+        if not nonzero.any(axis=1).all():
+            raise ValueError("singular matrix: column %d has no pivot" % col)
+        _swap_pivots(M, col, col + np.argmax(nonzero, axis=1))
+        M[:, col] = MUL[INV[M[:, col, col]][:, None], M[:, col]]
         for r in range(n):
-            if r != col and M[r, col]:
-                M[r] = ADD[M[r], MUL[NEG[M[r, col]], M[col]]]
-    return np.ascontiguousarray(M[:, n:])
+            if r != col:
+                M[:, r] = ADD[M[:, r], MUL[NEG[M[:, r, col]][:, None], M[:, col]]]
+    return np.ascontiguousarray(M[:, :, n:]).reshape(A.shape)
 
 
 def identity_matrix(field: Field, n: int) -> np.ndarray:
@@ -92,24 +122,21 @@ def identity_matrix(field: Field, n: int) -> np.ndarray:
     return M
 
 
-def mat_det(field: Field, A: np.ndarray) -> int:
+def mat_det(field: Field, A: np.ndarray) -> np.ndarray:
+    """The determinants of a stack (..., n, n), by elimination below the
+    pivots; a column with no pivot leaves its zero on the diagonal, which
+    zeroes the product."""
     ADD, MUL, NEG, INV = field.tables()
-    M = A.copy()
-    n = A.shape[0]
-    det = 1
+    n = A.shape[-1]
+    M = A.reshape(-1, n, n).copy()
+    det = np.ones(len(M), dtype=np.uint8)
     for col in range(n):
-        piv = next((r for r in range(col, n) if M[r, col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-            det = NEG[det]
-        det = MUL[det, M[col, col]]
-        inv = INV[M[col, col]]
-        for r in range(col + 1, n):
-            if M[r, col]:
-                M[r] = ADD[M[r], MUL[NEG[MUL[M[r, col], inv]], M[col]]]
-    return int(det)
+        piv = col + np.argmax(M[:, col:, col] != 0, axis=1)
+        _swap_pivots(M, col, piv)
+        det = MUL[np.where(piv != col, NEG[det], det), M[:, col, col]]
+        f = NEG[MUL[M[:, col + 1:, col], INV[M[:, col, col]][:, None]]]
+        M[:, col + 1:] = ADD[M[:, col + 1:], MUL[f[:, :, None], M[:, None, col]]]
+    return det.reshape(A.shape[:-2])
 
 
 # -- the groups --------------------------------------------------------------
@@ -140,6 +167,7 @@ class MatrixGroup:
         self.datum = root_datum(kind)
         self._euclidean = [self._euclidean_coords(r) for r in self.datum.roots]
         self._weyl_cache: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._root_elements: Optional[np.ndarray] = None
         if self.family == "Sp":
             J = np.zeros((4, 4), dtype=np.uint8)
             J[0, 3] = J[1, 2] = 1
@@ -171,10 +199,30 @@ class MatrixGroup:
                 M[i, j] = c if sign == 1 else self.field.neg(c)
         return M
 
+    def root_elements(self) -> np.ndarray:
+        """The stack (roots, q, n, n) of every root_element(r, c), c running
+        over the field's encodings."""
+        if self._root_elements is None:
+            self._root_elements = np.stack([
+                np.stack([self.root_element(ri, c) for c in self.field.elements()])
+                for ri in range(len(self.datum.roots))
+            ])
+            self._root_elements.flags.writeable = False
+        return self._root_elements
+
     def from_word(self, word: Iterable[Tuple[int, int]]) -> np.ndarray:
         out = identity_matrix(self.field, self.n)
         for root_index, c in word:
             out = mat_mul(self.field, out, self.root_element(root_index, c))
+        return out
+
+    def from_words(self, roots: Sequence[int], coeffs: np.ndarray) -> np.ndarray:
+        """from_word on a stack of words over one sequence of roots: row s of
+        coeffs (N, len(roots)) holds the coefficients of word s."""
+        table = self.root_elements()
+        out = np.repeat(self.identity()[None], len(coeffs), axis=0)
+        for ri, c in zip(roots, np.asarray(coeffs).T):
+            out = mat_mul(self.field, out, table[ri, c])
         return out
 
     def simple_rep(self, i: int) -> np.ndarray:
@@ -194,29 +242,26 @@ class MatrixGroup:
             self._weyl_cache[w.perm] = M
         return M
 
-    def coroot_element(self, i: int, c: int) -> np.ndarray:
-        """Image of diag(c, 1/c) under the SL_2 embedded along alpha_i."""
-        return self.from_word(coroot_word(self, i, c))
-
-    def torus_matrix(self, params: Sequence[int]) -> np.ndarray:
-        out = identity_matrix(self.field, self.n)
-        for i, c in enumerate(params):
-            out = mat_mul(self.field, out, self.coroot_element(i, c))
+    def torus_elements(self) -> np.ndarray:
+        """The torus as a stack ((q-1)^rank, n, n): the products h_1(c_1) ...
+        h_r(c_r) of coroot elements (`coroot_word`), the parameters in
+        itertools.product order."""
+        out = self.identity()[None]
+        for i in range(self.datum.rank):
+            words = [coroot_word(self, i, c) for c in self.field.units()]
+            h = self.from_words([ri for ri, _ in words[0]], [[c for _, c in word] for word in words])
+            out = mat_mul(self.field, out[:, None], h[None]).reshape(-1, self.n, self.n)
         return out
 
-    def torus_elements(self) -> List[np.ndarray]:
-        return [
-            self.torus_matrix(params)
-            for params in itertools.product(self.field.units(), repeat=self.datum.rank)
-        ]
-
-    def root_character(self, root_index: int, diag: np.ndarray) -> int:
-        """alpha(t) for a diagonal torus matrix t."""
-        eu = self._euclidean[root_index]
-        out = 1
-        for m, e in enumerate(eu):
-            d = int(diag[m, m])
-            out = self.field.mul(out, self.field.pow(d if e >= 0 else self.field.inv(d), abs(e)))
+    def root_character(self, root_index: int, diag: np.ndarray) -> np.ndarray:
+        """alpha(t) for each diagonal torus matrix t of a stack (..., n, n)."""
+        _, MUL, _, INV = self.field.tables()
+        d = np.diagonal(diag, axis1=-2, axis2=-1)
+        out = np.ones(d.shape[:-1], dtype=np.uint8)
+        for m, e in enumerate(self._euclidean[root_index]):
+            x = d[..., m] if e >= 0 else INV[d[..., m]]
+            for _ in range(abs(e)):
+                out = MUL[out, x]
         return out
 
     # -- predicates
@@ -233,10 +278,12 @@ class MatrixGroup:
     def identity(self) -> np.ndarray:
         return identity_matrix(self.field, self.n)
 
-    def in_group(self, M: np.ndarray) -> bool:
+    def in_group(self, M: np.ndarray) -> np.ndarray:
+        """Whether each matrix of a stack (..., n, n) lies in the group."""
         if self.family == "SL":
             return mat_det(self.field, M) == 1
-        return bool(np.array_equal(mat_mul(self.field, M.T.copy(), mat_mul(self.field, self.gram, M)), self.gram))
+        form = mat_mul(self.field, np.swapaxes(M, -1, -2), mat_mul(self.field, self.gram, M))
+        return np.all(form == self.gram, axis=(-2, -1))
 
     def is_upper_triangular(self, M: np.ndarray) -> bool:
         return not np.any(np.tril(M, -1))
@@ -403,9 +450,30 @@ class FlagIndex:
         return self._index[self.group.borel_canonical(M)[0].astype(self.reps.dtype).tobytes()]
 
     def perm_of(self, M: np.ndarray) -> np.ndarray:
-        # a KeyError here is an image outside the enumerated cosets
-        forms = self.group.borel_canonical(mat_mul(self.group.field, M, self.reps))[0]
-        return np.array([self._index[k] for k in _keys(forms)], dtype=np.int64)
+        """The coset permutations (..., N) of a stack of elements (..., n, n).
+        The products with the reps are formed only at the entries nonzero
+        somewhere in the stack, each as a row operation on the matrices
+        where it is nonzero: a root element, the identity plus one or two
+        entries, costs a few row operations, not a matrix product.  Chunks
+        of the stack, counting each image's form and its bytes key, stay
+        under STACK_BYTES."""
+        ADD, MUL, _, _ = self.group.field.tables()
+        reps, n = self.reps, self.group.n
+        stack = M.reshape(-1, n, n)
+        out = np.empty((len(stack), len(reps)), dtype=np.int64)
+        step = max(1, STACK_BYTES // (len(reps) * (n * n + 64)))
+        for s in range(0, len(stack), step):
+            chunk = stack[s:s + step]
+            prods = np.zeros((len(chunk), len(reps), n, n), dtype=np.uint8)
+            for i, k in zip(*np.nonzero(chunk.any(axis=0))):
+                at = np.flatnonzero(chunk[:, i, k])
+                c = chunk[at, i, k]
+                row = reps[:, k] if (c == 1).all() else MUL[c[:, None, None], reps[:, k]]
+                prods[at, :, i] = ADD[prods[at, :, i], row]
+            forms = self.group.borel_canonical(prods.reshape(-1, n, n))[0]
+            # a KeyError here is an image outside the enumerated cosets
+            out[s:s + step] = np.reshape([self._index[key] for key in _keys(forms)], (len(chunk), -1))
+        return out.reshape(M.shape[:-2] + (len(reps),))
 
     def bruhat_labels(self) -> List[WeylElement]:
         """The Weyl stratum of every point."""
@@ -444,20 +512,24 @@ def decompose_simple_conjugate(group: MatrixGroup, i: int, c: int) -> int:
 # -- structure sweeps --------------------------------------------------------
 
 
-def _match_root_element(group: MatrixGroup, root_index: int, M: np.ndarray) -> Optional[int]:
-    for c in group.field.elements():
-        if np.array_equal(group.root_element(root_index, c), M):
-            return c
-    return None
+def _sweep_cases(count: int, cap: int, samples: int, rng) -> Tuple[np.ndarray, str]:
+    """The indices of all `count` cases with mode "exhaustive", or of
+    `samples` of them drawn when there are more than both `cap` and
+    `samples`."""
+    if count <= max(cap, samples):
+        return np.arange(count), "exhaustive"
+    return rng.choice(count, size=samples, replace=False), "sampled"
 
 
-def _sweep_cases(cases: list, cap: int, samples: int, rng) -> Tuple[list, str]:
-    """All the cases with mode "exhaustive", or `samples` of them drawn
-    when there are more than both `cap` and `samples`."""
-    if len(cases) <= max(cap, samples):
-        return cases, "exhaustive"
-    idx = rng.choice(len(cases), size=samples, replace=False)
-    return [cases[int(k)] for k in idx], "sampled"
+def _all_coeffs(F: Field, k: int) -> np.ndarray:
+    """Every coefficient vector over F of length k, (q^k, k), the last
+    coordinate varying fastest."""
+    return np.array(list(itertools.product(F.elements(), repeat=k)), dtype=np.intp).reshape(F.order**k, k)
+
+
+def _equal(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Matrix-wise equality of two stacks (..., n, n)."""
+    return np.all(A == B, axis=(-2, -1))
 
 
 def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 1000, seed: int = 0):
@@ -470,10 +542,19 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
     the torus and Weyl sweeps stay exhaustive when they have no more than
     `samples` cases.
 
+    Each sweep draws its cases first, then builds every matrix of every
+    case as one stack (`root_elements`, `torus_elements`, `from_words`),
+    multiplies the stacks with `mat_mul` and inverts them with `mat_inv`,
+    and reads the failures off the compared stacks in case order.
+
     Returns {fact: {"checked", "vacuous", "failures", "mode", "notes"}}.
     """
     rng = np.random.default_rng(seed)
-    datum, F = group.datum, group.field
+    datum, F, n = group.datum, group.field, group.n
+    ADD, MUL, _, _ = F.tables()
+    R = group.root_elements()  # R[ri, c] = x_ri(c)
+    n_roots, q = R.shape[:2]
+    units = np.array(F.units())
     report = {}
 
     def entry(checked=0, vacuous=0, failures=None, mode="exhaustive", notes=None):
@@ -487,74 +568,62 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
 
     # (a) each root map is an injective homomorphism into the group
     e = entry()
-    for ri in range(len(datum.roots)):
-        seen = set()
-        for c in F.elements():
-            M = group.root_element(ri, c)
-            seen.add(M.tobytes())
-            e["checked"] += 1
-            if not group.in_group(M):
-                e["failures"].append(("membership", ri, c))
-        for c1 in F.elements():
-            for c2 in F.elements():
-                e["checked"] += 1
-                lhs = group.mul(group.root_element(ri, c1), group.root_element(ri, c2))
-                if not np.array_equal(lhs, group.root_element(ri, F.add(c1, c2))):
-                    e["failures"].append(("additivity", ri, c1, c2))
-        if len(seen) != F.order:
+    member = group.in_group(R)
+    additive = _equal(mat_mul(F, R[:, :, None], R[:, None, :]), R[:, ADD])
+    for ri in range(n_roots):
+        e["checked"] += q + q * q
+        e["failures"] += [("membership", ri, int(c)) for c in np.flatnonzero(~member[ri])]
+        e["failures"] += [("additivity", ri, int(c1), int(c2)) for c1, c2 in np.argwhere(~additive[ri])]
+        if len(set(_keys(R[ri]))) != F.order:
             e["failures"].append(("injectivity", ri))
     report["root-homomorphism"] = e
 
     # (b) torus normalizes each root subgroup, scaling by the root character
     e = entry()
     torus = group.torus_elements()
-    cases, e["mode"] = _sweep_cases([
-        (t, ri, c)
-        for t in torus
-        for ri in range(len(datum.roots))
-        for c in F.units()
-    ], cap, samples, rng)
-    for t, ri, c in cases:
-        e["checked"] += 1
-        lhs = group.mul(t, group.root_element(ri, c), group.inv(t))
-        want = group.root_element(ri, F.mul(group.root_character(ri, t), c))
-        if not np.array_equal(lhs, want):
-            e["failures"].append(("torus", ri, c))
+    idx, e["mode"] = _sweep_cases(len(torus) * n_roots * len(units), cap, samples, rng)
+    ti, ri, ci = np.unravel_index(idx, (len(torus), n_roots, len(units)))
+    c = units[ci]
+    lhs = mat_mul(F, mat_mul(F, torus[ti], R[ri, c]), mat_inv(F, torus)[ti])
+    character = np.stack([group.root_character(r, torus) for r in range(n_roots)])
+    ok = _equal(lhs, R[ri, MUL[character[ri, ti], c]])
+    e["checked"] = len(idx)
+    e["failures"] = [("torus", int(r), int(x)) for r, x in zip(ri[~ok], c[~ok])]
     report["torus-action"] = e
 
     # (c) Weyl conjugation maps the root subgroup of alpha onto that of w(alpha)
     e = entry()
-    cases, e["mode"] = _sweep_cases([
-        (w, ri, c)
-        for w in datum.elements
-        for ri in range(len(datum.roots))
-        for c in F.units()
-    ], cap, samples, rng)
-    for w, ri, c in cases:
-        e["checked"] += 1
-        wd = group.weyl_rep(w)
-        M = group.mul(wd, group.root_element(ri, c), group.inv(wd))
-        if _match_root_element(group, w.perm[ri], M) is None:
-            e["failures"].append(("weyl-conjugation", w.word, ri, c))
+    W = datum.elements
+    wds = np.stack([group.weyl_rep(w) for w in W])
+    idx, e["mode"] = _sweep_cases(len(W) * n_roots * len(units), cap, samples, rng)
+    wi, ri, ci = np.unravel_index(idx, (len(W), n_roots, len(units)))
+    c = units[ci]
+    M = mat_mul(F, mat_mul(F, wds[wi], R[ri, c]), mat_inv(F, wds)[wi])
+    target = np.array([w.perm for w in W])[wi, ri]
+    subgroups = [set(_keys(R[r])) for r in range(n_roots)]
+    e["checked"] = len(idx)
+    e["failures"] = [
+        ("weyl-conjugation", W[w].word, int(r), int(x))
+        for w, r, x, t, key in zip(wi, ri, c, target, _keys(M))
+        if key not in subgroups[t]
+    ]
     report["weyl-conjugation"] = e
 
     # (d) unique factored form of U and the w-split U = U_w x U'_w
     e = entry()
     w0 = datum.longest_element(range(datum.rank))
     size_u = F.order**datum.n_pos
+    phi = datum.phi_minus(w0)
     if size_u <= cap:
-        words = unipotent_words(group, w0)
-        seen = {group.from_word(wd).tobytes() for wd in words}
-        e["checked"] += len(words)
-        if len(seen) != size_u:
-            e["failures"].append(("factored-form-collision", len(seen)))
+        distinct = len(set(_keys(group.from_words(phi, _all_coeffs(F, len(phi))))))
+        e["checked"] += size_u
+        if distinct != size_u:
+            e["failures"].append(("factored-form-collision", distinct))
     else:
         e["mode"] = "sampled"
-        seen = {}
-        phi = datum.phi_minus(w0)
-        for _ in range(samples):
-            coeffs = tuple(int(x) for x in rng.integers(F.order, size=len(phi)))
-            key = group.from_word(tuple(zip(phi, coeffs))).tobytes()
+        draws = [tuple(int(x) for x in rng.integers(F.order, size=len(phi))) for _ in range(samples)]
+        seen: Dict[bytes, tuple] = {}
+        for key, coeffs in zip(_keys(group.from_words(phi, draws)), draws):
             e["checked"] += 1
             if seen.setdefault(key, coeffs) != coeffs:
                 e["failures"].append(("factored-form-collision", coeffs))
@@ -565,31 +634,26 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
         phi_c.sort(key=lambda r: (-sum(datum.roots[r]), datum.roots[r]))
         size = F.order ** len(phi_w) * F.order ** len(phi_c)
         if size <= cap:
-            rights = [
-                group.from_word(tuple(zip(phi_c, cv)))
-                for cv in itertools.product(F.elements(), repeat=len(phi_c))
-            ]
-            lefts = unipotent_words(group, w)
-            prods = set()
-            for w1 in lefts:
-                left = group.from_word(w1)
-                for right in rights:
-                    prods.add(group.mul(left, right).tobytes())
+            lefts = group.from_words(phi_w, _all_coeffs(F, len(phi_w)))
+            rights = group.from_words(phi_c, _all_coeffs(F, len(phi_c)))
+            distinct = len(set(_keys(mat_mul(F, lefts[:, None], rights[None]).reshape(-1, n, n))))
             e["checked"] += len(lefts) * len(rights)
-            if len(prods) != size:
-                e["failures"].append(("split-collision", w.word, len(prods)))
+            if distinct != size:
+                e["failures"].append(("split-collision", w.word, distinct))
         else:
             e["mode"] = "sampled"
+            draws = [
+                (tuple(int(x) for x in rng.integers(F.order, size=len(phi_w))),
+                 tuple(int(x) for x in rng.integers(F.order, size=len(phi_c))))
+                for _ in range(max(1, samples // len(datum.elements)))
+            ]
+            lefts = group.from_words(phi_w, np.reshape([cu for cu, _ in draws], (len(draws), len(phi_w))))
+            rights = group.from_words(phi_c, np.reshape([cv for _, cv in draws], (len(draws), len(phi_c))))
             pairs: Dict[bytes, tuple] = {}
-            for _ in range(max(1, samples // len(datum.elements))):
-                cu = tuple(int(x) for x in rng.integers(F.order, size=len(phi_w)))
-                cv = tuple(int(x) for x in rng.integers(F.order, size=len(phi_c)))
-                left = group.from_word(tuple(zip(phi_w, cu)))
-                right = group.from_word(tuple(zip(phi_c, cv)))
-                key = group.mul(left, right).tobytes()
+            for key, draw in zip(_keys(mat_mul(F, lefts, rights)), draws):
                 e["checked"] += 1
-                if pairs.setdefault(key, (cu, cv)) != (cu, cv):
-                    e["failures"].append(("split-collision", w.word, (cu, cv)))
+                if pairs.setdefault(key, draw) != draw:
+                    e["failures"].append(("split-collision", w.word, draw))
     report["unipotent-factorization"] = e
 
     # (e) commutator relations with solved structure constants
@@ -614,38 +678,36 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
                     combos.append((m, nn, datum.root_index[target]))
         combos.sort(key=lambda t: (t[0] + t[1], t[0]))
         value_cases = [(x, y) for x in F.units() for y in F.units()]
-        mode_pair = "exhaustive"
         if len(pairs) * len(value_cases) > cap:
-            mode_pair = "sampled"
             take = max(1, samples // len(pairs))
             idx = rng.choice(len(value_cases), size=min(take, len(value_cases)), replace=False)
             value_cases = [value_cases[int(k)] for k in idx]
             e["mode"] = "sampled"
+        x, y = np.array(value_cases).T
+        Ma, Mb = R[a, x], R[b, y]
+        lhs = mat_mul(F, mat_mul(F, mat_mul(F, mat_inv(F, Ma), mat_inv(F, Mb)), Ma), Mb)
 
-        def commutator(x, y):
-            Ma = group.root_element(a, x)
-            Mb = group.root_element(b, y)
-            return group.mul(group.inv(Ma), group.inv(Mb), Ma, Mb)
-
-        # keep every constant tuple consistent with all swept values; the
-        # constants are recorded from the data, not presumed
-        def rhs_for(cand, x, y):
-            out = group.identity()
-            for (m, nn, rc), cv in zip(combos, cand):
-                coeff = F.mul(F.mul(cv, F.pow(x, m)), F.pow(y, nn))
-                out = group.mul(out, group.root_element(rc, coeff))
-            return out
-
-        survivors = list(itertools.product(range(F.p), repeat=len(combos)))
-        for x, y in value_cases:
-            e["checked"] += 1
-            lhs = commutator(x, y)
-            survivors = [cand for cand in survivors if np.array_equal(lhs, rhs_for(cand, x, y))]
-            if not survivors:
-                e["failures"].append(("commutator", datum.roots[a], datum.roots[b], x, y))
-                break
-        if survivors:
-            constants["%s,%s" % (ra, rb)] = survivors[0]
+        # every candidate constant tuple against every case, rhs[s, k]; a
+        # tuple survives case k if it matches on cases 0..k.  The constants
+        # are recorded from the data, not presumed.
+        cands = list(itertools.product(range(F.p), repeat=len(combos)))
+        rhs = np.broadcast_to(group.identity(), (len(cands), len(x), n, n))
+        for j, (m, nn, rc) in enumerate(combos):
+            xm, yn = x, y
+            for _ in range(m - 1):
+                xm = MUL[xm, x]
+            for _ in range(nn - 1):
+                yn = MUL[yn, y]
+            cv = np.array([cand[j] for cand in cands])
+            rhs = mat_mul(F, rhs, R[rc, MUL[MUL[cv[:, None], xm], yn]])
+        alive = np.logical_and.accumulate(_equal(rhs, lhs), axis=1)
+        dead = np.flatnonzero(~alive.any(axis=0))  # cases left with no survivor
+        if len(dead):
+            e["checked"] += int(dead[0]) + 1
+            e["failures"].append(("commutator", ra, rb) + value_cases[dead[0]])
+        else:
+            e["checked"] += len(value_cases)
+            constants["%s,%s" % (ra, rb)] = cands[int(np.argmax(alive[:, -1]))]
     e["notes"]["constants"] = constants
     report["commutator-relations"] = e
 

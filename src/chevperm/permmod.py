@@ -108,7 +108,7 @@ class FiltrationPiece:
     sub_dim: int                # dimension of M_J, the submodule generated by the alternating sum
     handle: ModuleHandle        # the subquotient as a module over the spin labels only
     inverse_t: np.ndarray       # (T^-1)^T, shared by the pieces
-    outside: np.ndarray         # the rows of T outside M_J
+    outside: List[slice]        # the rows of T outside M_J, as runs of whole blocks
     own: slice                  # the rows of T in block J, a basis of the subquotient
     C: Optional[np.ndarray] = None  # image of the alternating sum, set by `filtration`
     _series: Optional[List[int]] = field(default=None, repr=False)
@@ -117,16 +117,17 @@ class FiltrationPiece:
     def dim(self) -> int:
         return self.handle.dim
 
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        return (self.inverse_t @ x.T).T % self.handle.l  # x T^-1, (T^-1)^T x reads rows
+    def coords(self, x: np.ndarray, rows: slice) -> np.ndarray:
+        """The coordinates of x T^-1 at the given rows of T: (T^-1)^T x,
+        reading only those rows of (T^-1)^T."""
+        return (self.inverse_t[rows] @ x.T).T % self.handle.l
 
     def contains(self, x: np.ndarray) -> bool:  # is the vector (every row of the block) in M_J?
-        return not self.coords(x)[..., self.outside].any()
+        return not any(self.coords(x, rows).any() for rows in self.outside)
 
     def project(self, x: np.ndarray) -> np.ndarray:  # the vector (each row), asserted in M_J, in block J's basis
-        y = self.coords(x)
-        assert not y[..., self.outside].any(), "vector outside the subspace"
-        return y[..., self.own]
+        assert self.contains(x), "vector outside the subspace"
+        return self.coords(x, self.own)
 
     def composition_series(self, seed: int) -> List[int]:
         """The subquotient's sorted composition factor dimensions, computed
@@ -163,9 +164,10 @@ class LevelModule:
 
     def _build_handle(self) -> ModuleHandle:
         handle = ModuleHandle(self.dim, self.ell, [])
+        perms = self.flags.perm_of(self.group.root_elements()[:, 1:])  # every root, every c != 0
         for ri in range(len(self.datum.roots)):
             for c in self.field.units():
-                handle.add_perm(("r", ri, c), self.flags.perm_of(self.group.root_element(ri, c)))
+                handle.add_perm(("r", ri, c), perms[ri, c - 1])
         for si in self.datum.simple_indices:
             for ri in (si, si + self.datum.n_pos):
                 for c in self.field.fp_basis():
@@ -419,8 +421,13 @@ class LevelModule:
         inverse_t[r, v] = y
         pieces: Dict[FrozenSet[int], FiltrationPiece] = {}
         for j, J in enumerate(subsets):
-            outside, own = ~inside[j][block], slice(starts[j], starts[j] + sizes[j])
-            piece = pieces[J] = FiltrationPiece(J, int((~outside).sum()), handles[j], inverse_t, outside, own)
+            # the runs of consecutive blocks K not containing J: the blocks
+            # are contiguous, so each run is a slice of rows
+            edges = np.flatnonzero(np.diff(np.concatenate([[0], ~inside[j], [0]])))
+            outside = [slice(starts[a], starts[b - 1] + sizes[b - 1]) for a, b in zip(edges[::2], edges[1::2])]
+            own = slice(starts[j], starts[j] + sizes[j])
+            sub_dim = int(sizes[inside[j]].sum())
+            piece = pieces[J] = FiltrationPiece(J, sub_dim, handles[j], inverse_t, outside, own)
             piece.C = piece.project(etas[J])
             assert np.any(piece.C), "alternating-sum image vanished in the subquotient"
         self._filtration = pieces
@@ -556,6 +563,7 @@ def suite_reflection_cases(runner: SuiteRunner, seed: int) -> SuiteReport:
     lm = runner.base
     datum = lm.datum
     case_counts = {"transfer": 0, "absorb": 0, "split": 0}
+    x_params: Dict[Tuple[int, int], int] = {}  # one asserted decomposition per (i, c)
     for J in datum.all_subsets():
         eta = lm.alternating_sum(J)
         wJ = datum.longest_element(J)
@@ -579,7 +587,9 @@ def suite_reflection_cases(runner: SuiteRunner, seed: int) -> SuiteReport:
                         case_counts["transfer"] += 1
                         rhs = lm.act_weyl(sw, eta)
                     else:
-                        x_param = decompose_simple_conjugate(lm.group, i, c)
+                        if (i, c) not in x_params:
+                            x_params[i, c] = decompose_simple_conjugate(lm.group, i, c)
+                        x_param = x_params[i, c]
                         x_weta = lm.act([(ri, x_param)], weta)
                         if case3:
                             case_counts["absorb"] += 1

@@ -1,11 +1,14 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
 
+from chevperm import chevalley
 from chevperm.chevalley import (
     BudgetError,
     FlagIndex,
+    MatrixGroup,
     check_structure_facts,
     decompose_simple_conjugate,
     matrix_group,
@@ -14,6 +17,8 @@ from chevperm.chevalley import (
     mat_mul,
     identity_matrix,
     unipotent_words,
+    _keys,
+    coroot_word,
 )
 from chevperm.permmod import LevelModule
 
@@ -53,7 +58,7 @@ def parabolic(group, K):
     datum = group.datum
     units = group.field.units()
     gens = [group.root_element(r, c) for r in datum.positive_indices for c in units]
-    gens += group.torus_elements()
+    gens += list(group.torus_elements())
     gens += [group.root_element(datum.simple_indices[i] + datum.n_pos, c) for i in sorted(K) for c in units]
     return generated(group, gens)
 
@@ -129,6 +134,215 @@ def flag_index_scalar(flags, K=frozenset()):
     return reps, index, pk_reps
 
 
+def mat_det_scalar(field, A):
+    """The determinant of one matrix, one row operation at a time."""
+    ADD, MUL, NEG, INV = field.tables()
+    M = A.copy()
+    n = A.shape[0]
+    det = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r, col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            M[[col, piv]] = M[[piv, col]]
+            det = NEG[det]
+        det = MUL[det, M[col, col]]
+        inv = INV[M[col, col]]
+        for r in range(col + 1, n):
+            if M[r, col]:
+                M[r] = ADD[M[r], MUL[NEG[MUL[M[r, col], inv]], M[col]]]
+    return int(det)
+
+
+def mat_inv_scalar(field, A):
+    """The inverse of one matrix by Gauss-Jordan, one row operation at a time."""
+    ADD, MUL, NEG, INV = field.tables()
+    n = A.shape[0]
+    M = np.concatenate([A.copy(), identity_matrix(field, n)], axis=1)
+    for col in range(n):
+        piv = next(r for r in range(col, n) if M[r, col])
+        if piv != col:
+            M[[col, piv]] = M[[piv, col]]
+        M[col] = MUL[INV[M[col, col]], M[col]]
+        for r in range(n):
+            if r != col and M[r, col]:
+                M[r] = ADD[M[r], MUL[NEG[M[r, col]], M[col]]]
+    return np.ascontiguousarray(M[:, n:])
+
+
+def perm_of_scalar(flags, M):
+    """The coset permutation of one element: the dense products M * rep, then
+    their Borel forms looked up in the index."""
+    forms = flags.group.borel_canonical(mat_mul(flags.group.field, M, flags.reps))[0]
+    return np.array([flags._index[k] for k in _keys(forms)], dtype=np.int64)
+
+
+def structure_facts_per_case(group, cap=20_000, samples=1000, seed=0):
+    """check_structure_facts one case and one matrix at a time: the
+    reference for the stacked sweeps, with the same draws in the same order."""
+    rng = np.random.default_rng(seed)
+    datum, F = group.datum, group.field
+    report = {}
+
+    def entry(checked=0, vacuous=0, failures=None, mode="exhaustive", notes=None):
+        return {"checked": checked, "vacuous": vacuous, "failures": failures if failures is not None else [],
+                "mode": mode, "notes": notes or {}}
+
+    def sweep_cases(cases):
+        if len(cases) <= max(cap, samples):
+            return cases, "exhaustive"
+        idx = rng.choice(len(cases), size=samples, replace=False)
+        return [cases[int(k)] for k in idx], "sampled"
+
+    def match_root_element(root_index, M):
+        for c in F.elements():
+            if np.array_equal(group.root_element(root_index, c), M):
+                return c
+        return None
+
+    e = entry()
+    for ri in range(len(datum.roots)):
+        seen = set()
+        for c in F.elements():
+            M = group.root_element(ri, c)
+            seen.add(M.tobytes())
+            e["checked"] += 1
+            if not group.in_group(M):
+                e["failures"].append(("membership", ri, c))
+        for c1 in F.elements():
+            for c2 in F.elements():
+                e["checked"] += 1
+                lhs = group.mul(group.root_element(ri, c1), group.root_element(ri, c2))
+                if not np.array_equal(lhs, group.root_element(ri, F.add(c1, c2))):
+                    e["failures"].append(("additivity", ri, c1, c2))
+        if len(seen) != F.order:
+            e["failures"].append(("injectivity", ri))
+    report["root-homomorphism"] = e
+
+    e = entry()
+    torus = [group.from_word([wc for i, c in enumerate(params) for wc in coroot_word(group, i, c)])
+             for params in itertools.product(F.units(), repeat=datum.rank)]
+    cases, e["mode"] = sweep_cases([(t, ri, c) for t in torus for ri in range(len(datum.roots)) for c in F.units()])
+    for t, ri, c in cases:
+        e["checked"] += 1
+        lhs = group.mul(t, group.root_element(ri, c), group.inv(t))
+        character = 1
+        for m, ex in enumerate(group._euclidean[ri]):
+            d = int(t[m, m])
+            character = F.mul(character, F.pow(d if ex >= 0 else F.inv(d), abs(ex)))
+        if not np.array_equal(lhs, group.root_element(ri, F.mul(character, c))):
+            e["failures"].append(("torus", ri, c))
+    report["torus-action"] = e
+
+    e = entry()
+    cases, e["mode"] = sweep_cases([(w, ri, c) for w in datum.elements for ri in range(len(datum.roots))
+                                    for c in F.units()])
+    for w, ri, c in cases:
+        e["checked"] += 1
+        wd = group.weyl_rep(w)
+        M = group.mul(wd, group.root_element(ri, c), group.inv(wd))
+        if match_root_element(w.perm[ri], M) is None:
+            e["failures"].append(("weyl-conjugation", w.word, ri, c))
+    report["weyl-conjugation"] = e
+
+    e = entry()
+    w0 = datum.longest_element(range(datum.rank))
+    size_u = F.order**datum.n_pos
+    if size_u <= cap:
+        words = unipotent_words(group, w0)
+        seen = {group.from_word(wd).tobytes() for wd in words}
+        e["checked"] += len(words)
+        if len(seen) != size_u:
+            e["failures"].append(("factored-form-collision", len(seen)))
+    else:
+        e["mode"] = "sampled"
+        seen = {}
+        phi = datum.phi_minus(w0)
+        for _ in range(samples):
+            coeffs = tuple(int(x) for x in rng.integers(F.order, size=len(phi)))
+            key = group.from_word(tuple(zip(phi, coeffs))).tobytes()
+            e["checked"] += 1
+            if seen.setdefault(key, coeffs) != coeffs:
+                e["failures"].append(("factored-form-collision", coeffs))
+    for w in datum.elements:
+        phi_w = datum.phi_minus(w)
+        phi_c = [r for r in datum.positive_indices if r not in set(phi_w)]
+        phi_c.sort(key=lambda r: (-sum(datum.roots[r]), datum.roots[r]))
+        size = F.order ** len(phi_w) * F.order ** len(phi_c)
+        if size <= cap:
+            rights = [group.from_word(tuple(zip(phi_c, cv)))
+                      for cv in itertools.product(F.elements(), repeat=len(phi_c))]
+            lefts = unipotent_words(group, w)
+            prods = set()
+            for w1 in lefts:
+                left = group.from_word(w1)
+                for right in rights:
+                    prods.add(group.mul(left, right).tobytes())
+            e["checked"] += len(lefts) * len(rights)
+            if len(prods) != size:
+                e["failures"].append(("split-collision", w.word, len(prods)))
+        else:
+            e["mode"] = "sampled"
+            pairs = {}
+            for _ in range(max(1, samples // len(datum.elements))):
+                cu = tuple(int(x) for x in rng.integers(F.order, size=len(phi_w)))
+                cv = tuple(int(x) for x in rng.integers(F.order, size=len(phi_c)))
+                left, right = group.from_word(tuple(zip(phi_w, cu))), group.from_word(tuple(zip(phi_c, cv)))
+                key = group.mul(left, right).tobytes()
+                e["checked"] += 1
+                if pairs.setdefault(key, (cu, cv)) != (cu, cv):
+                    e["failures"].append(("split-collision", w.word, (cu, cv)))
+    report["unipotent-factorization"] = e
+
+    e = entry()
+    constants = {}
+    pairs = [(a, b) for a in datum.positive_indices for b in datum.positive_indices if a != b]
+    if not pairs:
+        e["vacuous"] += 1
+        e["notes"]["vacuous"] = "rank 1: no distinct positive root pairs"
+    for a, b in pairs:
+        ra, rb = datum.roots[a], datum.roots[b]
+        combos = []
+        for m in range(1, 4):
+            for nn in range(1, 4):
+                target = tuple(m * x + nn * y for x, y in zip(ra, rb))
+                if target in datum.root_index:
+                    combos.append((m, nn, datum.root_index[target]))
+        combos.sort(key=lambda t: (t[0] + t[1], t[0]))
+        value_cases = [(x, y) for x in F.units() for y in F.units()]
+        if len(pairs) * len(value_cases) > cap:
+            take = max(1, samples // len(pairs))
+            idx = rng.choice(len(value_cases), size=min(take, len(value_cases)), replace=False)
+            value_cases = [value_cases[int(k)] for k in idx]
+            e["mode"] = "sampled"
+
+        def commutator(x, y):
+            Ma = group.root_element(a, x)
+            Mb = group.root_element(b, y)
+            return group.mul(group.inv(Ma), group.inv(Mb), Ma, Mb)
+
+        def rhs_for(cand, x, y):
+            out = group.identity()
+            for (m, nn, rc), cv in zip(combos, cand):
+                out = group.mul(out, group.root_element(rc, F.mul(F.mul(cv, F.pow(x, m)), F.pow(y, nn))))
+            return out
+
+        survivors = list(itertools.product(range(F.p), repeat=len(combos)))
+        for x, y in value_cases:
+            e["checked"] += 1
+            lhs = commutator(x, y)
+            survivors = [cand for cand in survivors if np.array_equal(lhs, rhs_for(cand, x, y))]
+            if not survivors:
+                e["failures"].append(("commutator", datum.roots[a], datum.roots[b], x, y))
+                break
+        if survivors:
+            constants["%s,%s" % (ra, rb)] = survivors[0]
+    e["notes"]["constants"] = constants
+    report["commutator-relations"] = e
+    return report
+
+
 @functools.lru_cache(maxsize=None)
 def level_module(kind, q):
     """The coset module over GF(q) with coefficients in its characteristic."""
@@ -144,6 +358,25 @@ def random_elements(group, count, seed, length=12):
                                                            rng.integers(order, size=length))])
         for _ in range(count)
     ]
+
+
+@pytest.mark.parametrize("kind,q", [("A2", 4), ("A2", 3), ("A3", 2), ("B2", 5)])
+def test_stacked_det_and_inv_match_the_scalar_loops(kind, q):
+    F = matrix_group(kind, q).field
+    n = matrix_group(kind, q).n
+    rng = np.random.default_rng(q)
+    A = rng.integers(0, q, size=(200, n, n)).astype(np.uint8)
+    A[:20, :, 1] = 0  # some certainly singular
+    det = mat_det(F, A)
+    assert det.shape == (200,)
+    assert det.tolist() == [mat_det_scalar(F, M) for M in A]
+    good = A[det != 0]
+    assert len(good) > 50
+    assert np.array_equal(mat_inv(F, good), np.stack([mat_inv_scalar(F, M) for M in good]))
+    assert np.array_equal(mat_inv(F, good[0]), mat_inv_scalar(F, good[0]))  # a stack of one
+    assert mat_det(F, good[0]) == mat_det_scalar(F, good[0])
+    with pytest.raises(ValueError):
+        mat_inv(F, A[:21])
 
 
 def test_matrix_helpers_gf4():
@@ -415,6 +648,32 @@ def test_bruhat_cell_sizes_sl3():
         assert count == 2 ** len(word)
 
 
+@pytest.mark.parametrize("kind,q", [("A2", 3), ("B2", 3), ("A3", 2)])
+def test_stacked_perm_of_matches_per_element(kind, q):
+    # every root label at once, against the dense product per element; B2
+    # at odd q has root elements with entries -1
+    flags = FlagIndex(matrix_group(kind, q))
+    roots = flags.group.root_elements()[:, 1:]
+    perms = flags.perm_of(roots)
+    assert perms.shape == roots.shape[:2] + (len(flags),)
+    for ri, row in enumerate(roots):
+        for j, M in enumerate(row):
+            want = perm_of_scalar(flags, M)
+            assert np.array_equal(perms[ri, j], want) and np.array_equal(flags.perm_of(M), want), (ri, j)
+
+
+def test_chunked_stacks_give_the_same_results(monkeypatch):
+    # a cap of a few matrices splits every product and every perm_of stack
+    group = matrix_group("B2", 3)
+    flags = FlagIndex(group)
+    roots = group.root_elements()[:, 1:]
+    perms, facts = flags.perm_of(roots), check_structure_facts(group)
+    monkeypatch.setattr(chevalley, "STACK_BYTES", 200)
+    assert np.array_equal(flags.perm_of(roots), perms)
+    assert check_structure_facts(group) == facts
+    assert np.array_equal(FlagIndex(group).reps, flags.reps)
+
+
 def test_perm_of_is_action():
     group = matrix_group("A2", 2)
     flags = FlagIndex(group)
@@ -498,6 +757,50 @@ def test_structure_facts_more_samples_than_cases():
     sampled = check_structure_facts(group, cap=5, samples=6)
     assert sampled["torus-action"]["mode"] == sampled["weyl-conjugation"]["mode"] == "sampled"
     assert sampled["torus-action"]["checked"] == sampled["weyl-conjugation"]["checked"] == 6
+
+
+STRUCTURE_GROUPS = [("A1", 2), ("A1", 3), ("A2", 2), ("A2", 3), ("A3", 2), ("B2", 2), ("B2", 3)]
+
+
+@pytest.mark.parametrize("kind,q,kw", [(kind, q, {}) for kind, q in STRUCTURE_GROUPS] + [
+    ("A2", 16, {"seed": 11}),  # torus sweep sampled
+    ("B2", 16, {}),  # torus sweep, factored form and every w-split sampled
+    ("A1", 4, {"cap": 5, "samples": 6}),  # torus and Weyl sweeps sampled
+    ("A2", 8, {"cap": 50, "samples": 40, "seed": 2}),  # commutator value cases sampled too
+])
+def test_stacked_structure_facts_match_the_per_case_sweeps(kind, q, kw):
+    group = matrix_group(kind, q)
+    assert check_structure_facts(group, **kw) == structure_facts_per_case(group, **kw)
+
+
+class OneWrongRootElement(MatrixGroup):
+    """A2 over GF(3) whose x_r(1), r the highest root, is replaced by `wrong`."""
+
+    def __init__(self, wrong):
+        super().__init__("A2", matrix_group("A2", 3).field)
+        self.wrong = np.array(wrong, dtype=np.uint8)
+        self.tall = self.datum.root_index[(1, 1)]
+
+    def root_element(self, root_index, c):
+        if (root_index, c) == (self.tall, 1):
+            return self.wrong.copy()
+        return super().root_element(root_index, c)
+
+
+@pytest.mark.parametrize("wrong", [
+    [[1, 1, 1], [0, 1, 0], [0, 0, 1]],  # in SL_3, not a root element
+    [[1, 0, 1], [0, 2, 0], [0, 0, 1]],  # determinant 2: outside SL_3
+])
+def test_stacked_structure_facts_report_the_per_case_failures(wrong):
+    # the highest root is not simple, so the Weyl and torus elements stay
+    # right and only the sweeps that read x_r(1) fail
+    group = OneWrongRootElement(wrong)
+    assert group.tall not in group.datum.simple_indices
+    stacked, per_case = check_structure_facts(group), structure_facts_per_case(group)
+    assert stacked == per_case
+    for fact in ("root-homomorphism", "torus-action", "weyl-conjugation", "commutator-relations"):
+        assert stacked[fact]["failures"], fact
+    assert [f[0] for f in stacked["root-homomorphism"]["failures"]].count("membership") == (wrong[1][1] != 1)
 
 
 def test_structure_facts_sampled_w_split():
