@@ -71,29 +71,32 @@ STACK_BYTES = 1 << 16
 
 def mat_mul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A*B for stacks (..., n, k) and (..., k, m), broadcast over the leading
-    axes: one MUL gather, then k-1 ADD gathers, on chunks of the stack."""
+    axes: one MUL gather, then k-1 ADD gathers.  A gather over STACK_BYTES
+    runs on chunks of the flattened stack."""
     ADD, MUL, _, _ = field.tables()
-    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     (n, k), m = A.shape[-2:], B.shape[-1]
-    A = np.broadcast_to(A, lead + (n, k)).reshape(-1, n, k)
-    B = np.broadcast_to(B, lead + (k, m)).reshape(-1, k, m)
-    out = np.empty((len(A), n, m), dtype=np.uint8)
     step = max(1, STACK_BYTES // (n * k * m))
-    for s in range(0, len(A), step):
-        prod = MUL[A[s:s + step, :, :, None], B[s:s + step, None, :, :]]
-        acc = prod[:, :, 0, :]
-        for j in range(1, k):
-            acc = ADD[acc, prod[:, :, j, :]]
-        out[s:s + step] = acc
-    return out.reshape(lead + (n, m))
+    lead = np.broadcast(A[..., 0, 0], B[..., 0, 0])
+    if lead.size > step:
+        lead = lead.shape
+        A = np.broadcast_to(A, lead + (n, k)).reshape(-1, n, k)
+        B = np.broadcast_to(B, lead + (k, m)).reshape(-1, k, m)
+        chunks = [mat_mul(field, A[s:s + step], B[s:s + step]) for s in range(0, len(A), step)]
+        return np.concatenate(chunks).reshape(lead + (n, m))
+    prod = MUL[A[..., :, :, None], B[..., None, :, :]]
+    acc = prod[..., 0, :]
+    for j in range(1, k):
+        acc = ADD[acc, prod[..., j, :]]
+    return acc
 
 
 def _swap_pivots(M: np.ndarray, col: int, piv: np.ndarray) -> None:
     """Swap row `col` of each matrix of the stack with its row `piv`."""
-    at = np.arange(len(M))
-    top, rows = M[:, col].copy(), M[at, piv]
-    M[at, piv] = top
-    M[:, col] = rows
+    if (piv != col).any():
+        at = np.arange(len(M))
+        top, rows = M[:, col].copy(), M[at, piv]
+        M[at, piv] = top
+        M[:, col] = rows
 
 
 def mat_inv(field: Field, A: np.ndarray) -> np.ndarray:
@@ -110,9 +113,9 @@ def mat_inv(field: Field, A: np.ndarray) -> np.ndarray:
             raise ValueError("singular matrix: column %d has no pivot" % col)
         _swap_pivots(M, col, col + np.argmax(nonzero, axis=1))
         M[:, col] = MUL[INV[M[:, col, col]][:, None], M[:, col]]
-        for r in range(n):
-            if r != col:
-                M[:, r] = ADD[M[:, r], MUL[NEG[M[:, r, col]][:, None], M[:, col]]]
+        f = NEG[M[:, :, col]]
+        f[:, col] = 0  # every row but the pivot's loses its entry in the column
+        M = ADD[M, MUL[f[:, :, None], M[:, None, col]]]
     return np.ascontiguousarray(M[:, :, n:]).reshape(A.shape)
 
 
@@ -668,6 +671,7 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
     if not pairs:
         e["vacuous"] += 1
         e["notes"]["vacuous"] = "rank 1: no distinct positive root pairs"
+    sweeps = []  # (a, b, combos, value cases) of every pair, the cases drawn in pair order
     for a, b in pairs:
         ra, rb = datum.roots[a], datum.roots[b]
         combos = []
@@ -683,31 +687,50 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
             idx = rng.choice(len(value_cases), size=min(take, len(value_cases)), replace=False)
             value_cases = [value_cases[int(k)] for k in idx]
             e["mode"] = "sampled"
-        x, y = np.array(value_cases).T
+        sweeps.append((a, b, combos, value_cases))
+    if sweeps:
+        # every pair's commutators as one stack, one row per (pair, case)
+        a, b, x, y = np.array([(a, b, x, y) for a, b, _, cases in sweeps for x, y in cases]).T
         Ma, Mb = R[a, x], R[b, y]
         lhs = mat_mul(F, mat_mul(F, mat_mul(F, mat_inv(F, Ma), mat_inv(F, Mb)), Ma), Mb)
-
-        # every candidate constant tuple against every case, rhs[s, k]; a
-        # tuple survives case k if it matches on cases 0..k.  The constants
-        # are recorded from the data, not presumed.
-        cands = list(itertools.product(range(F.p), repeat=len(combos)))
-        rhs = np.broadcast_to(group.identity(), (len(cands), len(x), n, n))
-        for j, (m, nn, rc) in enumerate(combos):
-            xm, yn = x, y
-            for _ in range(m - 1):
-                xm = MUL[xm, x]
-            for _ in range(nn - 1):
-                yn = MUL[yn, y]
-            cv = np.array([cand[j] for cand in cands])
-            rhs = mat_mul(F, rhs, R[rc, MUL[MUL[cv[:, None], xm], yn]])
-        alive = np.logical_and.accumulate(_equal(rhs, lhs), axis=1)
-        dead = np.flatnonzero(~alive.any(axis=0))  # cases left with no survivor
-        if len(dead):
-            e["checked"] += int(dead[0]) + 1
-            e["failures"].append(("commutator", ra, rb) + value_cases[dead[0]])
-        else:
-            e["checked"] += len(value_cases)
-            constants["%s,%s" % (ra, rb)] = cands[int(np.argmax(alive[:, -1]))]
+        # against them, the product over its combos for every candidate
+        # constant tuple of the pair, one row per (pair, tuple, case): factor
+        # j of a row indexes x_rc(c) in `table`, whose last entry, the
+        # identity, pads a pair with fewer combos.  The constants are
+        # recorded from the data, not presumed.
+        table = np.concatenate([R.reshape(-1, n, n), group.identity()[None]])
+        width = max(len(combos) for _, _, combos, _ in sweeps)
+        x_pow, y_pow = [None, x, MUL[x, x], MUL[MUL[x, x], x]], [None, y, MUL[y, y], MUL[MUL[y, y], y]]
+        cands, rows, factors, first = [], [], [], 0
+        for _, _, combos, cases in sweeps:
+            cand = np.array(list(itertools.product(range(F.p), repeat=len(combos))), dtype=np.intp)
+            cands.append([tuple(int(v) for v in c) for c in cand])
+            k = np.tile(first + np.arange(len(cases)), len(cand))  # tuple-major
+            cv = np.repeat(cand.reshape(len(cand), len(combos)), len(cases), axis=0)
+            f = np.full((len(k), width), len(table) - 1)
+            for j, (m, nn, rc) in enumerate(combos):
+                f[:, j] = rc * q + MUL[MUL[cv[:, j], x_pow[m][k]], y_pow[nn][k]]
+            rows.append(k)
+            factors.append(f)
+            first += len(cases)
+        rows, factors = np.concatenate(rows), np.concatenate(factors)
+        rhs = np.broadcast_to(group.identity(), (len(rows), n, n))
+        for j in range(width):
+            rhs = mat_mul(F, rhs, table[factors[:, j]])
+        ok = _equal(rhs, lhs[rows])
+        first = 0
+        for (a, b, _, cases), cand in zip(sweeps, cands):
+            # a tuple survives case k if it matches on cases 0..k
+            alive = np.logical_and.accumulate(ok[first:first + len(cand) * len(cases)].reshape(len(cand), -1), axis=1)
+            first += len(cand) * len(cases)
+            dead = np.flatnonzero(~alive.any(axis=0))  # cases left with no survivor
+            ra, rb = datum.roots[a], datum.roots[b]
+            if len(dead):
+                e["checked"] += int(dead[0]) + 1
+                e["failures"].append(("commutator", ra, rb) + cases[dead[0]])
+            else:
+                e["checked"] += len(cases)
+                constants["%s,%s" % (ra, rb)] = cand[int(np.argmax(alive[:, -1]))]
     e["notes"]["constants"] = constants
     report["commutator-relations"] = e
 
