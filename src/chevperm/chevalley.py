@@ -71,23 +71,21 @@ STACK_BYTES = 1 << 16
 
 def mat_mul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A*B for stacks (..., n, k) and (..., k, m), broadcast over the leading
-    axes: one MUL gather, then k-1 ADD gathers.  A gather over STACK_BYTES
-    runs on chunks of the flattened stack."""
+    axes: one MUL gather, then k-1 ADD gathers, on chunks of the stack."""
     ADD, MUL, _, _ = field.tables()
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     (n, k), m = A.shape[-2:], B.shape[-1]
+    A = np.broadcast_to(A, lead + (n, k)).reshape(-1, n, k)
+    B = np.broadcast_to(B, lead + (k, m)).reshape(-1, k, m)
+    out = np.empty((len(A), n, m), dtype=np.uint8)
     step = max(1, STACK_BYTES // (n * k * m))
-    lead = np.broadcast(A[..., 0, 0], B[..., 0, 0])
-    if lead.size > step:
-        lead = lead.shape
-        A = np.broadcast_to(A, lead + (n, k)).reshape(-1, n, k)
-        B = np.broadcast_to(B, lead + (k, m)).reshape(-1, k, m)
-        chunks = [mat_mul(field, A[s:s + step], B[s:s + step]) for s in range(0, len(A), step)]
-        return np.concatenate(chunks).reshape(lead + (n, m))
-    prod = MUL[A[..., :, :, None], B[..., None, :, :]]
-    acc = prod[..., 0, :]
-    for j in range(1, k):
-        acc = ADD[acc, prod[..., j, :]]
-    return acc
+    for s in range(0, len(A), step):
+        prod = MUL[A[s:s + step, :, :, None], B[s:s + step, None, :, :]]
+        acc = prod[:, :, 0, :]
+        for j in range(1, k):
+            acc = ADD[acc, prod[:, :, j, :]]
+        out[s:s + step] = acc
+    return out.reshape(lead + (n, m))
 
 
 def _swap_pivots(M: np.ndarray, col: int, piv: np.ndarray) -> None:
