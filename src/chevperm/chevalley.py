@@ -462,7 +462,7 @@ class FlagIndex:
         reps, n = self.reps, self.group.n
         stack = M.reshape(-1, n, n)
         out = np.empty((len(stack), len(reps)), dtype=np.int64)
-        step = max(1, STACK_BYTES // (len(reps) * (n * n + 64)))
+        step = max(1, STACK_BYTES // (len(reps) * (n * n + 64)))  # a key: ~64 bytes of Python object
         for s in range(0, len(stack), step):
             chunk = stack[s:s + step]
             prods = np.zeros((len(chunk), len(reps), n, n), dtype=np.uint8)
