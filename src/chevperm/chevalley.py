@@ -17,9 +17,18 @@ get distinct forms.  The same form also separates Sp_4 Borel cosets: if two
 symplectic matrices share the echelon form, they differ by an
 upper-triangular invertible matrix which, lying in the group, belongs to
 the upper-triangular part of Sp_4 -- and that is precisely the symplectic
-Borel for this Gram matrix.  The enumeration cross-checks the orbit count
-against the q-power sum over Weyl-group lengths, which would catch any
-failure of this argument.
+Borel for this Gram matrix.
+
+G/B is enumerated in closed form by the Bruhat decomposition: G is the
+disjoint union over the Weyl group of the cells U_w w' B, w' = weyl_rep(w),
+and the cell of w holds the cosets u w' B, u running over the product of
+the root subgroups of the positive roots that w^-1 makes negative,
+q^length(w) of them.  Two checks stand in for a search: `FlagIndex`
+asserts that the forms of its N = sum of q^length(w) cosets are distinct,
+so the form separates the enumerated cosets; and `permmod.LevelModule`
+looks up the image of every coset under every root element in the index,
+where `perm_of` raises KeyError on an image outside it, so the enumerated
+set is G-stable.
 
 Forms are computed on stacks (N, n, n) of matrices in one numpy pass: the
 loops run over the n columns and their earlier pivots, never over N, and a
@@ -104,7 +113,7 @@ def mat_inv(field: Field, A: np.ndarray) -> np.ndarray:
     ADD, MUL, NEG, INV = field.tables()
     n = A.shape[-1]
     M = A.reshape(-1, n, n)
-    M = np.concatenate([M, np.broadcast_to(identity_matrix(field, n), M.shape)], axis=2)
+    M = np.concatenate([M, np.broadcast_to(identity_matrix(n), M.shape)], axis=2)
     for col in range(n):
         nonzero = M[:, col:, col] != 0
         if not nonzero.any(axis=1).all():
@@ -117,7 +126,7 @@ def mat_inv(field: Field, A: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(M[:, :, n:]).reshape(A.shape)
 
 
-def identity_matrix(field: Field, n: int) -> np.ndarray:
+def identity_matrix(n: int) -> np.ndarray:
     M = np.zeros((n, n), dtype=np.uint8)
     np.fill_diagonal(M, 1)
     return M
@@ -187,7 +196,7 @@ class MatrixGroup:
     # -- element constructors
 
     def root_element(self, root_index: int, c: int) -> np.ndarray:
-        M = identity_matrix(self.field, self.n)
+        M = identity_matrix(self.n)
         if c == 0:
             return M
         eu = self._euclidean[root_index]
@@ -212,7 +221,7 @@ class MatrixGroup:
         return self._root_elements
 
     def from_word(self, word: Iterable[Tuple[int, int]]) -> np.ndarray:
-        out = identity_matrix(self.field, self.n)
+        out = identity_matrix(self.n)
         for root_index, c in word:
             out = mat_mul(self.field, out, self.root_element(root_index, c))
         return out
@@ -277,7 +286,7 @@ class MatrixGroup:
         return mat_inv(self.field, M)
 
     def identity(self) -> np.ndarray:
-        return identity_matrix(self.field, self.n)
+        return identity_matrix(self.n)
 
     def in_group(self, M: np.ndarray) -> np.ndarray:
         """Whether each matrix of a stack (..., n, n) lies in the group."""
@@ -379,69 +388,31 @@ def _keys(forms: np.ndarray) -> List[bytes]:
 
 
 class FlagIndex:
-    """All cosets of the Borel subgroup, indexed 0..N-1 with deterministic
-    BFS order."""
+    """All cosets of the Borel subgroup, indexed 0..N-1 by Bruhat cell: the
+    cells in the length order of `datum.elements`, so coset 0 is B, and
+    inside the cell of w the cosets u * weyl_rep(w) * B, u running over the
+    product of the root subgroups of the positive roots that w^-1 makes
+    negative, the last root's coefficient varying fastest."""
 
     K = frozenset()  # the benchmark's tracer (perfbench/tracing.py) tags spans by obj.K
 
     def __init__(self, group: MatrixGroup, budget: int = 200_000):
         self.group = group
-        datum = group.datum
-        predicted = datum.poincare_sum((), group.field.order)
+        datum, F = group.datum, group.field
+        predicted = datum.poincare_sum((), F.order)
         if predicted > budget:
             raise BudgetError(
                 "coset space of size %d exceeds budget %d" % (predicted, budget)
             )
-        # each Bruhat cell, keyed by the pivot rows of its Borel echelon
-        # forms: its Weyl element w and the entries of w's representative at
-        # those pivots
-        wds = np.stack([group.weyl_rep(w) for w in datum.elements])
-        pivots = group.borel_canonical(wds)[1]
-        self._cells: Dict[Tuple[int, ...], Tuple[WeylElement, np.ndarray]] = {
-            tuple(piv.tolist()): (w, wd[piv, range(group.n)])
-            for w, wd, piv in zip(datum.elements, wds, pivots)
-        }
-        assert len(self._cells) == len(datum.elements)
-        self._index: Dict[bytes, int] = {}  # canonical form -> coset index
-        self._bruhat: Optional[List[WeylElement]] = None
-        self.reps = self._build(predicted)  # (N, n, n): a group element in each coset
-
-    def _build(self, predicted: int) -> np.ndarray:
-        """Breadth-first enumeration, one frontier at a time: every queued
-        coset times every generator in one batch, the new forms numbered in
-        base-major, generator-minor order."""
-        datum, group, n = self.group.datum, self.group, self.group.n
-        gens = []
-        for i in range(datum.rank):
-            pos = datum.simple_indices[i]
-            for root in (pos, pos + datum.n_pos):
-                for b in group.field.fp_basis():
-                    gens.append(group.root_element(root, b))
-        gens = np.stack(gens)
-        _, MUL, _, _ = group.field.tables()
-
-        def visit(M):
-            forms, pivots = group.borel_canonical(M)
-            new = []
-            for t, key in enumerate(_keys(forms)):
-                if key not in self._index:
-                    self._index[key] = len(self._index)
-                    new.append(t)
-            # a form is u*P_w, u upper unitriangular: column-scaled, so at
-            # odd q it can lie outside Sp_4.  Scaling each column by the
-            # entry of w's representative at its pivot gives u*w, a group
-            # element as sparse as the form.
-            signs = [self._cells[piv][1] for piv in map(tuple, pivots[new].tolist())]
-            return MUL[forms[new], np.array(signs, dtype=np.uint8).reshape(len(new), 1, n)]
-
-        frontier = visit(group.identity()[None])
-        levels = [frontier]
-        while len(frontier):
-            frontier = visit(mat_mul(group.field, gens, frontier[:, None]).reshape(-1, n, n))
-            levels.append(frontier)
-        reps = np.concatenate(levels)
-        assert len(reps) == predicted, (len(reps), predicted)
-        return reps
+        cells = [
+            mat_mul(F, group.from_words(datum.phi_minus(w.inverse()), _all_coeffs(F, w.length)), group.weyl_rep(w))
+            for w in datum.elements
+        ]
+        self.reps = np.concatenate(cells)  # (N, n, n): a group element in each coset
+        self._bruhat = [w for w, cell in zip(datum.elements, cells) for _ in range(len(cell))]
+        # canonical form -> coset index
+        self._index = {key: x for x, key in enumerate(_keys(group.borel_canonical(self.reps)[0]))}
+        assert len(self._index) == len(self.reps) == predicted, (len(self._index), len(self.reps), predicted)
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -477,10 +448,7 @@ class FlagIndex:
         return out.reshape(M.shape[:-2] + (len(reps),))
 
     def bruhat_labels(self) -> List[WeylElement]:
-        """The Weyl stratum of every point."""
-        if self._bruhat is None:
-            pivots = self.group.borel_canonical(self.reps)[1]
-            self._bruhat = [self._cells[piv][0] for piv in map(tuple, pivots.tolist())]
+        """The Weyl element of the cell of every coset."""
         return self._bruhat
 
 

@@ -275,9 +275,9 @@ class LevelModule:
     def _blocks(self, K: FrozenSet[int]) -> np.ndarray:
         """The coset of P_K holding each coset of B.  The base block is
         P_K/B, the cosets whose Bruhat label lies in W_K; the others are its
-        translates, found breadth-first with the generators of
-        FlagIndex._build, so the cosets of P_K are numbered as a
-        breadth-first enumeration of G/P_K would number them."""
+        translates, found breadth-first with the spin labels x_{+-a_i}(b),
+        so the cosets of P_K are numbered as a breadth-first enumeration of
+        G/P_K would number them, whatever the order of the Borel cosets."""
         W_K = {w.perm for w in self.datum.subgroup_elements(K)}
         base = np.array([x for x, w in enumerate(self.flags.bruhat_labels()) if w.perm in W_K])
         block = np.full(self.dim, -1, dtype=np.int64)

@@ -103,13 +103,20 @@ def coset_form_scalar(group, pk_reps, M):
     return min(forms, key=lambda form: form[0].tobytes())
 
 
-def flag_index_scalar(flags, K=frozenset()):
+def flag_index_scalar(group, K=frozenset()):
     """reps and index of the breadth-first enumeration of G/P_K, one coset
-    and one generator at a time, with the generators of FlagIndex._build;
-    `flags` is the Borel index, whose cells turn forms into group elements."""
-    group, datum = flags.group, flags.group.datum
+    and one generator at a time, the generators x_{+-a_i}(b) for the simple
+    roots a_i and b over an F_p-basis of the field.  A form is u*P_w, u upper
+    unitriangular and P_w a permutation matrix; scaling each column by the
+    entry of w's representative at its pivot gives u*w', a group element."""
+    datum = group.datum
     pk_reps = parabolic_reps(group, K)
     _, MUL, _, _ = group.field.tables()
+    scales = {}
+    for w in datum.elements:
+        wd = group.weyl_rep(w)
+        piv = borel_canonical_scalar(group, wd)[1]
+        scales[piv] = wd[list(piv), range(group.n)]
     gens = [
         group.root_element(root, b)
         for i in range(datum.rank)
@@ -122,7 +129,7 @@ def flag_index_scalar(flags, K=frozenset()):
         form, piv = coset_form_scalar(group, pk_reps, M)
         if form.tobytes() not in index:
             index[form.tobytes()] = len(reps)
-            reps.append(MUL[form, flags._cells[piv][1]])
+            reps.append(MUL[form, scales[piv]])
 
     visit(group.identity())
     head = 0
@@ -132,6 +139,13 @@ def flag_index_scalar(flags, K=frozenset()):
         for g in gens:
             visit(group.mul(g, base))
     return reps, index, pk_reps
+
+
+def bfs_numbering(flags):
+    """The index in flag_index_scalar's breadth-first numbering of every
+    coset of the Borel index."""
+    _, index, _ = flag_index_scalar(flags.group)
+    return np.array([index[key] for key in _keys(flags.group.borel_canonical(flags.reps)[0])])
 
 
 def mat_det_scalar(field, A):
@@ -159,7 +173,7 @@ def mat_inv_scalar(field, A):
     """The inverse of one matrix by Gauss-Jordan, one row operation at a time."""
     ADD, MUL, NEG, INV = field.tables()
     n = A.shape[0]
-    M = np.concatenate([A.copy(), identity_matrix(field, n)], axis=1)
+    M = np.concatenate([A.copy(), identity_matrix(n)], axis=1)
     for col in range(n):
         piv = next(r for r in range(col, n) if M[r, col])
         if piv != col:
@@ -387,7 +401,7 @@ def test_matrix_helpers_gf4():
         A = rng.integers(0, 4, size=(3, 3)).astype(np.uint8)
         if mat_det(F, A) == 0:
             continue
-        assert np.array_equal(mat_mul(F, A, mat_inv(F, A)), identity_matrix(F, 3))
+        assert np.array_equal(mat_mul(F, A, mat_inv(F, A)), identity_matrix(3))
 
 
 def test_sl2_simple_reflection_matrix():
@@ -613,23 +627,27 @@ def test_borel_canonical_singular_raises():
 
 @pytest.mark.parametrize("kind,q", [("A2", 3), ("B2", 3), ("A3", 2)])
 def test_flag_index_and_perm_of_match_scalar_oracle(kind, q):
-    # the Borel index against the scalar BFS, and every label of every
+    # the Borel index against the scalar BFS, as sets of forms and through
+    # the map between the two numberings, and every label of every
     # parabolic module against the P_K/B byte-order-minimum oracle
     lm = level_module(kind, q)
     group, flags = lm.group, lm.flags
+    to_bfs = bfs_numbering(flags)
     for K in group.datum.all_subsets():
-        reps, index, pk_reps = flag_index_scalar(flags, K)
+        reps, index, pk_reps = flag_index_scalar(group, K)
         if not K:
-            assert np.array_equal(flags.reps, np.stack(reps))
-            assert flags._index == index
+            assert set(flags._index) == set(index)
+            assert sorted(to_bfs) == list(range(len(reps)))
         handle = lm.parabolic(K)
         for ri in range(len(group.datum.roots)):
             for c in group.field.units():
                 M = group.root_element(ri, c)
                 want = [index[coset_form_scalar(group, pk_reps, group.mul(M, rep))[0].tobytes()] for rep in reps]
-                assert handle.actions[("r", ri, c)][1].tolist() == want, (sorted(K), ri, c)
+                got = handle.actions[("r", ri, c)][1]
                 if not K:
-                    assert flags.perm_of(M).tolist() == want, (ri, c)
+                    assert np.array_equal(flags.perm_of(M), got), (ri, c)
+                    got, want = to_bfs[got], [want[x] for x in to_bfs]
+                assert got.tolist() == want, (sorted(K), ri, c)
 
 
 def test_flag_budget():
@@ -637,15 +655,24 @@ def test_flag_budget():
         FlagIndex(matrix_group("A2", 4), budget=50)
 
 
-def test_bruhat_cell_sizes_sl3():
-    flags = FlagIndex(matrix_group("A2", 2))
+@pytest.mark.parametrize("kind,q", [("A2", 2), ("A2", 4), ("B2", 3), ("A3", 2)])
+def test_bruhat_cell_sizes_sl3(kind, q):
+    # every rep a group element with the echelon pivots of the Weyl
+    # representative of its cell, found at its own index; q^length(w)
+    # cosets per cell; B2 q=3 is Sp_4 at odd q, where a column-scaled form
+    # lies outside the group
+    group = matrix_group(kind, q)
+    flags = FlagIndex(group)
     labels = flags.bruhat_labels()
+    assert len(labels) == len(flags) and group.in_group(flags.reps).all()
+    pivots = group.borel_canonical(flags.reps)[1]
     sizes = {}
-    for w in labels:
-        sizes[w.word] = sizes.get(w.word, 0) + 1
-    assert sorted(sizes.values()) == [1, 2, 2, 4, 4, 8]
-    for word, count in sizes.items():
-        assert count == 2 ** len(word)
+    for i, (rep, piv, w) in enumerate(zip(flags.reps, pivots, labels)):
+        assert np.array_equal(piv, group.borel_canonical(group.weyl_rep(w))[1]), i
+        assert flags.index_of(rep) == i, i
+        sizes[w.perm] = sizes.get(w.perm, 0) + 1
+    assert sizes == {w.perm: q**w.length for w in group.datum.elements}
+    assert labels[0].length == 0 and flags.index_of(group.identity()) == 0
 
 
 @pytest.mark.parametrize("kind,q", [("A2", 3), ("B2", 3), ("A3", 2)])

@@ -8,8 +8,10 @@ import sys
 import pytest
 
 from chevperm import permmod
+from chevperm.chevalley import FlagIndex, matrix_group
 from chevperm.cli import main
 from chevperm.report import SuiteReport
+from test_chevalley import bfs_numbering
 
 
 def run_to_file(tmp_path, name, extra):
@@ -182,8 +184,19 @@ INSPECT_VECTORS = ["D:J=-", "D:J=1", "D:J=12", "fK:K=-", "fK:K=1", "fK:K=2", "fK
 
 
 def inspect_text(capsys, kind, q):
+    """The output of INSPECT_VECTORS, with the supports of the vectors on G/B
+    renumbered from FlagIndex's Bruhat-cell order into the breadth-first
+    order in which they were pinned (test_chevalley.flag_index_scalar)."""
     assert main(["inspect", "--type", kind, "--q", str(q)] + INSPECT_VECTORS) == 0
-    return capsys.readouterr().out
+    to_bfs = bfs_numbering(FlagIndex(matrix_group(kind, q)))
+    lines = []
+    for line in capsys.readouterr().out.splitlines():
+        head, size, body = line.split("  ")
+        if head.startswith(("fK", "fJ")) or "dim-%d " % len(to_bfs) in head:
+            pairs = sorted((to_bfs[int(x)], c) for x, c in (pair.split(":") for pair in body.split()))
+            body = " ".join("%d:%s" % pair for pair in pairs)
+        lines.append("  ".join((head, size, body)) + "\n")
+    return "".join(lines)
 
 
 def test_inspect_vectors_a2_q2(capsys):
