@@ -58,7 +58,6 @@ __all__ = [
     "MatrixGroup",
     "FlagIndex",
     "matrix_group",
-    "unipotent_words",
     "check_structure_facts",
     "decompose_simple_conjugate",
 ]
@@ -361,21 +360,6 @@ def coroot_word(group: MatrixGroup, i: int, c: int) -> List[Tuple[int, int]]:
     neg = pos + datum.n_pos
     sc = [(pos, c), (neg, F.neg(F.inv(c))), (pos, c)]
     return sc + invert_word(group, simple_reflection_word(group, i))
-
-
-def unipotent_words(group: MatrixGroup, w: WeylElement) -> List[Tuple[Tuple[int, int], ...]]:
-    """All members of the unipotent piece attached to w, as root-element words.
-
-    Factors run over the positive roots sent negative by w, tallest first;
-    coefficients run over the whole field with the last factor varying
-    fastest.  The factored form is unique, so the list has q**length
-    entries, all distinct as group elements.
-    """
-    phi = group.datum.phi_minus(w)
-    out = []
-    for coeffs in itertools.product(group.field.elements(), repeat=len(phi)):
-        out.append(tuple(zip(phi, coeffs)))
-    return out
 
 
 # -- flag-variety index ------------------------------------------------------

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .chevalley import BudgetError
+from .chevalley import MATRIX_KINDS, BudgetError
 from .linrep import MeatAxeBudgetError
 from .permmod import (
     SUITES,
@@ -28,7 +28,7 @@ from .permmod import (
     word_tag,
 )
 
-KINDS = ("A1", "A2", "A3", "B2")
+KINDS = tuple(MATRIX_KINDS)
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 

@@ -6,14 +6,15 @@ incremental routine, `Subspace._add`, keeps that canonical RREF as vectors
 arrive; spinning and kernels (`nullspace`) are built on it.  A
 ModuleHandle bundles an ambient dimension with invertible labelled actions
 (permutations of a basis, or dense matrices) plus the sublist of labels
-used for submodule closure.  An action is read only through `images` (one
-vector, or each row of a block: x A^T) and `pullback` (rows A); on a
-permutation each is an index gather.  `transpose` gives the transpose
-module.  On top of that: spinning, fixed spaces of permutation labels (orbit
-sums), one fixed vector in the submodule that a vector generates under an
-l-group of permutation labels (a walk x <- (u - 1).x that ends because the
-augmentation ideal of that group algebra is nilpotent; `fixed_vector`
-argues it), submodules, an irreducibility test with certified verdicts,
+used for submodule closure.  An action is applied only through `images`
+(one vector, or each row of a block: x A^T; on a permutation an index
+gather), and a permutation label's point map is read through `perm`.
+`transpose` gives the transpose module.  On top of that: spinning, fixed
+spaces of permutation labels (orbit sums), one fixed vector in the
+submodule that a vector generates under an l-group (a walk
+x <- (u - 1).x that ends because the augmentation ideal of that group
+algebra is nilpotent; `fixed_vector` argues it), submodules, an
+irreducibility test with certified verdicts,
 recursive composition series, and a socle check that enumerates the lines
 of a p-group fixed space.
 
@@ -266,8 +267,11 @@ class ModuleHandle:
     """An exact GF(l)-module with labelled invertible actions.
 
     `actions` maps label -> ("perm", fwd, inv) with index arrays, or
-    ("mat", M, None) with a dense matrix.  `spin_labels` names the actions
-    that generate the acting group; closure operations use exactly those.
+    ("mat", M, None) with a dense matrix, and only the handle's methods
+    unpack it: `images` applies an action, `perm` reads a permutation
+    label's point map and `transpose` builds the transpose module.
+    `spin_labels` names the actions that generate the acting group; closure
+    operations use exactly those.
     """
 
     def __init__(self, dim: int, l: int, spin_labels: Sequence[Hashable]):
@@ -295,13 +299,11 @@ class ModuleHandle:
             return x[inv] if x.ndim == 1 else x[:, inv]  # x[..., inv] is slower on one vector
         return (x @ fwd.T) % self.l
 
-    def pullback(self, label: Hashable, rows: np.ndarray) -> np.ndarray:
-        """The row vectors of a block, read as functionals, composed with one
-        action: rows A."""
+    def perm(self, label: Hashable) -> np.ndarray:
+        """The point map of a permutation label: e_i goes to e_perm[i]."""
         kind, fwd, _ = self.actions[label]
-        if kind == "perm":
-            return rows[:, fwd]
-        return (rows @ fwd) % self.l
+        assert kind == "perm", "%r is not one of the permutation labels" % (label,)
+        return fwd
 
     def transpose(self) -> "ModuleHandle":
         """The transpose module: each spin label acts by A^T.  A permutation
@@ -349,21 +351,20 @@ def fixed_space(handle: ModuleHandle, labels: Sequence[Hashable]) -> Subspace:
     labels' index arrays until stable; then root is constant on each label's
     cycles, hence on orbits, and root[x] <= x is the orbit's smallest point.
     Disjoint indicators led by their smallest points are already the RREF."""
-    actions = [handle.actions[label] for label in labels]
-    assert all(kind == "perm" for kind, _, _ in actions), "fixed_space needs permutation labels"
+    fwds = [handle.perm(label) for label in labels]
     points = np.arange(handle.dim)
     root, before = points.copy(), None
     while not np.array_equal(root, before):
         before = root.copy()
-        for _, fwd, _ in actions:
+        for fwd in fwds:
             np.minimum(root, root[fwd], out=root)
     smallest = points[root == points]
     return Subspace(handle.dim, handle.l, (root == smallest[:, None]).astype(np.int64))
 
 
 def fixed_vector(handle: ModuleHandle, labels: Sequence[Hashable], v: np.ndarray) -> Optional[np.ndarray]:
-    """A vector of kU.v fixed by every label, U the group that the labels,
-    each a permutation, generate; None if the walk does not stop.
+    """A vector of kU.v fixed by every label, U the group that the labels
+    generate; None if the walk does not stop.
 
     The walk sets x <- (u - 1).x for the first label u that moves x, until
     no label moves x, starting from x = v; so x = (u_t - 1)...(u_1 - 1).v
@@ -375,13 +376,13 @@ def fixed_vector(handle: ModuleHandle, labels: Sequence[Hashable], v: np.ndarray
     gives x_{t+1} != 0, so the walk stops within dim W - 1 <= dim - 1
     steps, with no elimination.  When U is not an l-group it may cycle: it
     gives up, and returns None, after dim + 1 steps.  A zero v returns zero.
+    The argument needs only that U is an l-group, not that its labels are
+    permutations, so matrix labels are walked alike.
     """
-    actions = [handle.actions[label] for label in labels]
-    assert all(kind == "perm" for kind, _, _ in actions), "fixed_vector needs permutation labels"
     x = np.asarray(v, dtype=np.int64) % handle.l
     for _ in range(handle.dim + 1):
-        for _, _, inv in actions:
-            ux = x[inv]
+        for label in labels:
+            ux = handle.images(label, x)
             if not np.array_equal(ux, x):
                 x = (ux - x) % handle.l
                 break
@@ -426,34 +427,24 @@ class Verdict:
     certificate: Dict[str, object] = field(default_factory=dict)
 
 
-def _random_algebra_element(handle: ModuleHandle, rng, max_word: int) -> Tuple[np.ndarray, list]:
-    """A random sum of up to three words in the spin labels, each with a
-    nonzero coefficient; returns the matrix and its (coefficient, labels)
-    spec.  A word of permutation labels is a permutation matrix: its index
-    arrays are composed and the coefficient is scattered into A, with no
-    dense product; any other word is built as rows pulled back through each
-    label in turn from the identity."""
+def _random_algebra_element(handle: ModuleHandle, rng) -> Tuple[np.ndarray, list]:
+    """A random sum of up to three words of at most MEATAXE_MAX_WORD spin
+    labels, each with a nonzero coefficient; returns the matrix and its
+    (coefficient, labels) spec.  A word A_1...A_k is read back as its
+    transpose A_k^T...A_1^T: the rows of the identity through `images`,
+    last label first."""
     gens = handle.spin_labels
     nterms = int(rng.integers(1, 4))
     A = np.zeros((handle.dim, handle.dim), dtype=np.int64)
-    points = np.arange(handle.dim)
     spec = []
     for _ in range(nterms):
         coeff = int(rng.integers(1, handle.l))
-        length = int(rng.integers(1, max_word + 1))
+        length = int(rng.integers(1, MEATAXE_MAX_WORD + 1))
         picks = [gens[int(k)] for k in rng.integers(len(gens), size=length)]
-        actions = [handle.actions[lbl] for lbl in picks]
-        if all(kind == "perm" for kind, _, _ in actions):
-            # pulling I[:, idx] back through fwd gives I[:, idx[fwd]]
-            idx = points
-            for _, fwd, _ in actions:
-                idx = idx[fwd]
-            A[idx, points] = (A[idx, points] + coeff) % handle.l
-        else:
-            term = np.eye(handle.dim, dtype=np.int64)
-            for lbl in picks:
-                term = handle.pullback(lbl, term)
-            A = (A + coeff * term) % handle.l
+        term = np.eye(handle.dim, dtype=np.int64)
+        for label in reversed(picks):
+            term = handle.images(label, term)
+        A = (A + coeff * term.T) % handle.l
         spec.append((coeff, [str(lbl) for lbl in picks]))
     return A, spec
 
@@ -526,7 +517,7 @@ def meataxe_irreducible(handle: ModuleHandle, seed: int = 0, budget: int = 200) 
     rng = np.random.default_rng(seed)
     tr = None
     for _ in range(budget):
-        A, spec = _random_algebra_element(handle, rng, MEATAXE_MAX_WORD)
+        A, spec = _random_algebra_element(handle, rng)
         for p in irreducible_factors(_min_poly(A, handle.basis_vector(0), l), l):
             certificate = {"element": spec, "factor": p.tolist()}
             B = _poly_at(A, p, l)

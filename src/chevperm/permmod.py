@@ -216,7 +216,8 @@ class LevelModule:
         attached to w: the collected counterpart of u_sum.  It is built one
         root subgroup at a time, innermost factor first, each step stacking
         the block with its images under the nonzero elements of that root
-        subgroup, so the rows come in the order of chevalley.unipotent_words."""
+        subgroup, so the rows come in the order of FlagIndex's cells: the
+        last root's coefficient varies fastest."""
         handle = handle or self.handle
         block = np.asarray(v, dtype=np.int64).reshape(1, -1)
         for ri in reversed(self.datum.phi_minus(w)):
@@ -285,7 +286,7 @@ class LevelModule:
         members = [base]
         for cosets in members:  # members grows inside the loop: a FIFO queue
             for label in self.handle.spin_labels:
-                image = self.handle.actions[label][1][cosets]
+                image = self.handle.perm(label)[cosets]
                 if block[image[0]] < 0:
                     block[image] = len(members)
                     members.append(image)
@@ -301,7 +302,8 @@ class LevelModule:
         if K not in self._parabolic_handles:
             block = self._blocks(K)
             handle = ModuleHandle(int(block.max()) + 1, self.ell, self.handle.spin_labels)
-            for label, (_, fwd, _) in self.handle.actions.items():
+            for label in self.handle.actions:
+                fwd = self.handle.perm(label)
                 perm = np.empty(handle.dim, dtype=np.int64)
                 perm[block] = block[fwd]
                 assert np.array_equal(perm[block], block[fwd]), ("label does not permute the cosets of P_K", label)
@@ -408,8 +410,8 @@ class LevelModule:
         inside = np.array([[K >= J for K in subsets] for J in subsets])  # inside[J, K]: M_K in M_J
         sizes, starts = np.bincount(block), np.searchsorted(block, np.arange(len(subsets)))
         handles = [ModuleHandle(int(k), l, self.handle.spin_labels) for k in sizes]
-        for label, (_, fwd, _) in self.handle.actions.items():
-            v, r, y = T.coords(T.row, fwd[T.col], T.val)
+        for label in self.handle.actions:
+            v, r, y = T.coords(T.row, self.handle.perm(label)[T.col], T.val)
             assert inside[block[v], block[r]].all(), "vector outside the subspace"
             for j, handle in enumerate(handles if label in self.handle.spin_labels else ()):
                 mine = (block[v] == j) & (block[r] == j)

@@ -16,11 +16,20 @@ from chevperm.chevalley import (
     mat_inv,
     mat_mul,
     identity_matrix,
-    unipotent_words,
     _keys,
     coroot_word,
 )
 from chevperm.permmod import LevelModule
+
+
+def unipotent_words(group, w):
+    """Reference: all members of the unipotent piece attached to w, as
+    root-element words.  Factors run over the positive roots sent negative
+    by w, tallest first; coefficients run over the whole field with the last
+    factor varying fastest.  The factored form is unique, so the list has
+    q**length entries, all distinct as group elements."""
+    phi = group.datum.phi_minus(w)
+    return [tuple(zip(phi, coeffs)) for coeffs in itertools.product(group.field.elements(), repeat=len(phi))]
 
 
 def closure(group, extra=()):

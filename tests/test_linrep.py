@@ -344,14 +344,16 @@ def test_spin_oracles_for_cyclic_shift():
 
 
 def test_fixed_space_of_cyclic_shift():
-    # one orbit, so one orbit sum; a matrix label is refused
+    # one orbit, so one orbit sum; a matrix label is refused by fixed_space,
+    # while fixed_vector walks it as it walks the permutation
     for l in (2, 3, 5):
         F = fixed_space(cyclic_shift_module(l), ["c"])
         assert F.dim == 1 and F.rows.tolist() == [[1, 1, 1]]
         with pytest.raises(AssertionError, match="permutation labels"):
             fixed_space(mat_cyclic_shift_module(l), ["c"])
-        with pytest.raises(AssertionError, match="permutation labels"):
-            fixed_vector(mat_cyclic_shift_module(l), ["c"], np.array([1, 0, 0]))
+        mat_x, perm_x = (fixed_vector(h, ["c"], np.array([1, 0, 0]))
+                         for h in (mat_cyclic_shift_module(l), cyclic_shift_module(l)))
+        assert mat_x is perm_x is None or np.array_equal(mat_x, perm_x)
 
 
 def test_fixed_vector_walk_on_cyclic_shift():
@@ -852,7 +854,7 @@ def test_random_algebra_element_matches_dense_words(l, build):
     handle = build(l)
     rng, ref_rng = np.random.default_rng(l), np.random.default_rng(l)
     for _ in range(20):
-        A, spec = _random_algebra_element(handle, rng, 8)
+        A, spec = _random_algebra_element(handle, rng)
         ref_A, ref_spec = dense_algebra_element(handle, ref_rng, 8)
         assert np.array_equal(A, ref_A) and spec == ref_spec
     # both consumed the generator alike
@@ -862,14 +864,14 @@ def test_random_algebra_element_matches_dense_words(l, build):
 @pytest.mark.parametrize("l", [2, 3])
 @pytest.mark.parametrize("kind", ["A2", "B2"])
 def test_permutation_words_match_dense_words_on_borel_modules(kind, l):
-    # every label is a permutation, so every word is built by composing index
-    # arrays and scattering its coefficient
+    # every label is a permutation, so every word is read back through index
+    # gathers of the rows of the identity
     handle = borel_perm_module(kind, 2, l)[2]
     assert all(action[0] == "perm" for action in handle.actions.values())
     for seed in range(6):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            A, spec = _random_algebra_element(handle, rng, 8)
+            A, spec = _random_algebra_element(handle, rng)
             ref_A, ref_spec = dense_algebra_element(handle, ref_rng, 8)
             assert np.array_equal(A, ref_A) and spec == ref_spec
         assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
@@ -878,15 +880,46 @@ def test_permutation_words_match_dense_words_on_borel_modules(kind, l):
 @pytest.mark.parametrize("l", [2, 3, 5])
 @pytest.mark.parametrize("build", HANDLES, ids=HANDLE_IDS)
 def test_images_read_a_vector_or_each_row_of_a_block(l, build):
-    # images is x A^T, for one vector A x, and pullback is x A
+    # images is x A^T, for one vector A x
     handle = build(l)
     block = np.random.default_rng(l).integers(0, l, size=(4, handle.dim))
     for label in handle.actions:
         M = dense_matrix(handle, label)
         assert np.array_equal(handle.images(label, block), block @ M.T % l)
-        assert np.array_equal(handle.pullback(label, block), block @ M % l)
         for v in block:
             assert np.array_equal(handle.images(label, v), M @ v % l)
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+@pytest.mark.parametrize("build", [uniserial_module, flag_module], ids=["perm", "flag-perm"])
+def test_perm_is_the_point_map_that_images_applies(l, build):
+    # images(label, e_i) = e_perm[i], and the transpose reads the inverse map
+    handle = build(l)
+    tr = handle.transpose()
+    for label in handle.actions:
+        fwd = handle.perm(label)
+        for i in range(handle.dim):
+            assert np.array_equal(handle.images(label, handle.basis_vector(i)), handle.basis_vector(int(fwd[i])))
+        if label in handle.spin_labels:
+            assert np.array_equal(tr.perm(label)[fwd], np.arange(handle.dim))
+    with pytest.raises(AssertionError, match="permutation labels"):
+        mat_uniserial_module(l).perm("c")
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+def test_fixed_vector_walks_matrix_labels(l):
+    # a restricted handle of a cyclic l-group: every label a dense matrix
+    handle = mat_uniserial_module(l)
+    labels = list(handle.actions)
+    rng = np.random.default_rng(l)
+    for _ in range(10):
+        v = np.zeros(handle.dim, dtype=np.int64)
+        while not v.any():
+            v = rng.integers(0, l, size=handle.dim)
+        x = fixed_vector(handle, labels, v)
+        assert x is not None and np.any(x)
+        assert all(np.array_equal(handle.images(label, x), x) for label in labels)
+        assert spin(handle, [v]).contains(x)
 
 
 @pytest.mark.parametrize("l", [2, 3, 5])
@@ -1048,7 +1081,7 @@ def every_line_meataxe(handle, seed=0, budget=200):
         return linrep.Verdict(True, certificate={"method": "dimension-1"})
     rng = np.random.default_rng(seed)
     for attempt in range(budget):
-        A, spec = _random_algebra_element(handle, rng, linrep.MEATAXE_MAX_WORD)
+        A, spec = _random_algebra_element(handle, rng)
         ker = nullspace(A, handle.l)
         nu = len(ker)
         n_lines = (handle.l**nu - 1) // (handle.l - 1)
@@ -1076,7 +1109,7 @@ def deciding_element(handle, seed, verdict):
     same generator in the same order; returns A and p(A) for its factor p."""
     rng = np.random.default_rng(seed)
     while True:
-        A, spec = _random_algebra_element(handle, rng, linrep.MEATAXE_MAX_WORD)
+        A, spec = _random_algebra_element(handle, rng)
         if spec == verdict.certificate["element"]:
             return A, _poly_at(A, np.array(verdict.certificate["factor"]), handle.l)
 
@@ -1160,7 +1193,7 @@ def test_good_factors_on_field_modules(l):
             assert_good_factor(h, seed, verdict)
             rng = np.random.default_rng(seed)
             for _ in range(10):
-                A, _ = _random_algebra_element(h, rng, linrep.MEATAXE_MAX_WORD)
+                A, _ = _random_algebra_element(h, rng)
                 for p in irreducible_factors(_min_poly(A, h.basis_vector(0), l), l):
                     if len(nullspace(_poly_at(A, p, l), l)) == len(p) - 1:
                         good[len(p) - 1] += 1

@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from chevperm.chevalley import unipotent_words, weyl_word
+from chevperm.chevalley import weyl_word
 from chevperm.gf import make_field
 from chevperm.linrep import Subspace, fixed_vector, restrict, spin
 from chevperm import permmod
@@ -41,6 +41,7 @@ from chevperm.permmod import (
 )
 from chevperm.rootsys import root_datum
 
+from test_chevalley import unipotent_words
 from test_linrep import dense_fixed_space, dense_matrix, loop_quotient, loop_restrict
 
 
