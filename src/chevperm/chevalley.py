@@ -34,9 +34,9 @@ Forms are computed on stacks (N, n, n) of matrices in one numpy pass: the
 loops run over the n columns and their earlier pivots, never over N, and a
 single matrix is a stack of one.  `mat_mul`, `mat_inv`, `mat_det` and
 `in_group` work on stacks the same way.  `FlagIndex.perm_of` takes a stack
-of elements, and the structure sweeps (`check_structure_facts`) build every
-matrix of every case as one stack.  Stacked intermediates run in chunks
-under the byte cap `STACK_BYTES`.
+of elements, and the structure sweeps (`check_structure_facts`) build the
+matrices of the cases they draw as one stack.  Stacked intermediates run in
+chunks under the byte cap `STACK_BYTES`.
 
 Only G/B is enumerated.  The cosets of a standard parabolic P_K are blocks
 of Borel cosets, and their module is built from the Borel permutations
@@ -251,16 +251,14 @@ class MatrixGroup:
             self._weyl_cache[w.perm] = M
         return M
 
-    def torus_elements(self) -> np.ndarray:
-        """The torus as a stack ((q-1)^rank, n, n): the products h_1(c_1) ...
-        h_r(c_r) of coroot elements (`coroot_word`), the parameters in
-        itertools.product order."""
-        out = self.identity()[None]
-        for i in range(self.datum.rank):
-            words = [coroot_word(self, i, c) for c in self.field.units()]
-            h = self.from_words([ri for ri, _ in words[0]], [[c for _, c in word] for word in words])
-            out = mat_mul(self.field, out[:, None], h[None]).reshape(-1, self.n, self.n)
-        return out
+    def torus_elements(self, params) -> np.ndarray:
+        """The torus elements h_1(c_1) ... h_r(c_r) of coroot elements
+        (`coroot_word`), one for each row (c_1, ..., c_r) of units in params,
+        as a stack (len(params), n, n): one `from_words` over the
+        concatenated coroot words."""
+        roots = [ri for i in range(self.datum.rank) for ri, _ in coroot_word(self, i, 1)]
+        coeffs = [[x for i, c in enumerate(row) for _, x in coroot_word(self, i, int(c))] for row in params]
+        return self.from_words(roots, np.reshape(coeffs, (-1, len(roots))))
 
     def root_character(self, root_index: int, diag: np.ndarray) -> np.ndarray:
         """alpha(t) for each diagonal torus matrix t of a stack (..., n, n)."""
@@ -490,15 +488,18 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
     homomorphisms, torus normalization with the right character, Weyl
     conjugation between root subgroups, unique factored form of the
     unipotent radical and its w-split, and commutator relations with
-    structure constants solved from the data.  Sweeps whose index set
-    exceeds `cap` are sampled (`samples` cases) with a seeded generator;
-    the torus and Weyl sweeps stay exhaustive when they have no more than
-    `samples` cases.
+    structure constants solved from the data.
 
-    Each sweep draws its cases first, then builds every matrix of every
-    case as one stack (`root_elements`, `torus_elements`, `from_words`),
-    multiplies the stacks with `mat_mul` and inverts them with `mat_inv`,
-    and reads the failures off the compared stacks in case order.
+    `_sweep_cases` draws every case: a sweep with no more than
+    max(cap, draws) cases is exhaustive, a larger one draws `draws` distinct
+    cases with a seeded generator.  `draws` is `samples` for the torus and
+    Weyl sweeps and the factored form of U, samples // |W| for each w-split,
+    and samples // pairs for each commutator pair of positive roots, whose
+    cap is cap // pairs.  Each sweep then builds only the matrices of the
+    cases it drew, as one stack (`root_elements`, `torus_elements`,
+    `from_words`), multiplies the stacks with `mat_mul` and inverts them
+    with `mat_inv`, and reads the failures off the compared stacks in case
+    order.
 
     Returns {fact: {"checked", "vacuous", "failures", "mode", "notes"}}.
     """
@@ -533,9 +534,11 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
 
     # (b) torus normalizes each root subgroup, scaling by the root character
     e = entry()
-    torus = group.torus_elements()
-    idx, e["mode"] = _sweep_cases(len(torus) * n_roots * len(units), cap, samples, rng)
-    ti, ri, ci = np.unravel_index(idx, (len(torus), n_roots, len(units)))
+    rank = datum.rank
+    idx, e["mode"] = _sweep_cases(len(units)**rank * n_roots * len(units), cap, samples, rng)
+    ti, ri, ci = np.unravel_index(idx, (len(units)**rank, n_roots, len(units)))
+    drawn, ti = np.unique(ti, return_inverse=True)  # only the drawn torus elements are built
+    torus = group.torus_elements(units[np.stack(np.unravel_index(drawn, (len(units),) * rank), axis=-1)])
     c = units[ci]
     lhs = mat_mul(F, mat_mul(F, torus[ti], R[ri, c]), mat_inv(F, torus)[ti])
     character = np.stack([group.root_character(r, torus) for r in range(n_roots)])
@@ -562,51 +565,27 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
     ]
     report["weyl-conjugation"] = e
 
-    # (d) unique factored form of U and the w-split U = U_w x U'_w
+    # (d) unique factored form of U and the w-split U = U_w x U'_w: each root
+    # order's products are distinct, the coefficients read as base-q digits
+    # of the case index (`_all_coeffs` order); left x right of a w-split is
+    # the word over phi_w + phi_c
     e = entry()
-    w0 = datum.longest_element(range(datum.rank))
-    size_u = F.order**datum.n_pos
-    phi = datum.phi_minus(w0)
-    if size_u <= cap:
-        distinct = len(set(_keys(group.from_words(phi, _all_coeffs(F, len(phi))))))
-        e["checked"] += size_u
-        if distinct != size_u:
-            e["failures"].append(("factored-form-collision", distinct))
-    else:
-        e["mode"] = "sampled"
-        draws = [tuple(int(x) for x in rng.integers(F.order, size=len(phi))) for _ in range(samples)]
-        seen: Dict[bytes, tuple] = {}
-        for key, coeffs in zip(_keys(group.from_words(phi, draws)), draws):
-            e["checked"] += 1
-            if seen.setdefault(key, coeffs) != coeffs:
-                e["failures"].append(("factored-form-collision", coeffs))
-    for w in datum.elements:
+    orders = [(None, datum.phi_minus(datum.longest_element(range(datum.rank))), samples)]
+    for w in W:
         phi_w = datum.phi_minus(w)
         # the complementary piece: positive roots kept positive by w, tallest first
         phi_c = [r for r in datum.positive_indices if r not in set(phi_w)]
         phi_c.sort(key=lambda r: (-sum(datum.roots[r]), datum.roots[r]))
-        size = F.order ** len(phi_w) * F.order ** len(phi_c)
-        if size <= cap:
-            lefts = group.from_words(phi_w, _all_coeffs(F, len(phi_w)))
-            rights = group.from_words(phi_c, _all_coeffs(F, len(phi_c)))
-            distinct = len(set(_keys(mat_mul(F, lefts[:, None], rights[None]).reshape(-1, n, n))))
-            e["checked"] += len(lefts) * len(rights)
-            if distinct != size:
-                e["failures"].append(("split-collision", w.word, distinct))
-        else:
-            e["mode"] = "sampled"
-            draws = [
-                (tuple(int(x) for x in rng.integers(F.order, size=len(phi_w))),
-                 tuple(int(x) for x in rng.integers(F.order, size=len(phi_c))))
-                for _ in range(max(1, samples // len(datum.elements)))
-            ]
-            lefts = group.from_words(phi_w, np.reshape([cu for cu, _ in draws], (len(draws), len(phi_w))))
-            rights = group.from_words(phi_c, np.reshape([cv for _, cv in draws], (len(draws), len(phi_c))))
-            pairs: Dict[bytes, tuple] = {}
-            for key, draw in zip(_keys(mat_mul(F, lefts, rights)), draws):
-                e["checked"] += 1
-                if pairs.setdefault(key, draw) != draw:
-                    e["failures"].append(("split-collision", w.word, draw))
+        orders.append((w, phi_w + phi_c, max(1, samples // len(W))))
+    for w, order, draws in orders:
+        idx, mode = _sweep_cases(q ** len(order), cap, draws, rng)
+        coeffs = np.stack(np.unravel_index(idx, (q,) * len(order)), axis=-1)
+        distinct = len(set(_keys(group.from_words(order, coeffs))))
+        e["checked"] += len(idx)
+        if mode == "sampled":
+            e["mode"] = mode
+        if distinct != len(idx):
+            e["failures"].append(("factored-form-collision", distinct) if w is None else ("split-collision", w.word, distinct))
     report["unipotent-factorization"] = e
 
     # (e) commutator relations with solved structure constants
@@ -631,13 +610,11 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
                 if target in datum.root_index:
                     combos.append((m, nn, datum.root_index[target]))
         combos.sort(key=lambda t: (t[0] + t[1], t[0]))
-        value_cases = [(x, y) for x in F.units() for y in F.units()]
-        if len(pairs) * len(value_cases) > cap:
-            take = max(1, samples // len(pairs))
-            idx = rng.choice(len(value_cases), size=min(take, len(value_cases)), replace=False)
-            value_cases = [value_cases[int(k)] for k in idx]
-            e["mode"] = "sampled"
-        sweeps.append((a, b, combos, value_cases))
+        # the value cases (x, y) over units x units, y varying fastest
+        idx, mode = _sweep_cases(len(units)**2, cap // len(pairs), max(1, samples // len(pairs)), rng)
+        if mode == "sampled":
+            e["mode"] = mode
+        sweeps.append((a, b, combos, list(zip(units[idx // len(units)].tolist(), units[idx % len(units)].tolist()))))
     if sweeps:
         # every pair's commutators as one stack, one row per (pair, case)
         a, b, x, y = np.array([(a, b, x, y) for a, b, _, cases in sweeps for x, y in cases]).T
@@ -659,7 +636,7 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
             cv = np.repeat(cand.reshape(len(cand), len(combos)), len(cases), axis=0)
             f = np.full((len(k), width), len(table) - 1)
             for j, (m, nn, rc) in enumerate(combos):
-                f[:, j] = rc * q + MUL[MUL[cv[:, j], x_pow[m][k]], y_pow[nn][k]]
+                f[:, j] = rc * q + MUL[MUL[cv[:, j], x_pow[m][k]], y_pow[nn][k]].astype(np.intp)
             rows.append(k)
             factors.append(f)
             first += len(cases)

@@ -615,6 +615,10 @@ def suite_filtration(runner: SuiteRunner, seed: int) -> SuiteReport:
     datum = lm.datum
     pieces = lm.filtration()
     subsets = datum.all_subsets()
+    # strict-inclusion, all-pieces-nonzero and dimension-sum restate what
+    # `filtration` asserts (eta_K in M_K, nonzero blocks, T covering G/B), so
+    # a wrong filtration exits 4 before they run; quotient-dim below is the
+    # check from outside T
     for J in subsets:
         for K in subsets:
             if J < K:

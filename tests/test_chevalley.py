@@ -32,6 +32,11 @@ def unipotent_words(group, w):
     return [tuple(zip(phi, coeffs)) for coeffs in itertools.product(group.field.elements(), repeat=len(phi))]
 
 
+def whole_torus(group):
+    """Every torus element, the parameters in itertools.product order."""
+    return group.torus_elements(itertools.product(group.field.units(), repeat=group.datum.rank))
+
+
 def closure(group, extra=()):
     """All group elements, by breadth-first closure over root generators."""
     gens = []
@@ -67,7 +72,7 @@ def parabolic(group, K):
     datum = group.datum
     units = group.field.units()
     gens = [group.root_element(r, c) for r in datum.positive_indices for c in units]
-    gens += list(group.torus_elements())
+    gens += list(whole_torus(group))
     gens += [group.root_element(datum.simple_indices[i] + datum.n_pos, c) for i in sorted(K) for c in units]
     return generated(group, gens)
 
@@ -212,10 +217,10 @@ def structure_facts_per_case(group, cap=20_000, samples=1000, seed=0):
         return {"checked": checked, "vacuous": vacuous, "failures": failures if failures is not None else [],
                 "mode": mode, "notes": notes or {}}
 
-    def sweep_cases(cases):
-        if len(cases) <= max(cap, samples):
+    def sweep_cases(cases, cap=cap, draws=samples):
+        if len(cases) <= max(cap, draws):
             return cases, "exhaustive"
-        idx = rng.choice(len(cases), size=samples, replace=False)
+        idx = rng.choice(len(cases), size=draws, replace=False)
         return [cases[int(k)] for k in idx], "sampled"
 
     def match_root_element(root_index, M):
@@ -270,52 +275,29 @@ def structure_facts_per_case(group, cap=20_000, samples=1000, seed=0):
     report["weyl-conjugation"] = e
 
     e = entry()
+    q, W = F.order, datum.elements
     w0 = datum.longest_element(range(datum.rank))
-    size_u = F.order**datum.n_pos
-    if size_u <= cap:
-        words = unipotent_words(group, w0)
-        seen = {group.from_word(wd).tobytes() for wd in words}
-        e["checked"] += len(words)
-        if len(seen) != size_u:
-            e["failures"].append(("factored-form-collision", len(seen)))
-    else:
-        e["mode"] = "sampled"
-        seen = {}
-        phi = datum.phi_minus(w0)
-        for _ in range(samples):
-            coeffs = tuple(int(x) for x in rng.integers(F.order, size=len(phi)))
-            key = group.from_word(tuple(zip(phi, coeffs))).tobytes()
-            e["checked"] += 1
-            if seen.setdefault(key, coeffs) != coeffs:
-                e["failures"].append(("factored-form-collision", coeffs))
-    for w in datum.elements:
+    splits = [(None, datum.phi_minus(w0), [], samples)]
+    for w in W:
         phi_w = datum.phi_minus(w)
         phi_c = [r for r in datum.positive_indices if r not in set(phi_w)]
         phi_c.sort(key=lambda r: (-sum(datum.roots[r]), datum.roots[r]))
-        size = F.order ** len(phi_w) * F.order ** len(phi_c)
-        if size <= cap:
-            rights = [group.from_word(tuple(zip(phi_c, cv)))
-                      for cv in itertools.product(F.elements(), repeat=len(phi_c))]
-            lefts = unipotent_words(group, w)
-            prods = set()
-            for w1 in lefts:
-                left = group.from_word(w1)
-                for right in rights:
-                    prods.add(group.mul(left, right).tobytes())
-            e["checked"] += len(lefts) * len(rights)
-            if len(prods) != size:
-                e["failures"].append(("split-collision", w.word, len(prods)))
-        else:
-            e["mode"] = "sampled"
-            pairs = {}
-            for _ in range(max(1, samples // len(datum.elements))):
-                cu = tuple(int(x) for x in rng.integers(F.order, size=len(phi_w)))
-                cv = tuple(int(x) for x in rng.integers(F.order, size=len(phi_c)))
-                left, right = group.from_word(tuple(zip(phi_w, cu))), group.from_word(tuple(zip(phi_c, cv)))
-                key = group.mul(left, right).tobytes()
-                e["checked"] += 1
-                if pairs.setdefault(key, (cu, cv)) != (cu, cv):
-                    e["failures"].append(("split-collision", w.word, (cu, cv)))
+        splits.append((w, phi_w, phi_c, max(1, samples // len(W))))
+    for w, left_roots, right_roots, draws in splits:
+        width = len(left_roots) + len(right_roots)
+        cases, mode = sweep_cases(range(q**width), draws=draws)
+        prods = set()
+        for k in cases:
+            coeffs = [int(k) // q ** (width - 1 - j) % q for j in range(width)]  # base-q digits, last fastest
+            left = group.from_word(tuple(zip(left_roots, coeffs)))
+            right = group.from_word(tuple(zip(right_roots, coeffs[len(left_roots):])))
+            prods.add(group.mul(left, right).tobytes())
+            e["checked"] += 1
+        if mode == "sampled":
+            e["mode"] = mode
+        if len(prods) != len(cases):
+            e["failures"].append(("factored-form-collision", len(prods)) if w is None
+                                 else ("split-collision", w.word, len(prods)))
     report["unipotent-factorization"] = e
 
     e = entry()
@@ -333,12 +315,10 @@ def structure_facts_per_case(group, cap=20_000, samples=1000, seed=0):
                 if target in datum.root_index:
                     combos.append((m, nn, datum.root_index[target]))
         combos.sort(key=lambda t: (t[0] + t[1], t[0]))
-        value_cases = [(x, y) for x in F.units() for y in F.units()]
-        if len(pairs) * len(value_cases) > cap:
-            take = max(1, samples // len(pairs))
-            idx = rng.choice(len(value_cases), size=min(take, len(value_cases)), replace=False)
-            value_cases = [value_cases[int(k)] for k in idx]
-            e["mode"] = "sampled"
+        value_cases, mode = sweep_cases([(x, y) for x in F.units() for y in F.units()],
+                                        cap // len(pairs), max(1, samples // len(pairs)))
+        if mode == "sampled":
+            e["mode"] = mode
 
         def commutator(x, y):
             Ma = group.root_element(a, x)
@@ -439,7 +419,7 @@ def test_constructors_land_in_group(kind, q):
             assert group.in_group(group.root_element(ri, c))
     for w in group.datum.elements:
         assert group.in_group(group.weyl_rep(w))
-    for t in group.torus_elements():
+    for t in whole_torus(group):
         assert group.in_group(t)
         assert group.is_diagonal(t)
 
@@ -751,13 +731,16 @@ def test_decompose_unique_over_gf2():
         for cy in group.field.units():
             x = group.root_element(0, cx)
             y = group.root_element(0, cy)
-            for t in group.torus_elements():
+            for t in whole_torus(group):
                 if np.array_equal(group.mul(x, s, t, y), lhs):
                     hits.append((cx, t.tobytes(), cy))
     assert len(hits) == 1
 
 
-@pytest.mark.parametrize("kind,q", [("A1", 2), ("A1", 3), ("A2", 2), ("A2", 3), ("A3", 2), ("B2", 2), ("B2", 3)])
+@pytest.mark.parametrize("kind,q", [("A1", 2), ("A1", 3), ("A2", 2), ("A2", 3), ("A3", 2), ("B2", 2), ("B2", 3),
+                                    # the commutator sweep's table index rc * q + c once wrapped in uint8
+                                    # (false failures) or overflowed (rc * q >= 256) at these orders
+                                    ("A2", 125), ("B2", 81), ("A2", 128), ("A3", 64)])
 def test_structure_facts_clean(kind, q):
     report = check_structure_facts(matrix_group(kind, q))
     for fact, data in report.items():
@@ -786,7 +769,7 @@ def test_structure_facts_more_samples_than_cases():
     # fewer cases than the samples asked for, so they stay exhaustive
     group = matrix_group("A1", 4)
     report = check_structure_facts(group, cap=5, samples=1000)
-    n_cases = len(group.torus_elements()) * 2 * 3
+    n_cases = (group.field.order - 1) * 2 * 3
     for fact, n in (("torus-action", n_cases), ("weyl-conjugation", 2 * 2 * 3)):
         assert report[fact]["mode"] == "exhaustive" and report[fact]["checked"] == n, fact
         assert report[fact]["failures"] == []
@@ -832,10 +815,12 @@ def test_stacked_structure_facts_report_the_per_case_failures(wrong):
     # right and only the sweeps that read x_r(1) fail
     group = OneWrongRootElement(wrong)
     assert group.tall not in group.datum.simple_indices
-    stacked, per_case = check_structure_facts(group), structure_facts_per_case(group)
-    assert stacked == per_case
-    for fact in ("root-homomorphism", "torus-action", "weyl-conjugation", "commutator-relations"):
-        assert stacked[fact]["failures"], fact
+    for kw in ({}, {"cap": 5, "samples": 20}):  # exhaustive, then every sweep sampled
+        stacked, per_case = check_structure_facts(group, **kw), structure_facts_per_case(group, **kw)
+        assert stacked == per_case
+        for fact in ("root-homomorphism", "torus-action", "weyl-conjugation", "commutator-relations"):
+            assert stacked[fact]["failures"], (fact, kw)
+    assert {stacked[fact]["mode"] for fact in stacked} == {"exhaustive", "sampled"}
     assert [f[0] for f in stacked["root-homomorphism"]["failures"]].count("membership") == (wrong[1][1] != 1)
 
 
@@ -848,3 +833,22 @@ def test_structure_facts_sampled_w_split():
     assert fact["failures"] == []
     n_w = len(group.datum.elements)
     assert fact["checked"] == 1000 + n_w * (1000 // n_w)
+
+
+def test_torus_sweep_builds_only_the_drawn_elements(monkeypatch):
+    # A3 over GF(32) has 31^3 = 29 791 torus elements; the sweep draws 1000
+    # cases and builds the torus elements of those cases only
+    group = matrix_group("A3", 32)
+    rows = []
+    build = MatrixGroup.torus_elements
+
+    def recording(self, params):
+        params = [tuple(int(c) for c in row) for row in params]
+        rows.extend(params)
+        return build(self, params)
+
+    monkeypatch.setattr(MatrixGroup, "torus_elements", recording)
+    fact = check_structure_facts(group)["torus-action"]
+    assert fact["mode"] == "sampled" and fact["checked"] == 1000 and fact["failures"] == []
+    assert 0 < len(rows) <= 1000 and len(set(rows)) == len(rows)
+    assert all(len(row) == 3 and 0 not in row for row in rows)
