@@ -16,6 +16,7 @@ an assertion of the program's own invariants that failed inside a suite.
 
 import argparse
 import json
+import os
 import sys
 
 from .chevalley import MATRIX_KINDS, BudgetError
@@ -76,6 +77,8 @@ def cmd_run(args):
                              budget=args.budget, seed=args.seed, samples=args.samples)
     except ValueError as exc:
         raise UsageError(str(exc))
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise UsageError("the directory of --out %r does not exist" % args.out)
     requested, explicit = _resolve_suites(args.suites)
     if explicit:
         for name in requested:

@@ -27,6 +27,7 @@ minimal polynomials.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterator, List, Tuple
 
@@ -61,10 +62,11 @@ def is_prime(n: int) -> bool:
 
 
 def factor_prime_power(q: int) -> Tuple[int, int]:
-    """Return (p, e) with q = p**e, or raise ValueError."""
+    """Return (p, e) with q = p**e, or raise ValueError.  Trial division
+    stops at isqrt(q): a q with no divisor up to there is prime."""
     if q < 2:
         raise ValueError("not a prime power: %r" % (q,))
-    for p in range(2, q + 1):
+    for p in range(2, math.isqrt(q) + 1):
         if q % p == 0:
             e = 0
             m = q
@@ -74,7 +76,7 @@ def factor_prime_power(q: int) -> Tuple[int, int]:
             if m != 1:
                 raise ValueError("not a prime power: %r" % (q,))
             return p, e
-    raise ValueError("not a prime power: %r" % (q,))
+    return q, 1
 
 
 # -- polynomials over GF(p): int64 coefficient arrays, ascending by degree,
@@ -288,47 +290,39 @@ def embedding_table(p: int, k_small: int, k_big: int) -> Tuple[int, ...]:
 
     Requires k_small | k_big.  The image of g_small is the smallest root (in
     element order) of the small modulus inside the big field, so the table is
-    reproducible.  The map is checked to be a ring homomorphism.
+    reproducible.  The map is checked to be a ring homomorphism.  All of it
+    is gathers on the two fields' tables: the modulus is evaluated at every
+    big element at once by Horner's rule, and the image of v is the sum of
+    its base-p digits times the powers of the root.
     """
     if k_big % k_small != 0:
         raise ValueError("GF(%d^%d) does not embed in GF(%d^%d)" % (p, k_small, p, k_big))
     small, big = make_field(p, k_small), make_field(p, k_big)
-    root = None
-    for cand in big.elements():
-        acc = 0
-        for c in small.modulus:  # descending degree, entries in GF(p)
-            acc = big.add(big.mul(acc, cand), c)
-        if acc == 0:
-            root = cand
-            break
-    assert root is not None, "modulus has no root in the big field"
-    table = []
-    for v in small.elements():
-        acc, rpow = 0, 1
-        for c in _digits(v, p, k_small):
-            acc = big.add(acc, big.mul(c, rpow))
-            rpow = big.mul(rpow, root)
-        table.append(acc)
-    table = tuple(table)
-    assert len(set(table)) == small.order
-    for a in small.elements():
-        for b in small.elements():
-            assert table[small.add(a, b)] == big.add(table[a], table[b])
-            assert table[small.mul(a, b)] == big.mul(table[a], table[b])
-    return table
+    ADD, MUL = big.tables()[:2]
+    x = np.arange(big.order)
+    acc = np.zeros(big.order, dtype=np.uint8)
+    for c in small.modulus:  # descending degree, entries in GF(p)
+        acc = ADD[MUL[acc, x], c]
+    roots = np.flatnonzero(acc == 0)
+    assert len(roots), "modulus has no root in the big field"
+    digits = np.arange(small.order)[:, None] // np.array(small.fp_basis()) % p
+    table = np.zeros(small.order, dtype=np.uint8)
+    for i, column in enumerate(digits.T):
+        table = ADD[table, MUL[column, big.pow(int(roots[0]), i)]]
+    assert len(set(table.tolist())) == small.order
+    small_add, small_mul = small.tables()[:2]
+    assert np.array_equal(table[small_add], ADD[table[:, None], table[None, :]])
+    assert np.array_equal(table[small_mul], MUL[table[:, None], table[None, :]])
+    return tuple(table.tolist())
 
 
 def additive_transversal(p: int, k_small: int, k_big: int) -> Tuple[int, ...]:
     """Coset representatives of the embedded additive group of GF(p^k_small)
-    inside GF(p^k_big), greedily smallest in element order (so reps[0] = 0)."""
+    inside GF(p^k_big), greedily smallest in element order (so reps[0] = 0):
+    the elements that are the minimum of their coset, in ascending order."""
     table = embedding_table(p, k_small, k_big)
     big = make_field(p, k_big)
-    seen = set()
-    reps = []
-    for v in big.elements():
-        if v not in seen:
-            reps.append(v)
-            for w in table:
-                seen.add(big.add(v, w))
+    coset_min = big.tables()[0][:, list(table)].min(axis=1)
+    reps = np.flatnonzero(coset_min == np.arange(big.order))
     assert len(reps) * len(table) == big.order
-    return tuple(reps)
+    return tuple(reps.tolist())

@@ -37,7 +37,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -439,47 +439,29 @@ class LevelModule:
 # -- closure hypotheses for the mixed-level operator identities ---------------
 
 
-def _max_height(datum: RootDatum) -> int:
-    return max(sum(r) for r in datum.positive_roots)
-
-
-def _combos(datum: RootDatum, root_ids: Sequence[int], mins: Sequence[int]):
-    """Nonnegative integer combinations of the given positive roots with the
-    listed per-slot minimum coefficients, up to the tallest root height.
-    Yields (coeffs, root_id or None) for the summed coordinate."""
-    cap = _max_height(datum)
-    heights = [sum(datum.roots[i]) for i in root_ids]
-    ranges = [range(mn, cap // h + 1) for mn, h in zip(mins, heights)]
-    for coeffs in itertools.product(*ranges):
-        total = sum(c * h for c, h in zip(coeffs, heights))
-        if total == 0 or total > cap:
-            continue
-        coord = tuple(
-            sum(c * datum.roots[i][k] for c, i in zip(coeffs, root_ids))
-            for k in range(datum.rank)
-        )
-        yield coeffs, datum.root_index.get(coord)
+def _landings(datum: RootDatum, ids: Sequence[int], mins: Sequence[int]) -> Set[int]:
+    """The roots that nonnegative integer combinations of the given positive
+    roots land on, with the i-th root taken at least mins[i] times and at
+    most as often as its height fits in the tallest root's.  A positive
+    combination of positive roots never lands on a negative root."""
+    R = np.array([datum.roots[i] for i in ids], dtype=np.int64).reshape(len(ids), datum.rank)
+    cap = max(sum(r) for r in datum.positive_roots)
+    ranges = [range(m, cap // h + 1) for m, h in zip(mins, R.sum(axis=1))]
+    sums = np.array(list(itertools.product(*ranges)), dtype=np.int64) @ R
+    return {datum.root_index.get(tuple(s)) for s in sums.tolist()} - {None}
 
 
 def closed_under_addition(datum: RootDatum, A: Sequence[int]) -> bool:
     """Positive-root combinations of members of A stay in A."""
-    for _, rid in _combos(datum, A, [0] * len(A)):
-        if rid is not None and rid in datum.positive_indices and rid not in A:
-            return False
-    return True
+    return _landings(datum, A, [0] * len(A)) <= set(A)
 
 
 def commutes_into(datum: RootDatum, A: Sequence[int], beta: int) -> bool:
     """Combinations of beta (at least once) with members of A (at least one)
     that land on a positive root land in A: the condition letting a
-    beta-element pass through the A-sums."""
-    ids = [beta] + list(A)
-    for coeffs, rid in _combos(datum, ids, [1] + [0] * len(A)):
-        if sum(coeffs[1:]) == 0:
-            continue
-        if rid is not None and rid in datum.positive_indices and rid not in A:
-            return False
-    return True
+    beta-element pass through the A-sums.  A combination with no A-part
+    lands only on beta."""
+    return _landings(datum, [beta] + list(A), [1] + [0] * len(A)) - {beta} <= set(A)
 
 
 def absorbs_from(datum: RootDatum, A: Sequence[int], B: Sequence[int], gamma: int,
@@ -488,11 +470,7 @@ def absorbs_from(datum: RootDatum, A: Sequence[int], B: Sequence[int], gamma: in
     in the given inversion set must land in A: the condition making
     gamma-elements act trivially on the mixed product."""
     ids = [gamma] + list(A) + list(B)
-    inv = set(inversion)
-    for _, rid in _combos(datum, ids, [1] + [0] * (len(A) + len(B))):
-        if rid is not None and rid in inv and rid not in A:
-            return False
-    return True
+    return _landings(datum, ids, [1] + [0] * (len(A) + len(B))) & set(inversion) <= set(A)
 
 
 # -- suites -------------------------------------------------------------------
@@ -1094,13 +1072,15 @@ class SuiteRunner:
         if b < a or b % a:
             raise ValueError("level b must be a multiple of a, at least a")
         char = p if char is None else char
-        if not is_prime(char):
-            raise ValueError("coefficient characteristic must be prime")
         if budget < 1:
             raise ValueError("budget must be positive")
+        # checked before primality: the bound keeps char below 2^32, so
+        # is_prime's trial division stays short
         if (budget + 1) * (char - 1) ** 2 >= 2**63:
             raise ValueError("coefficient characteristic %d is too large for exact int64 products "
                              "at budget %d: (budget + 1)(char - 1)^2 must be below 2^63" % (char, budget))
+        if not is_prime(char):
+            raise ValueError("coefficient characteristic must be prime")
         if seed < 0:
             raise ValueError("seed must be non-negative")
         if samples < 1:

@@ -84,6 +84,29 @@ def test_usage_errors(tmp_path):
     assert main(["inspect", "--type", "A1", "--q", "2", "--a", "0", "dims"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--type", "A1", "--q", "1000000007"],
+    ["inspect", "--type", "A1", "--q", "1000000007", "dims"],
+    ["run", "--type", "A1", "--q", "2", "--char", "2305843009213693951"],
+])
+def test_large_primes_are_refused_without_long_trial_division(argv):
+    # q = 10^9 + 7 is prime, so the field characteristic is too large for
+    # the int64 bound; 2^61 - 1 fails that bound before primality is tested
+    proc = subprocess.run([sys.executable, "-m", "chevperm.cli"] + argv,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert "below 2^63" in proc.stderr
+
+
+def test_out_into_a_missing_directory_is_refused_before_any_suite(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(permmod.SuiteRunner, "run", lambda self, name: ran.append(name))
+    out = tmp_path / "missing" / "r.json"
+    assert main(["run", "--type", "A1", "--q", "2", "--out", str(out)]) == 2
+    assert ran == [] and not out.parent.exists()
+    assert "does not exist" in capsys.readouterr().err
+
+
 def test_field_order_cap(tmp_path, capsys):
     # GF(2^9) is over the 256 cap: the ext suites skip with a fixed reason,
     # and inspect refuses a base field that large

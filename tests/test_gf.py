@@ -199,6 +199,12 @@ def test_field_guards():
     assert factor_prime_power(9) == (3, 2)
     with pytest.raises(ValueError):
         factor_prime_power(12)
+    # trial division stops at isqrt(q): about 31 623 divisions, not 10^9
+    assert factor_prime_power(1_000_000_007) == (1_000_000_007, 1)
+    assert factor_prime_power(2) == (2, 1) and factor_prime_power(3) == (3, 1)
+    assert factor_prime_power(1_000_003**2) == (1_000_003, 2)
+    with pytest.raises(ValueError):
+        factor_prime_power(1_000_003 * 1_000_033)
 
 
 def test_order_cap_is_256():
@@ -208,6 +214,56 @@ def test_order_cap_is_256():
         make_field(2, 9)
     with pytest.raises(ValueError):
         make_field(257)
+
+
+# reference embedding and transversal: element-at-a-time scalar arithmetic
+# on the big field, with a seen set for the cosets
+
+
+def ref_embedding_table(p, k_small, k_big):
+    small, big = make_field(p, k_small), make_field(p, k_big)
+    root = None
+    for cand in big.elements():
+        acc = 0
+        for c in small.modulus:
+            acc = big.add(big.mul(acc, cand), c)
+        if acc == 0:
+            root = cand
+            break
+    table = []
+    for v in small.elements():
+        acc, rpow = 0, 1
+        for c in _digits(v, p, k_small):
+            acc = big.add(acc, big.mul(c, rpow))
+            rpow = big.mul(rpow, root)
+        table.append(acc)
+    return tuple(table)
+
+
+def ref_additive_transversal(p, k_small, k_big):
+    table = ref_embedding_table(p, k_small, k_big)
+    big = make_field(p, k_big)
+    seen = set()
+    reps = []
+    for v in big.elements():
+        if v not in seen:
+            reps.append(v)
+            for w in table:
+                seen.add(big.add(v, w))
+    return tuple(reps)
+
+
+# every (p, k_small, k_big) with k_small | k_big and p^k_big <= 256
+EMBEDDINGS = [(p, ks, kb) for p, kb in PRIME_POWERS for ks in range(1, kb + 1) if kb % ks == 0]
+
+
+def test_embeddings_and_transversals_match_the_scalar_loops():
+    assert len(EMBEDDINGS) == 92
+    for p, ks, kb in EMBEDDINGS:
+        table = embedding_table(p, ks, kb)
+        assert table == ref_embedding_table(p, ks, kb)
+        assert all(type(v) is int for v in table)
+        assert additive_transversal(p, ks, kb) == ref_additive_transversal(p, ks, kb)
 
 
 def test_embedding_gf2_in_gf4():

@@ -6,6 +6,7 @@ counting cosets and Bruhat cells by hand; see test_chevalley.py for the
 cell-level counts they rest on.
 """
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -495,6 +496,90 @@ def test_closure_helpers_b2():
     assert closed_under_addition(datum, [mid, long_])
     assert not closed_under_addition(datum, [s, mid])  # s + mid = tall escapes
     assert closed_under_addition(datum, [tall, mid, long_])
+
+
+# reference closure predicates: the per-combination loops, with the
+# positive-root filter, that the landing-set inclusions replace
+
+
+def ref_combos(datum, root_ids, mins):
+    cap = max(sum(r) for r in datum.positive_roots)
+    heights = [sum(datum.roots[i]) for i in root_ids]
+    ranges = [range(mn, cap // h + 1) for mn, h in zip(mins, heights)]
+    for coeffs in itertools.product(*ranges):
+        total = sum(c * h for c, h in zip(coeffs, heights))
+        if total == 0 or total > cap:
+            continue
+        coord = tuple(
+            sum(c * datum.roots[i][k] for c, i in zip(coeffs, root_ids))
+            for k in range(datum.rank)
+        )
+        yield coeffs, datum.root_index.get(coord)
+
+
+def ref_closed_under_addition(datum, A):
+    for _, rid in ref_combos(datum, A, [0] * len(A)):
+        if rid is not None and rid in datum.positive_indices and rid not in A:
+            return False
+    return True
+
+
+def ref_commutes_into(datum, A, beta):
+    ids = [beta] + list(A)
+    for coeffs, rid in ref_combos(datum, ids, [1] + [0] * len(A)):
+        if sum(coeffs[1:]) == 0:
+            continue
+        if rid is not None and rid in datum.positive_indices and rid not in A:
+            return False
+    return True
+
+
+def ref_absorbs_from(datum, A, B, gamma, inversion):
+    ids = [gamma] + list(A) + list(B)
+    inv = set(inversion)
+    for _, rid in ref_combos(datum, ids, [1] + [0] * (len(A) + len(B))):
+        if rid is not None and rid in inv and rid not in A:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "A3", "B2"])
+def test_closure_predicates_match_the_loops_on_level_step_splits(kind):
+    # every split A = roots[:d], B = roots[d:] of an inversion set, with
+    # beta = B[0] and every gamma outside the set, as suite_level_steps
+    # forms them; over the inversion sets of all of W, a superset of its tails
+    datum = root_datum(kind)
+    answers = set()
+    for w in datum.elements:
+        roots = datum.phi_minus(w)
+        for d in range(len(roots) + 1):
+            A, B = roots[:d], roots[d:]
+            got = closed_under_addition(datum, A)
+            assert got == ref_closed_under_addition(datum, A)
+            answers.add(got)
+            if B:
+                got = commutes_into(datum, A, B[0])
+                assert got == ref_commutes_into(datum, A, B[0])
+                answers.add(got)
+            for gamma in datum.positive_indices:
+                if gamma not in roots:
+                    got = absorbs_from(datum, A, B, gamma, roots)
+                    assert got == ref_absorbs_from(datum, A, B, gamma, roots)
+                    answers.add(got)
+    assert answers == ({True, False} if datum.rank > 1 else {True})
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "A3", "B2"])
+def test_closure_predicates_match_the_loops_on_every_root_subset(kind):
+    datum = root_datum(kind)
+    pos = list(datum.positive_indices)
+    for size in range(len(pos) + 1):
+        for A in itertools.combinations(pos, size):
+            A = list(A)
+            assert closed_under_addition(datum, A) == ref_closed_under_addition(datum, A)
+            for beta in pos:
+                if beta not in A:
+                    assert commutes_into(datum, A, beta) == ref_commutes_into(datum, A, beta)
 
 
 def test_subset_tags_roundtrip():
