@@ -46,6 +46,7 @@ of Borel cosets, and their module is built from the Borel permutations
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,8 +73,9 @@ class BudgetError(RuntimeError):
 # -- dense-table matrix arithmetic ------------------------------------------
 
 # Byte cap on the intermediates of one chunk of a stack: `mat_mul` splits its
-# gather, and `perm_of` its products with the coset representatives and their
-# bytes keys, into chunks that stay under it.
+# gather, `perm_of` its products with the coset representatives and their
+# bytes keys, and `permmod.LevelModule.filtration` its labels' triples in the
+# translate basis, into chunks that stay under it.
 STACK_BYTES = 1 << 16
 
 
@@ -465,11 +467,11 @@ def decompose_simple_conjugate(group: MatrixGroup, i: int, c: int) -> int:
 
 def _sweep_cases(count: int, cap: int, samples: int, rng) -> Tuple[np.ndarray, str]:
     """The indices of all `count` cases with mode "exhaustive", or of
-    `samples` of them drawn when there are more than both `cap` and
-    `samples`."""
+    `samples` of them drawn, with the generator `rng()`, when there are more
+    than both `cap` and `samples`."""
     if count <= max(cap, samples):
         return np.arange(count), "exhaustive"
-    return rng.choice(count, size=samples, replace=False), "sampled"
+    return rng().choice(count, size=samples, replace=False), "sampled"
 
 
 def _all_coeffs(F: Field, k: int) -> np.ndarray:
@@ -492,18 +494,23 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
 
     `_sweep_cases` draws every case: a sweep with no more than
     max(cap, draws) cases is exhaustive, a larger one draws `draws` distinct
-    cases with a seeded generator.  `draws` is `samples` for the torus and
-    Weyl sweeps and the factored form of U, samples // |W| for each w-split,
-    and samples // pairs for each commutator pair of positive roots, whose
-    cap is cap // pairs.  Each sweep then builds only the matrices of the
-    cases it drew, as one stack (`root_elements`, `torus_elements`,
-    `from_words`), multiplies the stacks with `mat_mul` and inverts them
-    with `mat_inv`, and reads the failures off the compared stacks in case
-    order.
+    cases with one seeded generator that the sweeps share, made on the first
+    draw, so a run of exhaustive sweeps never imports numpy.random.  `draws`
+    is `samples` for the torus and Weyl sweeps and the factored form of U,
+    samples // |W| for each w-split, and samples // pairs for each
+    commutator pair of positive roots, whose cap is cap // pairs.  Each
+    sweep then builds only the matrices of the cases it drew, as one stack
+    (`root_elements`, `torus_elements`, `from_words`), multiplies the
+    stacks with `mat_mul` and inverts them with `mat_inv`, and reads the
+    failures off the compared stacks in case order.
 
     Returns {fact: {"checked", "vacuous", "failures", "mode", "notes"}}.
     """
-    rng = np.random.default_rng(seed)
+
+    @cache
+    def rng():
+        return np.random.default_rng(seed)
+
     datum, F, n = group.datum, group.field, group.n
     ADD, MUL, _, _ = F.tables()
     R = group.root_elements()  # R[ri, c] = x_ri(c)

@@ -41,6 +41,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from . import chevalley
 from .chevalley import (
     FlagIndex,
     MatrixGroup,
@@ -384,8 +385,8 @@ class LevelModule:
         leading cosets cover G/B, makes T triangular (`TriangularBasis`).
         V_J, the span of the blocks K >= J, lies in M_J; every label, spin or
         not, is asserted to map block J into V_J (on the T-coordinates of
-        its images), and `project` asserts that eta_J lies in V_J: V_J is
-        the submodule M_J.  So block J is a basis of the piece, on which a
+        its images, solved for a chunk of labels at a time), and `project`
+        asserts that eta_J lies in V_J: V_J is the submodule M_J.  So block J is a basis of the piece, on which a
         label acts by the J x J block of its images' coordinates."""
         if self._filtration is not None:
             return self._filtration
@@ -410,14 +411,27 @@ class LevelModule:
         inside = np.array([[K >= J for K in subsets] for J in subsets])  # inside[J, K]: M_K in M_J
         sizes, starts = np.bincount(block), np.searchsorted(block, np.arange(len(subsets)))
         handles = [ModuleHandle(int(k), l, self.handle.spin_labels) for k in sizes]
-        for label in self.handle.actions:
-            v, r, y = T.coords(T.row, self.handle.perm(label)[T.col], T.val)
+        # the labels in chunks, a label's triples (3 int64s per entry of T)
+        # under the byte cap; slot s holds the image of row r as vector s*n + r
+        labels = list(self.handle.actions)
+        step = max(1, chevalley.STACK_BYTES // (24 * len(T.row)))
+        for start in range(0, len(labels), step):
+            chunk = labels[start:start + step]
+            vec = (np.arange(len(chunk))[:, None] * n + T.row).ravel()
+            col = np.concatenate([self.handle.perm(label)[T.col] for label in chunk])
+            slots, r, y = T.coords(vec, col, np.tile(T.val, len(chunk)))
+            slots, v = np.divmod(slots, n)
             assert inside[block[v], block[r]].all(), "vector outside the subspace"
-            for j, handle in enumerate(handles if label in self.handle.spin_labels else ()):
-                mine = (block[v] == j) & (block[r] == j)
-                M = np.zeros((handle.dim, handle.dim), dtype=np.int64)
-                M[r[mine] - starts[j], v[mine] - starts[j]] = y[mine]  # column i: the image of row i
-                handle.add_matrix(label, M)
+            for slot, label in enumerate(chunk):
+                if label not in self.handle.spin_labels:
+                    continue
+                at = slots == slot
+                vi, ri, yi = v[at], r[at], y[at]
+                for j, handle in enumerate(handles):
+                    mine = (block[vi] == j) & (block[ri] == j)
+                    M = np.zeros((handle.dim, handle.dim), dtype=np.int64)
+                    M[ri[mine] - starts[j], vi[mine] - starts[j]] = yi[mine]  # column i: the image of row i
+                    handle.add_matrix(label, M)
         v, r, y = T.coords(np.arange(n), np.arange(n), np.ones(n, dtype=np.int64))
         inverse_t = np.zeros((n, n), dtype=np.int64)
         inverse_t[r, v] = y

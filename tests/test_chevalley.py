@@ -690,6 +690,34 @@ def test_chunked_stacks_give_the_same_results(monkeypatch):
     assert np.array_equal(FlagIndex(group).reps, flags.reps)
 
 
+def test_sampled_sweeps_draw_from_one_seeded_generator(monkeypatch):
+    # the generator is made on the first sampled draw and shared: the sampled
+    # sweeps' draws, in sweep order, are those of one default_rng(seed), and
+    # a run of exhaustive sweeps makes no generator
+    calls, made = [], []
+    real_sweep, real_rng = chevalley._sweep_cases, np.random.default_rng
+
+    def sweep(count, cap, samples, rng):
+        idx, mode = real_sweep(count, cap, samples, rng)
+        calls.append((count, samples, mode, idx))
+        return idx, mode
+
+    monkeypatch.setattr(chevalley, "_sweep_cases", sweep)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed) or real_rng(seed))
+    group = matrix_group("B2", 3)
+    facts = check_structure_facts(group, cap=50, samples=40, seed=7)
+    assert {mode for _, _, mode, _ in calls} == {"exhaustive", "sampled"} and made == [7]
+    assert all(not entry["failures"] for entry in facts.values())
+    ref = real_rng(7)
+    for count, samples, mode, idx in calls:
+        if mode == "sampled":
+            assert np.array_equal(idx, ref.choice(count, size=samples, replace=False)), (count, samples)
+    calls.clear()
+    made.clear()
+    check_structure_facts(group)
+    assert {mode for _, _, mode, _ in calls} == {"exhaustive"} and made == []
+
+
 def test_perm_of_is_action():
     group = matrix_group("A2", 2)
     flags = FlagIndex(group)

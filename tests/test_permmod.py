@@ -14,8 +14,8 @@ import pytest
 
 from chevperm.chevalley import weyl_word
 from chevperm.gf import make_field
-from chevperm.linrep import Subspace, fixed_vector, restrict, spin
-from chevperm import permmod
+from chevperm.linrep import Subspace, TriangularBasis, fixed_vector, restrict, spin
+from chevperm import chevalley, permmod
 from chevperm.permmod import (
     FIXED_POINT_TRIALS,
     SUITES,
@@ -99,17 +99,24 @@ def test_filtration_dims_b2():
     assert dims == [1, 14, 14, 16] and sum(dims) == 45
 
 
-def test_filtration_checks_non_spin_labels():
+def test_filtration_checks_non_spin_labels(monkeypatch):
     # a transposition of two cosets is no group element; the pieces carry
-    # only the spin labels, but the filtration must still check every label
-    lm = LevelModule("A2", 2, 2)
-    swap = np.arange(lm.dim)
-    swap[[1, 2]] = [2, 1]
-    lm.handle.add_perm(("bogus",), swap)
-    assert ("bogus",) not in lm.handle.spin_labels
-    with pytest.raises(AssertionError, match="outside the subspace") as err:
-        lm.filtration()
-    assert err.traceback[-1].name == "filtration"
+    # only the spin labels, but the filtration must still check every label:
+    # as the last label of the one chunk, as the first, and in a later chunk
+    # (a cap of one byte puts each label in a chunk of its own)
+    for first, cap in [(False, None), (True, None), (False, 1)]:
+        lm = LevelModule("A2", 2, 2)
+        swap = np.arange(lm.dim)
+        swap[[1, 2]] = [2, 1]
+        lm.handle.add_perm(("bogus",), swap)
+        assert ("bogus",) not in lm.handle.spin_labels
+        if first:
+            lm.handle.actions = {("bogus",): lm.handle.actions.pop(("bogus",)), **lm.handle.actions}
+        if cap is not None:
+            monkeypatch.setattr(chevalley, "STACK_BYTES", cap)
+        with pytest.raises(AssertionError, match="outside the subspace") as err:
+            lm.filtration()
+        assert err.traceback[-1].name == "filtration", (first, cap)
 
 
 def test_filtration_dims_survive_coefficient_change():
@@ -163,6 +170,7 @@ def translate_rows(lm):
     ("B2", 2, None, None, "base"), ("B2", 3, None, None, "base"), ("A3", 2, None, None, "base"),
     ("A2", 2, None, 3, "base"), ("B2", 2, None, 3, "base"),  # cross characteristic
     ("A1", 2, 3, None, "ext"), ("A2", 2, None, None, "ext"),  # A1 over GF(8), A2 over GF(4)
+    ("A1", 2, 7, None, "ext"),  # A1 over GF(128): 254 labels, several chunks
 ])
 def test_filtration_equals_the_spin_built_one(kind, q, b, char, level):
     # the pieces are read off the translate basis T: each M_J is the span of
@@ -189,6 +197,56 @@ def test_filtration_equals_the_spin_built_one(kind, q, b, char, level):
         for _, tail, weta in lm.y_translates(J, lm.alternating_sum(J)):
             block = lm.translates(tail, weta)
             assert np.array_equal(piece.project(block) @ P % lm.ell, project(block)), tag
+
+
+def per_label_filtration(lm):
+    """The filtration's pieces solved one label at a time: T's rows from
+    `translate_rows`, one `TriangularBasis.coords` call per label, each
+    asserted to map block J into the blocks K >= J.  Returns (T^-1)^T and
+    {J: (sub_dim, C, {spin label: J x J action})}."""
+    subsets, n, l = lm.datum.all_subsets(), lm.dim, lm.ell
+    rows, blocks = translate_rows(lm)
+    row, col = np.nonzero(rows)
+    T = TriangularBasis(l, row, col, rows[row, col], np.array([w.length for w in lm.flags.bruhat_labels()]))
+    block = np.array([subsets.index(J) for J in blocks])
+    inside = np.array([[K >= J for K in subsets] for J in subsets])
+    starts, sizes = np.searchsorted(block, np.arange(len(subsets))), np.bincount(block)
+    actions = [{} for _ in subsets]
+    for label in lm.handle.actions:
+        v, r, y = T.coords(T.row, lm.handle.perm(label)[T.col], T.val)
+        assert inside[block[v], block[r]].all(), label
+        for j in range(len(subsets) if label in lm.handle.spin_labels else 0):
+            mine = (block[v] == j) & (block[r] == j)
+            M = np.zeros((sizes[j], sizes[j]), dtype=np.int64)
+            M[r[mine] - starts[j], v[mine] - starts[j]] = y[mine]
+            actions[j][label] = M
+    v, r, y = T.coords(np.arange(n), np.arange(n), np.ones(n, dtype=np.int64))
+    inverse_t = np.zeros((n, n), dtype=np.int64)
+    inverse_t[r, v] = y
+    return inverse_t, {
+        J: (int(sizes[inside[j]].sum()), inverse_t[block == j] @ lm.alternating_sum(J) % l, actions[j])
+        for j, J in enumerate(subsets)
+    }
+
+
+@pytest.mark.parametrize("kind,order,ell", [("A1", 128, 2), ("A2", 4, 2), ("B2", 2, 3), ("A3", 2, 2)])
+def test_stacked_filtration_equals_the_per_label_one(monkeypatch, kind, order, ell):
+    # the labels are solved in chunks under STACK_BYTES: the default cap, one
+    # label per chunk and one chunk for all must all give the per-label pieces
+    lm = LevelModule(kind, order, ell)
+    inverse_t, oracle = per_label_filtration(lm)
+    for cap in (chevalley.STACK_BYTES, 1, 1 << 40):
+        monkeypatch.setattr(chevalley, "STACK_BYTES", cap)
+        lm._filtration = None
+        pieces = lm.filtration()
+        assert list(pieces) == list(oracle), cap
+        for J, (sub_dim, C, actions) in oracle.items():
+            piece = pieces[J]
+            assert np.array_equal(piece.inverse_t, inverse_t), (cap, J)
+            assert piece.sub_dim == sub_dim and np.array_equal(piece.C, C), (cap, J)
+            assert list(piece.handle.actions) == list(actions), (cap, J)
+            for label, M in actions.items():
+                assert np.array_equal(dense_matrix(piece.handle, label), M), (cap, J, label)
 
 
 def test_filtration_refuses_a_translate_span_missing_a_row(monkeypatch):
