@@ -10,7 +10,7 @@ import numpy as np
 
 from chevperm.permmod import SuiteRunner, subset_tag
 
-runner = SuiteRunner("A2", 2, a=1, b=2)
+runner = SuiteRunner("A2", 2, b=2)
 lm = runner.ext
 print("extension-level module: dim %d over GF(%d)" % (lm.dim, lm.field.order))
 lo, hi = runner.sub_values(), lm.values()

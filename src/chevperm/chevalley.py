@@ -492,17 +492,23 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
     unipotent radical and its w-split, and commutator relations with
     structure constants solved from the data.
 
-    `_sweep_cases` draws every case: a sweep with no more than
-    max(cap, draws) cases is exhaustive, a larger one draws `draws` distinct
-    cases with one seeded generator that the sweeps share, made on the first
-    draw, so a run of exhaustive sweeps never imports numpy.random.  `draws`
-    is `samples` for the torus and Weyl sweeps and the factored form of U,
-    samples // |W| for each w-split, and samples // pairs for each
-    commutator pair of positive roots, whose cap is cap // pairs.  Each
-    sweep then builds only the matrices of the cases it drew, as one stack
-    (`root_elements`, `torus_elements`, `from_words`), multiplies the
-    stacks with `mat_mul` and inverts them with `mat_inv`, and reads the
-    failures off the compared stacks in case order.
+    The root-homomorphism sweep is exhaustive: it checks every root
+    element and every sum of two, so additivity is never sampled.
+    `_sweep_cases` draws the cases of every other sweep: a sweep with no
+    more than max(cap, draws) cases is exhaustive, a larger one draws
+    `draws` distinct cases with one seeded generator that the sweeps share,
+    made on the first draw, so a run of exhaustive sweeps never imports
+    numpy.random.  `draws` is `samples` for the torus and Weyl sweeps and
+    the factored form of U, samples // |W| for each w-split, and
+    samples // pairs for each commutator pair of positive roots, whose cap
+    is cap // pairs.  Each sweep then builds only the matrices of the cases
+    it drew, as one stack (`root_elements`, `torus_elements`, `from_words`),
+    multiplies the stacks with `mat_mul` and inverts them with `mat_inv`,
+    and reads the failures off the compared stacks in case order.  The
+    commutator sweep tries every candidate constant tuple of a pair on the
+    pair's first case only, and only the tuples that pass it on all the
+    pair's cases, so its stacks grow with the cases drawn, not with
+    p^combos times the cases.
 
     Returns {fact: {"checked", "vacuous", "failures", "mode", "notes"}}.
     """
@@ -627,36 +633,44 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
         a, b, x, y = np.array([(a, b, x, y) for a, b, _, cases in sweeps for x, y in cases]).T
         Ma, Mb = R[a, x], R[b, y]
         lhs = mat_mul(F, mat_mul(F, mat_mul(F, mat_inv(F, Ma), mat_inv(F, Mb)), Ma), Mb)
-        # against them, the product over its combos for every candidate
-        # constant tuple of the pair, one row per (pair, tuple, case): factor
-        # j of a row indexes x_rc(c) in `table`, whose last entry, the
-        # identity, pads a pair with fewer combos.  The constants are
-        # recorded from the data, not presumed.
         table = np.concatenate([R.reshape(-1, n, n), group.identity()[None]])
         width = max(len(combos) for _, _, combos, _ in sweeps)
         x_pow, y_pow = [None, x, MUL[x, x], MUL[MUL[x, x], x]], [None, y, MUL[y, y], MUL[MUL[y, y], y]]
-        cands, rows, factors, first = [], [], [], 0
-        for _, _, combos, cases in sweeps:
-            cand = np.array(list(itertools.product(range(F.p), repeat=len(combos))), dtype=np.intp)
-            cands.append([tuple(int(v) for v in c) for c in cand])
-            k = np.tile(first + np.arange(len(cases)), len(cand))  # tuple-major
-            cv = np.repeat(cand.reshape(len(cand), len(combos)), len(cases), axis=0)
-            f = np.full((len(k), width), len(table) - 1)
-            for j, (m, nn, rc) in enumerate(combos):
-                f[:, j] = rc * q + MUL[MUL[cv[:, j], x_pow[m][k]], y_pow[nn][k]].astype(np.intp)
-            rows.append(k)
-            factors.append(f)
-            first += len(cases)
-        rows, factors = np.concatenate(rows), np.concatenate(factors)
-        rhs = np.broadcast_to(group.identity(), (len(rows), n, n))
-        for j in range(width):
-            rhs = mat_mul(F, rhs, table[factors[:, j]])
-        ok = _equal(rhs, lhs[rows])
-        first = 0
-        for (a, b, _, cases), cand in zip(sweeps, cands):
+
+        def holds(cands, spans):
+            """For each pair, whether the product over its combos with each
+            constant tuple of its cands equals the commutator on each of its
+            rows `spans` of lhs, as a (tuples, rows) array.  The products are
+            one stack, one row per (pair, tuple, case): factor j of a row
+            indexes x_rc(c) in `table`, whose last entry, the identity, pads
+            a pair with fewer combos."""
+            rows, factors = [], []
+            for (_, _, combos, _), cand, k in zip(sweeps, cands, spans):
+                kk = np.tile(k, len(cand))  # tuple-major
+                cv = np.repeat(cand, len(k), axis=0)
+                f = np.full((len(kk), width), len(table) - 1)
+                for j, (m, nn, rc) in enumerate(combos):
+                    f[:, j] = rc * q + MUL[MUL[cv[:, j], x_pow[m][kk]], y_pow[nn][kk]].astype(np.intp)
+                rows.append(kk)
+                factors.append(f)
+            rows, factors = np.concatenate(rows), np.concatenate(factors)
+            rhs = np.broadcast_to(group.identity(), (len(rows), n, n))
+            for j in range(width):
+                rhs = mat_mul(F, rhs, table[factors[:, j]])
+            ok = np.split(_equal(rhs, lhs[rows]), np.cumsum([len(c) * len(k) for c, k in zip(cands, spans)])[:-1])
+            return [o.reshape(len(c), len(k)) for o, c, k in zip(ok, cands, spans)]
+
+        # every candidate constant tuple of a pair on its first case, then
+        # only the tuples that pass it (the survivors) on all its cases.  The
+        # constants are recorded from the data, not presumed.
+        spans = np.split(np.arange(len(lhs)), np.cumsum([len(cases) for _, _, _, cases in sweeps])[:-1])
+        cands = [np.array(list(itertools.product(range(F.p), repeat=len(combos))), dtype=np.intp)
+                 .reshape(F.p ** len(combos), len(combos)) for _, _, combos, _ in sweeps]
+        survivors = [cand[ok[:, 0]] for cand, ok in zip(cands, holds(cands, [k[:1] for k in spans]))]
+        oks = holds(survivors, spans)
+        for (a, b, _, cases), surv, ok in zip(sweeps, survivors, oks):
             # a tuple survives case k if it matches on cases 0..k
-            alive = np.logical_and.accumulate(ok[first:first + len(cand) * len(cases)].reshape(len(cand), -1), axis=1)
-            first += len(cand) * len(cases)
+            alive = np.logical_and.accumulate(ok, axis=1)
             dead = np.flatnonzero(~alive.any(axis=0))  # cases left with no survivor
             ra, rb = datum.roots[a], datum.roots[b]
             if len(dead):
@@ -664,7 +678,7 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
                 e["failures"].append(("commutator", ra, rb) + cases[dead[0]])
             else:
                 e["checked"] += len(cases)
-                constants["%s,%s" % (ra, rb)] = cand[int(np.argmax(alive[:, -1]))]
+                constants["%s,%s" % (ra, rb)] = tuple(int(v) for v in surv[int(np.argmax(alive[:, -1]))])
     e["notes"]["constants"] = constants
     report["commutator-relations"] = e
 

@@ -73,7 +73,7 @@ def _summary_lines(reports):
 
 def cmd_run(args):
     try:
-        runner = SuiteRunner(args.type, args.q, a=args.a, b=args.b, char=args.char,
+        runner = SuiteRunner(args.type, args.q, b=args.b, char=args.char,
                              budget=args.budget, seed=args.seed, samples=args.samples)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -99,7 +99,7 @@ def cmd_run(args):
     payload = {
         "schema": "1",
         "config": {
-            "type": args.type, "q": args.q, "a": args.a, "b": runner.b, "char": runner.char,
+            "type": args.type, "q": args.q, "a": 1, "b": runner.b, "char": runner.char,
             "seed": args.seed, "budget": args.budget, "samples": args.samples,
             "suites": requested,
         },
@@ -145,10 +145,10 @@ def _sparse(v):
 
 def cmd_inspect(args):
     try:
-        runner = SuiteRunner(args.type, args.q, a=args.a, char=args.char, budget=args.budget)
+        runner = SuiteRunner(args.type, args.q, char=args.char, budget=args.budget)
     except ValueError as exc:
         raise UsageError(str(exc))
-    reason = runner.field_too_large(args.a)
+    reason = runner.field_too_large(1)
     if reason:
         raise UsageError(reason)
     try:
@@ -203,9 +203,8 @@ def build_parser():
     run = sub.add_parser("run", help="run verification suites")
     run.add_argument("--type", required=True, choices=KINDS)
     run.add_argument("--q", required=True, type=int, help="prime power, the base field order")
-    run.add_argument("--a", type=int, default=1, help="field level: the module lives over GF(q^a)")
-    run.add_argument("--b", type=int, default=None,
-                     help="second field level for two-level suites (default 2a)")
+    run.add_argument("--b", type=int, default=2,
+                     help="second field level for two-level suites, GF(q) inside GF(q^b) (default 2)")
     run.add_argument("--char", type=int, default=None,
                      help="coefficient characteristic (default: the field characteristic)")
     run.add_argument("--suites", default="all",
@@ -224,7 +223,6 @@ def build_parser():
     ins = sub.add_parser("inspect", help="print distinguished vectors of one configuration")
     ins.add_argument("--type", required=True, choices=KINDS)
     ins.add_argument("--q", required=True, type=int)
-    ins.add_argument("--a", type=int, default=1)
     ins.add_argument("--char", type=int, default=None)
     ins.add_argument("--budget", type=int, default=200_000)
     ins.add_argument("items", nargs="+",

@@ -1,8 +1,8 @@
 """Permutation modules on flag varieties and their verification suites.
 
-A SuiteRunner is one configuration: a group type, a prime power q, a field
-level a (the module lives over GF(q^a)), a second level b (a multiple of
-a, 2a by default, b = a for none) used by the two-level operator suites, a
+A SuiteRunner is one configuration: a group type, a prime power q (the
+module lives over GF(q)), a second level b (2 by default, b = 1 for none:
+the two-level operator suites work in GF(q) inside GF(q^b)), a
 coefficient characteristic, and the coset budget, seed and sample count of
 a run.  It checks every value once, when it is built, and builds the
 LevelModule at each level on first use.  A LevelModule materialises, on top
@@ -535,7 +535,7 @@ def suite_structure(runner: SuiteRunner, seed: int) -> SuiteReport:
         "structure",
         "matrix-level root-subgroup facts: homomorphism, torus weights, reflection conjugation, factorization, commutators",
     )
-    group = matrix_group(runner.kind, runner.q**runner.a)
+    group = matrix_group(runner.kind, runner.q)
     facts = check_structure_facts(group, samples=runner.samples, seed=seed)
     for name in sorted(facts):
         entry = facts[name]
@@ -839,8 +839,8 @@ def suite_separation(runner: SuiteRunner, seed: int) -> SuiteReport:
         ys = lm.y_translates(J, lm.alternating_sum(J))
         translates = {w.perm: piece.project(lm.theta(tail, 0, hi, lo, weta)) for w, tail, weta in ys}
         # the pure translates at both levels, in the order they are searched;
-        # theta at split 0 is u_sum at level a, so the level-a translate is
-        # the one just projected
+        # theta at split 0 is u_sum over GF(q), the level tagged "a", so that
+        # translate is the one just projected
         targets = [target for w, tail, weta in ys for target in (
             ((word_tag(w), "a"), translates[w.perm]),
             ((word_tag(w), "b"), piece.project(lm.u_sum(tail, hi, weta))))]
@@ -1063,28 +1063,24 @@ SUITES: Dict[str, SuiteSpec] = {
 class SuiteRunner:
     """One configuration of the suites: checked once, modules built lazily.
 
-    The eight arguments are the whole configuration: the group type, the
-    base field order q (a prime power), the field level a >= 1 of the
-    module, the second level b of the two-level suites (a multiple of a, at
-    least a; None for 2a, and b = a for none), the coefficient characteristic (a prime; the
-    field characteristic by default), the coset budget (>= 1), the run seed
-    (>= 0) and the sample count of the sampled structure sweeps (>= 1).  A
+    The seven arguments are the whole configuration: the group type, the
+    field order q of the module (a prime power), the second level b >= 1 of
+    the two-level suites (GF(q) inside GF(q^b); b = 1 for none), the
+    coefficient characteristic (a prime; the field characteristic by
+    default), the coset budget (>= 1), the run seed (>= 0) and the sample
+    count of the sampled structure sweeps (>= 1).  A
     bad value raises ValueError here, and so does a characteristic with
     (budget + 1)(char - 1)^2 >= 2^63: the kernels sum int64 products of
     entries < char over inner dimensions up to n + 1, n <= budget.
     Construction builds no module, and nothing is reassigned afterwards.
     """
 
-    def __init__(self, kind: str, q: int, a: int = 1, b: Optional[int] = None,
-                 char: Optional[int] = None, budget: int = 200_000, seed: int = 0,
-                 samples: int = 1000):
+    def __init__(self, kind: str, q: int, b: int = 2, char: Optional[int] = None,
+                 budget: int = 200_000, seed: int = 0, samples: int = 1000):
         root_datum(kind)  # raises ValueError for an unknown type
         p, e = factor_prime_power(q)
-        if a < 1:
-            raise ValueError("level a must be positive")
-        b = 2 * a if b is None else b
-        if b < a or b % a:
-            raise ValueError("level b must be a multiple of a, at least a")
+        if b < 1:
+            raise ValueError("level b must be positive")
         char = p if char is None else char
         if budget < 1:
             raise ValueError("budget must be positive")
@@ -1099,19 +1095,19 @@ class SuiteRunner:
             raise ValueError("seed must be non-negative")
         if samples < 1:
             raise ValueError("samples must be positive")
-        self.kind, self.q, self.a, self.b, self.char = kind, q, a, b, char
+        self.kind, self.q, self.b, self.char = kind, q, b, char
         self.budget, self.seed, self.samples = budget, seed, samples
         self.p, self.e = p, e
         self.defining = char == p
 
     @property
     def has_ext(self) -> bool:
-        return self.b != self.a
+        return self.b != 1
 
     @cached_property
     def base(self) -> LevelModule:
-        """The coset module over the level-a field."""
-        return LevelModule(self.kind, self.q**self.a, self.char, self.budget)
+        """The coset module over GF(q)."""
+        return LevelModule(self.kind, self.q, self.char, self.budget)
 
     @cached_property
     def ext(self) -> LevelModule:
@@ -1121,13 +1117,13 @@ class SuiteRunner:
         return LevelModule(self.kind, self.q**self.b, self.char, self.budget)
 
     def sub_values(self) -> List[int]:
-        """The level-a field, embedded in the level-b field."""
-        table = embedding_table(self.p, self.e * self.a, self.e * self.b)
+        """GF(q), embedded in the level-b field."""
+        table = embedding_table(self.p, self.e, self.e * self.b)
         return sorted(set(table))
 
     def transversal_reps(self) -> List[int]:
-        """Additive coset representatives of the embedded level-a field."""
-        return list(additive_transversal(self.p, self.e * self.a, self.e * self.b))
+        """Additive coset representatives of the embedded GF(q)."""
+        return list(additive_transversal(self.p, self.e, self.e * self.b))
 
     def context(self) -> SuiteRunner:
         """Build the base module now and return the runner.
@@ -1145,9 +1141,10 @@ class SuiteRunner:
         if spec.defining_only and not self.defining:
             return False, "requires defining characteristic (coefficient prime = field characteristic)"
         if spec.scope == "ext" and not self.has_ext:
+            # the report's wording: GF(q) is level a = 1
             return False, "requires an extension level b strictly above a"
         if spec.scope != "datum":
-            reason = self.field_too_large(self.b if spec.scope == "ext" else self.a)
+            reason = self.field_too_large(self.b if spec.scope == "ext" else 1)
             if reason:
                 return False, reason
         return True, ""

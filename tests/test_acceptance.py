@@ -28,8 +28,8 @@ from chevperm.permmod import (
 
 
 @lru_cache(maxsize=None)
-def ctx(kind, q, a=1, b=None, char=None):
-    return SuiteRunner(kind, q, a=a, b=b, char=char)
+def ctx(kind, q, b=2, char=None):
+    return SuiteRunner(kind, q, b=b, char=char)
 
 
 def test_criterion_01_six_composition_factors_dim21():
@@ -93,7 +93,7 @@ def test_criterion_05_structure_and_combinatorial_sweeps():
 
 def test_criterion_06_two_level_machinery():
     start = time.perf_counter()
-    c = ctx("A2", 2, a=1, b=2)
+    c = ctx("A2", 2, b=2)
     induction = suite_induction(c, 0)
     assert induction.ok and induction.failed == 0, induction.failures
     assert not induction.skipped and induction.checked == 2  # every admissible pair

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -814,10 +815,30 @@ STRUCTURE_GROUPS = [("A1", 2), ("A1", 3), ("A2", 2), ("A2", 3), ("A3", 2), ("B2"
     ("B2", 16, {}),  # torus sweep, factored form and every w-split sampled
     ("A1", 4, {"cap": 5, "samples": 6}),  # torus and Weyl sweeps sampled
     ("A2", 8, {"cap": 50, "samples": 40, "seed": 2}),  # commutator value cases sampled too
+    ("B2", 13, {}),  # 169 candidate constant tuples for the pairs with two combos
 ])
 def test_stacked_structure_facts_match_the_per_case_sweeps(kind, q, kw):
     group = matrix_group(kind, q)
     assert check_structure_facts(group, **kw) == structure_facts_per_case(group, **kw)
+
+
+def test_commutator_sweep_memory_is_bounded_by_the_drawn_cases():
+    # B2 over GF(127): the pairs with two combos have 127^2 candidate
+    # constant tuples and 83 drawn value cases.  Stacking every tuple
+    # against every case peaked at 191.4 MiB of traced allocations; trying
+    # the tuples on the first case and only the survivors on the rest
+    # peaks at 6.2 MiB.
+    group = matrix_group("B2", 127)
+    tracemalloc.start()
+    try:
+        facts = check_structure_facts(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    commutators = facts["commutator-relations"]
+    assert commutators["failures"] == [] and commutators["mode"] == "sampled"
+    assert commutators["notes"]["constants"]["(0, 1),(1, 0)"] == (126, 1)
 
 
 class OneWrongRootElement(MatrixGroup):

@@ -22,10 +22,12 @@ def run_to_file(tmp_path, name, extra):
 
 def test_run_all_on_smallest_config(tmp_path):
     rc, out = run_to_file(tmp_path, "a1.json",
-                          ["--type", "A1", "--q", "2", "--a", "1", "--char", "2", "--suites", "all"])
+                          ["--type", "A1", "--q", "2", "--char", "2", "--suites", "all"])
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["schema"] == "1"
+    # the module lives over GF(q): the config still echoes the level a = 1
+    assert (payload["config"]["a"], payload["config"]["b"]) == (1, 2)
     assert payload["summary"]["ok"] is True
     assert payload["summary"]["failed"] == 0
     # the downward-transfer suite has no admissible pairs in rank one and
@@ -74,14 +76,25 @@ def test_explicit_inapplicable_suite_is_refused(tmp_path, capsys):
 
 def test_usage_errors(tmp_path):
     assert main(["run", "--type", "A1", "--q", "6"]) == 2          # not a prime power
-    assert main(["run", "--type", "A1", "--q", "2", "--b", "3", "--a", "2"]) == 2
+    assert main(["run", "--type", "A1", "--q", "2", "--b", "0"]) == 2
     assert main(["run", "--type", "A1", "--q", "2", "--char", "9"]) == 2
     assert main(["run", "--type", "A1", "--q", "2", "--suites", "nope"]) == 2
     assert main(["inspect", "--type", "A1", "--q", "2", "what:J=1"]) == 2
     assert main(["inspect", "--type", "A1", "--q", "2", "eta"]) == 2
     assert main(["run", "--type", "A1", "--q", "2", "--seed", "-1"]) == 2
     assert main(["run", "--type", "A1", "--q", "2", "--samples", "0"]) == 2
-    assert main(["inspect", "--type", "A1", "--q", "2", "--a", "0", "dims"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--type", "A1", "--q", "2", "--a", "1"],
+    ["inspect", "--type", "A1", "--q", "2", "--a", "1", "dims"],
+])
+def test_there_is_no_level_a_option(argv, capsys):
+    # GF(q^a) is written --q q^a: argparse refuses --a as a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --a" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -116,7 +129,7 @@ def test_field_order_cap(tmp_path, capsys):
     reason = "field order 512 exceeds the matrix-arithmetic bound 256"
     skipped = {name: s["skip_reason"] for name, s in suites.items() if s.get("skipped")}
     assert skipped == {"level-steps": reason, "separation": reason, "induction": reason}
-    assert main(["inspect", "--type", "A1", "--q", "2", "--a", "9", "dims"]) == 2
+    assert main(["inspect", "--type", "A1", "--q", "512", "dims"]) == 2
     assert reason in capsys.readouterr().err
 
 

@@ -47,9 +47,10 @@ from test_linrep import dense_fixed_space, dense_matrix, loop_quotient, loop_res
 
 
 @lru_cache(maxsize=None)
-def ctx(kind, q, a=1, b=None, char=None):
-    # one shared runner per configuration; tests only read from them
-    return SuiteRunner(kind, q, a=a, b=b, char=char)
+def ctx(kind, q, b=None, char=None):
+    # one shared runner per configuration; tests only read from them;
+    # b=None is the default level b = 2
+    return SuiteRunner(kind, q, b=b or 2, char=char)
 
 
 def suite_dict(rep):
@@ -825,10 +826,21 @@ def test_runner_applicability():
     default = SuiteRunner("A1", 2)
     assert default.b == 2 and default.has_ext and default.applicable("level-steps")[0]
 
-    big = SuiteRunner("A2", 4, a=2, b=6)
+    big = SuiteRunner("A2", 16, b=3)
     ok, reason = big.applicable("separation")
     assert not ok and "exceeds" in reason
     assert big.applicable("combinatorics")[0]
+
+
+def test_runner_levels_over_a_prime_power():
+    # GF(4) inside GF(64): the subfield is {x : x^4 = x}, and the 16
+    # transversal representatives lie in distinct cosets of it
+    runner = SuiteRunner("A2", 4, b=3)
+    F = make_field(2, 6)
+    lo, reps = runner.sub_values(), runner.transversal_reps()
+    square = [F.mul(x, x) for x in F.elements()]
+    assert lo == [x for x in F.elements() if square[square[x]] == x] and len(lo) == 4
+    assert len(reps) == 16 and len({frozenset(F.add(r, v) for v in lo) for r in reps}) == 16
 
 
 def test_runner_runs_and_skips():
@@ -845,9 +857,7 @@ def test_runner_runs_and_skips():
     {"kind": "C3"},
     {"q": 6},
     {"q": 1},
-    {"a": 0},
-    {"b": 1, "a": 2},
-    {"b": 3, "a": 2},
+    {"b": 0},
     {"char": 9},
     {"budget": 0},
     {"seed": -1},
