@@ -858,6 +858,8 @@ def test_runner_runs_and_skips():
     {"q": 6},
     {"q": 1},
     {"b": 0},
+    {"b": -1},
+    {"char": 2**31 - 1},  # prime, but past the int64 product bound
     {"char": 9},
     {"budget": 0},
     {"seed": -1},
