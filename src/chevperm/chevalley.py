@@ -505,9 +505,11 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
     it drew, as one stack (`root_elements`, `torus_elements`, `from_words`),
     multiplies the stacks with `mat_mul` and inverts them with `mat_inv`,
     and reads the failures off the compared stacks in case order.  The
-    commutator sweep tries every candidate constant tuple of a pair on the
-    pair's first case only, and only the tuples that pass it on all the
-    pair's cases, so its stacks grow with the cases drawn, not with
+    commutator sweep makes one pass per pair of positive roots: it builds
+    the pair's commutators as one stack from one table of inverted root
+    elements, tries every candidate constant tuple on the pair's first case
+    only, then only the tuples that pass it on all the pair's cases.  No
+    stack spans two pairs, and each grows with the cases drawn, not with
     p^combos times the cases.
 
     Returns {fact: {"checked", "vacuous", "failures", "mode", "notes"}}.
@@ -601,19 +603,15 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
             e["failures"].append(("factored-form-collision", distinct) if w is None else ("split-collision", w.word, distinct))
     report["unipotent-factorization"] = e
 
-    # (e) commutator relations with solved structure constants
+    # (e) commutator relations with structure constants solved from the data,
+    # not presumed: one pass per pair
     e = entry()
     constants = {}
-    pairs = [
-        (a, b)
-        for a in datum.positive_indices
-        for b in datum.positive_indices
-        if a != b
-    ]
+    pairs = [(a, b) for a in datum.positive_indices for b in datum.positive_indices if a != b]
     if not pairs:
         e["vacuous"] += 1
         e["notes"]["vacuous"] = "rank 1: no distinct positive root pairs"
-    sweeps = []  # (a, b, combos, value cases) of every pair, the cases drawn in pair order
+    R_inv = mat_inv(F, R[:, 1:])  # R_inv[ri, c - 1] = x_ri(c)^-1
     for a, b in pairs:
         ra, rb = datum.roots[a], datum.roots[b]
         combos = []
@@ -627,58 +625,32 @@ def check_structure_facts(group: MatrixGroup, cap: int = 20_000, samples: int = 
         idx, mode = _sweep_cases(len(units)**2, cap // len(pairs), max(1, samples // len(pairs)), rng)
         if mode == "sampled":
             e["mode"] = mode
-        sweeps.append((a, b, combos, list(zip(units[idx // len(units)].tolist(), units[idx % len(units)].tolist()))))
-    if sweeps:
-        # every pair's commutators as one stack, one row per (pair, case)
-        a, b, x, y = np.array([(a, b, x, y) for a, b, _, cases in sweeps for x, y in cases]).T
-        Ma, Mb = R[a, x], R[b, y]
-        lhs = mat_mul(F, mat_mul(F, mat_mul(F, mat_inv(F, Ma), mat_inv(F, Mb)), Ma), Mb)
-        table = np.concatenate([R.reshape(-1, n, n), group.identity()[None]])
-        width = max(len(combos) for _, _, combos, _ in sweeps)
+        x, y = units[idx // len(units)], units[idx % len(units)]
+        lhs = mat_mul(F, mat_mul(F, mat_mul(F, R_inv[a, x - 1], R_inv[b, y - 1]), R[a, x]), R[b, y])
         x_pow, y_pow = [None, x, MUL[x, x], MUL[MUL[x, x], x]], [None, y, MUL[y, y], MUL[MUL[y, y], y]]
 
-        def holds(cands, spans):
-            """For each pair, whether the product over its combos with each
-            constant tuple of its cands equals the commutator on each of its
-            rows `spans` of lhs, as a (tuples, rows) array.  The products are
-            one stack, one row per (pair, tuple, case): factor j of a row
-            indexes x_rc(c) in `table`, whose last entry, the identity, pads
-            a pair with fewer combos."""
-            rows, factors = [], []
-            for (_, _, combos, _), cand, k in zip(sweeps, cands, spans):
-                kk = np.tile(k, len(cand))  # tuple-major
-                cv = np.repeat(cand, len(k), axis=0)
-                f = np.full((len(kk), width), len(table) - 1)
-                for j, (m, nn, rc) in enumerate(combos):
-                    f[:, j] = rc * q + MUL[MUL[cv[:, j], x_pow[m][kk]], y_pow[nn][kk]].astype(np.intp)
-                rows.append(kk)
-                factors.append(f)
-            rows, factors = np.concatenate(rows), np.concatenate(factors)
-            rhs = np.broadcast_to(group.identity(), (len(rows), n, n))
-            for j in range(width):
-                rhs = mat_mul(F, rhs, table[factors[:, j]])
-            ok = np.split(_equal(rhs, lhs[rows]), np.cumsum([len(c) * len(k) for c, k in zip(cands, spans)])[:-1])
-            return [o.reshape(len(c), len(k)) for o, c, k in zip(ok, cands, spans)]
+        def holds(cands, k):
+            """Whether the product over combos with each constant tuple of
+            cands equals the commutator on each case of the slice k, as one
+            (tuples, cases) stack."""
+            rhs = np.broadcast_to(group.identity(), (len(cands), 1, n, n))
+            for j, (m, nn, rc) in enumerate(combos):
+                rhs = mat_mul(F, rhs, R[rc, MUL[MUL[cands[:, j, None], x_pow[m][k]], y_pow[nn][k]]])
+            return _equal(rhs, lhs[k])
 
-        # every candidate constant tuple of a pair on its first case, then
-        # only the tuples that pass it (the survivors) on all its cases.  The
-        # constants are recorded from the data, not presumed.
-        spans = np.split(np.arange(len(lhs)), np.cumsum([len(cases) for _, _, _, cases in sweeps])[:-1])
-        cands = [np.array(list(itertools.product(range(F.p), repeat=len(combos))), dtype=np.intp)
-                 .reshape(F.p ** len(combos), len(combos)) for _, _, combos, _ in sweeps]
-        survivors = [cand[ok[:, 0]] for cand, ok in zip(cands, holds(cands, [k[:1] for k in spans]))]
-        oks = holds(survivors, spans)
-        for (a, b, _, cases), surv, ok in zip(sweeps, survivors, oks):
-            # a tuple survives case k if it matches on cases 0..k
-            alive = np.logical_and.accumulate(ok, axis=1)
-            dead = np.flatnonzero(~alive.any(axis=0))  # cases left with no survivor
-            ra, rb = datum.roots[a], datum.roots[b]
-            if len(dead):
-                e["checked"] += int(dead[0]) + 1
-                e["failures"].append(("commutator", ra, rb) + cases[dead[0]])
-            else:
-                e["checked"] += len(cases)
-                constants["%s,%s" % (ra, rb)] = tuple(int(v) for v in surv[int(np.argmax(alive[:, -1]))])
+        # every candidate constant tuple on the first case, then only the
+        # tuples that pass it (the survivors) on all the cases
+        cands = np.array(list(itertools.product(range(F.p), repeat=len(combos))), dtype=np.intp)
+        survivors = cands[holds(cands, slice(0, 1))[:, 0]]
+        # a tuple survives case k if it matches on cases 0..k
+        alive = np.logical_and.accumulate(holds(survivors, slice(None)), axis=1)
+        dead = np.flatnonzero(~alive.any(axis=0))  # cases left with no survivor
+        if len(dead):
+            e["checked"] += int(dead[0]) + 1
+            e["failures"].append(("commutator", ra, rb, int(x[dead[0]]), int(y[dead[0]])))
+        else:
+            e["checked"] += len(idx)
+            constants["%s,%s" % (ra, rb)] = tuple(int(v) for v in survivors[int(np.argmax(alive[:, -1]))])
     e["notes"]["constants"] = constants
     report["commutator-relations"] = e
 

@@ -79,6 +79,8 @@ def cmd_run(args):
         raise UsageError(str(exc))
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise UsageError("the directory of --out %r does not exist" % args.out)
+    if args.out and os.path.isdir(args.out):
+        raise UsageError("--out %r is a directory, not a file" % args.out)
     requested, explicit = _resolve_suites(args.suites)
     if explicit:
         for name in requested:

@@ -27,7 +27,6 @@ minimal polynomials.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Iterator, List, Tuple
 
@@ -35,6 +34,7 @@ import numpy as np
 
 __all__ = [
     "MAX_ORDER",
+    "PRIME_BOUND",
     "Field",
     "make_field",
     "is_prime",
@@ -50,33 +50,66 @@ __all__ = [
 MAX_ORDER = 256
 
 
+# Miller-Rabin with the first twelve prime bases is exact below PRIME_BOUND,
+# the least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_BOUND = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over PRIME_BASES: exact for every
+    n < PRIME_BOUND, and asserted to be below it."""
+    assert n < PRIME_BOUND, "is_prime is exact only below %d, got %d" % (PRIME_BOUND, n)
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
+    for a in PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # a witnesses that n is composite
     return True
 
 
+def _iroot(q: int, e: int) -> int:
+    """The integer part of q^(1/e), by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + q // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def factor_prime_power(q: int) -> Tuple[int, int]:
-    """Return (p, e) with q = p**e, or raise ValueError.  Trial division
-    stops at isqrt(q): a q with no divisor up to there is prime."""
+    """Return (p, e) with q = p**e, or raise ValueError.  The exact integer
+    e-th roots of q, e <= log2 q, are its only candidate bases, and the one
+    with the largest e is the smallest: q is a prime power exactly when that
+    root is prime.  A root at or above PRIME_BOUND, which is_prime cannot
+    certify, raises ValueError with a message of its own."""
     if q < 2:
         raise ValueError("not a prime power: %r" % (q,))
-    for p in range(2, math.isqrt(q) + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError("not a prime power: %r" % (q,))
-            return p, e
-    return q, 1
+    for e in range(q.bit_length() - 1, 0, -1):
+        p = _iroot(q, e)
+        if p**e == q:
+            break  # e = 1 always ends the loop with p = q
+    if p >= PRIME_BOUND:
+        raise ValueError("q = %d is too large to certify as a prime power: its candidate prime %d "
+                         "is not below %d" % (q, p, PRIME_BOUND))
+    if not is_prime(p):
+        raise ValueError("not a prime power: %r" % (q,))
+    return p, e
 
 
 # -- polynomials over GF(p): int64 coefficient arrays, ascending by degree,

@@ -1084,8 +1084,6 @@ class SuiteRunner:
         char = p if char is None else char
         if budget < 1:
             raise ValueError("budget must be positive")
-        # checked before primality: the bound keeps char below 2^32, so
-        # is_prime's trial division stays short
         if (budget + 1) * (char - 1) ** 2 >= 2**63:
             raise ValueError("coefficient characteristic %d is too large for exact int64 products "
                              "at budget %d: (budget + 1)(char - 1)^2 must be below 2^63" % (char, budget))

@@ -816,6 +816,7 @@ STRUCTURE_GROUPS = [("A1", 2), ("A1", 3), ("A2", 2), ("A2", 3), ("A3", 2), ("B2"
     ("A1", 4, {"cap": 5, "samples": 6}),  # torus and Weyl sweeps sampled
     ("A2", 8, {"cap": 50, "samples": 40, "seed": 2}),  # commutator value cases sampled too
     ("B2", 13, {}),  # 169 candidate constant tuples for the pairs with two combos
+    ("A3", 4, {"cap": 5, "samples": 60}),  # rank-3 pairs with sampled value cases: 30 pairs, 2 cases each
 ])
 def test_stacked_structure_facts_match_the_per_case_sweeps(kind, q, kw):
     group = matrix_group(kind, q)

@@ -101,14 +101,30 @@ def test_there_is_no_level_a_option(argv, capsys):
     ["run", "--type", "A1", "--q", "1000000007"],
     ["inspect", "--type", "A1", "--q", "1000000007", "dims"],
     ["run", "--type", "A1", "--q", "2", "--char", "2305843009213693951"],
+    ["run", "--type", "A1", "--q", "2305843009213693951", "--suites", "combinatorics"],
 ])
 def test_large_primes_are_refused_without_long_trial_division(argv):
-    # q = 10^9 + 7 is prime, so the field characteristic is too large for
-    # the int64 bound; 2^61 - 1 fails that bound before primality is tested
+    # q = 10^9 + 7 and q = 2^61 - 1 are prime, so the field characteristic
+    # is too large for the int64 bound; --char 2^61 - 1 fails that bound
+    # before primality is tested
     proc = subprocess.run([sys.executable, "-m", "chevperm.cli"] + argv,
                           capture_output=True, text=True, timeout=20)
     assert proc.returncode == 2
     assert "below 2^63" in proc.stderr
+
+
+@pytest.mark.parametrize("q,code,message", [
+    (10**18 + 3, 0, ""),  # prime: the datum-only suite needs no field
+    ((10**9 + 7) * (10**9 + 9), 2, "not a prime power"),
+])
+def test_large_q_is_factored_without_trial_division(q, code, message):
+    proc = subprocess.run([sys.executable, "-m", "chevperm.cli", "run", "--type", "A1", "--q", str(q),
+                           "--char", "2", "--suites", "combinatorics"],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["summary"]["ok"] is True
 
 
 def test_out_into_a_missing_directory_is_refused_before_any_suite(tmp_path, monkeypatch, capsys):
@@ -118,6 +134,10 @@ def test_out_into_a_missing_directory_is_refused_before_any_suite(tmp_path, monk
     assert main(["run", "--type", "A1", "--q", "2", "--out", str(out)]) == 2
     assert ran == [] and not out.parent.exists()
     assert "does not exist" in capsys.readouterr().err
+    # an existing directory is no file to write either
+    assert main(["run", "--type", "A1", "--q", "2", "--out", str(tmp_path)]) == 2
+    assert ran == [] and list(tmp_path.iterdir()) == []
+    assert "is a directory" in capsys.readouterr().err
 
 
 def test_field_order_cap(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -6,6 +7,7 @@ import pytest
 
 from chevperm.gf import (
     MAX_ORDER,
+    PRIME_BOUND,
     additive_transversal,
     embedding_table,
     factor_prime_power,
@@ -199,12 +201,35 @@ def test_field_guards():
     assert factor_prime_power(9) == (3, 2)
     with pytest.raises(ValueError):
         factor_prime_power(12)
-    # trial division stops at isqrt(q): about 31 623 divisions, not 10^9
+    # the prime is read off q's exact integer roots, with no trial division
     assert factor_prime_power(1_000_000_007) == (1_000_000_007, 1)
     assert factor_prime_power(2) == (2, 1) and factor_prime_power(3) == (3, 1)
     assert factor_prime_power(1_000_003**2) == (1_000_003, 2)
     with pytest.raises(ValueError):
         factor_prime_power(1_000_003 * 1_000_033)
+    assert factor_prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert factor_prime_power(10**18 + 3) == (10**18 + 3, 1)
+    assert factor_prime_power((2**31 - 1) ** 2) == (2**31 - 1, 2)
+    assert factor_prime_power(3**40) == (3, 40)
+    assert factor_prime_power(2**63) == (2, 63)
+    # a candidate prime that is_prime cannot certify is refused on its own
+    with pytest.raises(ValueError, match="too large to certify"):
+        factor_prime_power(PRIME_BOUND)
+
+
+def test_is_prime_is_exact_below_its_bound():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [is_prime(n) for n in range(10**5)] == [by_trial_division(n) for n in range(10**5)]
+    # a strong pseudoprime to bases 2, 3, 5, 7 and a Carmichael number
+    assert not is_prime(3215031751) and not is_prime(561)
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 3) and not is_prime((10**9 + 7) * (10**9 + 9))
+    # the bound is the least strong pseudoprime to the twelve bases: Fermat
+    # with base 41 shows it composite, and is_prime refuses it
+    assert pow(41, PRIME_BOUND - 1, PRIME_BOUND) != 1
+    with pytest.raises(AssertionError):
+        is_prime(PRIME_BOUND)
 
 
 def test_order_cap_is_256():
